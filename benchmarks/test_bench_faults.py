@@ -14,7 +14,7 @@ from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
 from repro.engine.player import AdaptationPolicy, CostModel, Player, RetryPolicy
 from repro.engine.recorder import Recorder
-from repro.engine.vod import VodServer
+from repro.engine.vod import SessionRequest, VodServer
 from repro.faults import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -94,7 +94,8 @@ def test_fault_severity_sweep(report, benchmark, movie):
 def test_vod_failover_sweep(report, movie):
     server = VodServer(bandwidth=800_000, prefetch_depth=8)
     server.publish("feature", movie)
-    requests = [(f"c{i}", "feature") for i in range(4)]
+    requests = [SessionRequest(client=f"c{i}", title="feature")
+                for i in range(4)]
     rows = []
     for severity in (0.0, 0.25, 0.5, 1.0):
         outcome = server.serve(

@@ -89,7 +89,7 @@ def test_figure5_layers(report, benchmark):
 def test_figure5_playback(report, benchmark):
     _, interpretation, _, _, movie = build_stack()
     player = Player(CostModel(bandwidth=40_000_000), prefetch_depth=4)
-    play = benchmark(lambda: player.play_multimedia(movie))
+    play = benchmark(lambda: player.play(movie))
     report.add(
         "figure5-playback",
         f"[figure5-playback] composed playback: {play.summary()}",

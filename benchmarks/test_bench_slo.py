@@ -16,7 +16,7 @@ import time
 from test_bench_figure5_pipeline import build_stack
 
 from repro.engine import CostModel, Player
-from repro.engine.vod import VodServer
+from repro.engine.vod import SessionRequest, VodServer
 from repro.obs import Observability, profile_stages, worst_verdicts
 
 #: min-of-N repetitions for the overhead measurement.
@@ -26,7 +26,8 @@ TIMING_ROUNDS = 5
 def serve_feature(interpretation, bandwidth, obs):
     server = VodServer(bandwidth=bandwidth, prefetch_depth=8, obs=obs)
     server.publish("feature", interpretation)
-    server.serve([("c0", "feature"), ("c1", "feature")],
+    server.serve([SessionRequest(client=c, title="feature")
+                  for c in ("c0", "c1")],
                  enforce_admission=False)
     return server
 

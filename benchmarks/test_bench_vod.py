@@ -12,9 +12,14 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import VodServer
+from repro.engine.vod import SessionRequest, VodServer
 from repro.media import frames
 from repro.media.objects import video_object
+
+
+def sessions(count):
+    return [SessionRequest(client=f"c{i}", title="feature")
+            for i in range(count)]
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +40,7 @@ def test_vod_capacity_sweep(report, benchmark, movie):
     sweep = sorted({1, capacity // 2 or 1, capacity, capacity * 2,
                     capacity * 4})
     for clients in sweep:
-        requests = [(f"c{i}", "feature") for i in range(clients)]
+        requests = sessions(clients)
         uncontrolled = server.serve(requests, enforce_admission=False)
         controlled = server.serve(requests, enforce_admission=True)
         rows.append((
@@ -56,13 +61,11 @@ def test_vod_capacity_sweep(report, benchmark, movie):
 
     # Shape claims: beyond capacity, uncontrolled service degrades while
     # admission keeps every served session clean.
-    over = [(f"c{i}", "feature") for i in range(capacity * 4)]
+    over = sessions(capacity * 4)
     uncontrolled = server.serve(over, enforce_admission=False)
     controlled = server.serve(over, enforce_admission=True)
     assert uncontrolled.underrun_sessions() > 0
     assert controlled.underrun_sessions() == 0
     assert controlled.admitted_count == capacity
 
-    benchmark(lambda: server.serve(
-        [(f"c{i}", "feature") for i in range(capacity)],
-    ))
+    benchmark(lambda: server.serve(sessions(capacity)))

@@ -30,7 +30,7 @@ from repro.durability import (
     read_bytes,
     recover_page_store,
 )
-from repro.engine.vod import VodServer
+from repro.engine.vod import SessionRequest, VodServer
 from repro.errors import SimulatedCrash
 from repro.faults import CrashInjector, CrashSite, SimulatedMedium
 
@@ -108,7 +108,8 @@ def act_three_vod_failover() -> None:
     crash = CrashInjector(CrashSite("vod.serve.session", 1))
     server = VodServer(bandwidth=50_000_000, crash=crash)
     server.publish("feature", title)
-    requests = [(f"client-{i}", "feature") for i in range(3)]
+    requests = [SessionRequest(client=f"client-{i}", title="feature")
+                for i in range(3)]
     try:
         server.serve(requests, checkpoint_to="/srv/vod.ckpt",
                      checkpoint_fs=fs)

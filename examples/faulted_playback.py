@@ -18,7 +18,7 @@ from repro.bench.reporting import print_table
 from repro.codecs.scalable import ScalableVideoCodec
 from repro.core.rational import Rational
 from repro.engine import AdaptationPolicy, CostModel, Player, Recorder, RetryPolicy
-from repro.engine.vod import VodServer
+from repro.engine.vod import SessionRequest, VodServer
 from repro.errors import BlobCorruptionError, TransientBlobError
 from repro.faults import FaultPlan, FaultyPager
 from repro.media import frames
@@ -95,7 +95,8 @@ def main() -> None:
     # -- 5. VOD failover: degraded service, never dropped sessions --------
     server = VodServer(bandwidth=600_000, prefetch_depth=8)
     server.publish("movie", interpretation)
-    requests = [(f"client-{i}", "movie") for i in range(3)]
+    requests = [SessionRequest(client=f"client-{i}", title="movie")
+                for i in range(3)]
     report = server.serve(
         requests, fault_plan=plan,
         retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.1),

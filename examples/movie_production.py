@@ -53,7 +53,7 @@ def main() -> None:
           f"({stream.total_size() // max(chain_bytes, 1)}x the derivation chain)")
 
     # -- play the composition -------------------------------------------------
-    report = Player(CostModel(bandwidth=80_000_000)).play_multimedia(multimedia)
+    report = Player(CostModel(bandwidth=80_000_000)).play(multimedia)
     print(f"\nplayback: {report.summary()}")
 
 

@@ -24,7 +24,7 @@ import os
 import tempfile
 
 from repro.engine import Recorder, RetryPolicy
-from repro.engine.vod import VodServer
+from repro.engine.vod import SessionRequest, VodServer
 from repro.blob import MemoryBlob
 from repro.faults import FaultPlan
 from repro.media import frames
@@ -44,11 +44,13 @@ def main() -> None:
     )
     plan = FaultPlan(seed=7, transient_rate=0.5, bad_page_rate=0.3,
                      corruption_rate=0.1, degraded_fraction=1.0)
+    requests = [SessionRequest(client=f"client-{i}", title="feature")
+                for i in range(3)]
     obs = Observability()
     server = VodServer(bandwidth=15_000, prefetch_depth=8, obs=obs)
     server.publish("feature", movie)
     server.serve(
-        [(f"client-{i}", "feature") for i in range(3)],
+        requests,
         enforce_admission=False, fault_plan=plan,
         retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
     )
@@ -84,7 +86,7 @@ def main() -> None:
     server2 = VodServer(bandwidth=15_000, prefetch_depth=8, obs=obs2)
     server2.publish("feature", movie)
     server2.serve(
-        [(f"client-{i}", "feature") for i in range(3)],
+        requests,
         enforce_admission=False, fault_plan=plan,
         retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
     )

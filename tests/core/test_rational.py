@@ -65,9 +65,27 @@ class TestArithmeticClosure:
         lambda: 1 - Rational(1, 2),
         lambda: 2 * Rational(1, 2),
         lambda: 1 / Rational(1, 2),
+        lambda: Fraction(1, 2) + Rational(1, 3),
+        lambda: Fraction(1, 2) / Rational(1, 3),
+        lambda: 1 % Rational(1, 3),
+        lambda: Fraction(1, 2) % Rational(1, 3),
+        lambda: divmod(Rational(7, 2), Rational(2, 3))[1],
+        lambda: divmod(Rational(7, 2), 2)[1],
+        lambda: divmod(7, Rational(2, 3))[1],
+        lambda: divmod(Fraction(7, 2), Rational(2, 3))[1],
+        lambda: round(Rational(1, 3), 2),
+        lambda: round(Rational(1234, 3), -2),
     ])
     def test_closed(self, expression):
         assert isinstance(expression(), Rational)
+
+    def test_divmod_quotient_stays_int(self):
+        quotient, remainder = divmod(Rational(7, 2), Rational(2, 3))
+        assert (quotient, remainder) == (5, Rational(1, 6))
+        assert type(quotient) is int
+
+    def test_round_to_integer_stays_int(self):
+        assert type(round(Rational(7, 2))) is int
 
     def test_ntsc_identity(self):
         ntsc = Rational(30000, 1001)

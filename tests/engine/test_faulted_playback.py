@@ -26,7 +26,7 @@ def play(reads, plan=None, policy=None, adaptation=None, bandwidth=100_000,
     player = Player(CostModel(bandwidth=bandwidth), fault_plan=plan,
                     retry_policy=policy, adaptation=adaptation,
                     **player_kwargs)
-    return player.play_reads(reads)
+    return player.play(reads)
 
 
 class TestCleanPathUnchanged:

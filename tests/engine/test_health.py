@@ -10,7 +10,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import ServerHealth, VodServer
+from repro.engine.vod import ServerHealth, SessionRequest, VodServer
 from repro.faults import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -25,10 +25,15 @@ def movie():
     )
 
 
+def requests(count):
+    return [SessionRequest(client=f"c{i}", title="feature")
+            for i in range(count)]
+
+
 def serve(movie, bandwidth=2_000_000, clients=2, fault_plan=None, obs=None):
     server = VodServer(bandwidth=bandwidth, prefetch_depth=8, obs=obs)
     server.publish("feature", movie)
-    server.serve([(f"c{i}", "feature") for i in range(clients)],
+    server.serve(requests(clients),
                  enforce_admission=False, fault_plan=fault_plan)
     return server
 
@@ -38,7 +43,7 @@ class TestMeanDeliveredQuality:
         """Regression: an empty batch used to claim perfect quality."""
         server = VodServer(bandwidth=1, prefetch_depth=8)
         server.publish("feature", movie)
-        report = server.serve([("c0", "feature")])
+        report = server.serve(requests(1))
         assert report.admitted_count == 0
         assert report.mean_delivered_quality() == 0.0
 
@@ -138,7 +143,7 @@ class TestCriticalHealth:
                          corruption_rate=0.1, degraded_fraction=1.0)
         server = VodServer(bandwidth=6_000, prefetch_depth=8, obs=obs)
         server.publish("feature", movie)
-        server.serve([("c0", "feature"), ("c1", "feature")],
+        server.serve(requests(2),
                      enforce_admission=False, fault_plan=plan,
                      retry_policy=RetryPolicy(abort_skip_fraction=0.2))
         health = server.health()
@@ -156,6 +161,6 @@ class TestCriticalHealth:
         server = VodServer(bandwidth=2_000_000, derivation_cache=cache,
                            obs=obs)
         server.publish("feature", movie)
-        server.serve([("c0", "feature")], enforce_admission=False)
+        server.serve(requests(1), enforce_admission=False)
         ratios = server.health().cache_hit_ratios
         assert "derivation" in ratios

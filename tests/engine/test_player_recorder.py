@@ -129,7 +129,7 @@ class TestPlayer:
         assert shifted[-1].label.startswith("audio1")
 
     def test_empty_plan(self):
-        report = Player().play_reads([])
+        report = Player().play([])
         assert report.element_count == 0
 
     def test_prefetch_depth_validation(self):
@@ -157,6 +157,6 @@ class TestPlayMultimedia:
         multimedia = MultimediaObject("m")
         multimedia.add_temporal(video, at=0, label="v")
         multimedia.add_temporal(audio, at=Rational(1, 5), label="a")
-        report = Player(CostModel(bandwidth=10_000_000)).play_multimedia(multimedia)
+        report = Player(CostModel(bandwidth=10_000_000)).play(multimedia)
         assert report.element_count == 20
         assert report.underruns == 0

@@ -5,7 +5,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import VodServer
+from repro.engine.vod import SessionRequest, VodServer
 from repro.errors import EngineError, ResourceError
 from repro.media import frames
 from repro.media.objects import video_object
@@ -18,6 +18,11 @@ def make_title(name, frame_count=25, size=48):
         [video], encoders={name: JpegLikeCodec(quality=40).encode},
         interpretation_name=f"{name}-capture",
     )
+
+
+def requests(count):
+    return [SessionRequest(client=f"c{i}", title="feature")
+            for i in range(count)]
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +81,7 @@ class TestAdmission:
 
     def test_admit_up_to_capacity(self, server):
         capacity = server.capacity("feature")
-        requests = [(f"c{i}", "feature") for i in range(capacity + 3)]
-        admitted, rejected = server.admit(requests)
+        admitted, rejected = server.admit(requests(capacity + 3))
         assert len(admitted) == capacity
         assert len(rejected) == 3
 
@@ -99,7 +103,7 @@ class TestServing:
     def test_admitted_sessions_play_clean(self, server):
         capacity = server.capacity("feature")
         count = max(1, capacity // 2)
-        report = server.serve([(f"c{i}", "feature") for i in range(count)])
+        report = server.serve(requests(count))
         assert report.admitted_count == count
         assert report.clean_sessions() == count
         assert report.underrun_sessions() == 0
@@ -107,10 +111,7 @@ class TestServing:
     def test_overload_without_admission_underruns(self, server):
         capacity = server.capacity("feature")
         overload = capacity * 3
-        report = server.serve(
-            [(f"c{i}", "feature") for i in range(overload)],
-            enforce_admission=False,
-        )
+        report = server.serve(requests(overload), enforce_admission=False)
         assert report.admitted_count == overload
         assert report.underrun_sessions() > 0
 
@@ -118,8 +119,8 @@ class TestServing:
         """The point of admission control: the same overload, admitted
         properly, keeps every served session clean."""
         capacity = server.capacity("feature")
-        requests = [(f"c{i}", "feature") for i in range(capacity * 3)]
-        protected = server.serve(requests, enforce_admission=True)
+        protected = server.serve(requests(capacity * 3),
+                                 enforce_admission=True)
         assert protected.underrun_sessions() == 0
         assert len(protected.rejected) == capacity * 2
 
@@ -128,5 +129,5 @@ class TestServing:
             server.serve([])
 
     def test_per_client_bandwidth(self, server):
-        report = server.serve([("a", "feature"), ("b", "feature")])
+        report = server.serve(requests(2))
         assert report.per_client_bandwidth == 1_000_000

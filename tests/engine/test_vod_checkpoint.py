@@ -8,7 +8,7 @@ from repro.blob.blob import MemoryBlob
 from repro.cache import DerivationCache
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import CHECKPOINT_VERSION, VodServer
+from repro.engine.vod import CHECKPOINT_VERSION, SessionRequest, VodServer
 from repro.errors import CheckpointError, SimulatedCrash
 from repro.faults import CrashInjector, CrashSite, SimulatedMedium
 from repro.media import frames
@@ -70,7 +70,7 @@ class TestRestoreFromDict:
     def test_restored_title_replays_identically(self, movie):
         payload = make_server(movie).checkpoint()
         restored = VodServer.restore(payload)
-        report = restored.serve([("c", "feature")])
+        report = restored.serve([SessionRequest(client="c", title="feature")])
         assert len(report.admitted) == 1
         assert report.admitted[0].report.underruns == 0
 
@@ -120,7 +120,8 @@ class TestFailover:
         crash = CrashInjector(CrashSite("vod.serve.session", occurrence))
         server = VodServer(bandwidth=BANDWIDTH, crash=crash)
         server.publish("feature", movie)
-        requests = [(f"client-{i}", "feature") for i in range(3)]
+        requests = [SessionRequest(client=f"client-{i}", title="feature")
+                    for i in range(3)]
         with pytest.raises(SimulatedCrash):
             server.serve(requests, checkpoint_to="/srv/vod.ckpt",
                          checkpoint_fs=fs)
@@ -151,7 +152,7 @@ class TestFailover:
         fs.makedirs("/srv")
         server = make_server(movie)
         report = server.serve(
-            [("a", "feature"), ("b", "feature")],
+            [SessionRequest(client=c, title="feature") for c in "ab"],
             checkpoint_to="/srv/vod.ckpt", checkpoint_fs=fs,
         )
         assert len(report.admitted) == 2

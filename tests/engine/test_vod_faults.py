@@ -7,7 +7,7 @@ from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
 from repro.engine.player import AdaptationPolicy, RetryPolicy
 from repro.engine.recorder import Recorder
-from repro.engine.vod import VodServer
+from repro.engine.vod import SessionRequest, VodServer
 from repro.faults import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -29,7 +29,7 @@ def server(movie):
 
 
 def requests(n):
-    return [(f"c{i}", "feature") for i in range(n)]
+    return [SessionRequest(client=f"c{i}", title="feature") for i in range(n)]
 
 
 class TestFaultedServing:

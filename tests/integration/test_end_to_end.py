@@ -79,7 +79,7 @@ class TestStack:
 
     def test_playback_of_composition(self, stack):
         *_, movie, _ = stack
-        report = Player(CostModel(bandwidth=50_000_000)).play_multimedia(movie)
+        report = Player(CostModel(bandwidth=50_000_000)).play(movie)
         assert report.underruns == 0
         assert report.element_count > 0
 

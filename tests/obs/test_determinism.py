@@ -11,7 +11,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import VodServer
+from repro.engine.vod import SessionRequest, VodServer
 from repro.faults import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -21,6 +21,11 @@ from repro.obs import (
     to_chrome_trace,
     to_json_lines,
 )
+
+
+def requests(count):
+    return [SessionRequest(client=f"c{i}", title="feature")
+            for i in range(count)]
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +42,7 @@ def faulted_run(movie, event_capacity=1024):
     server.publish("feature", movie)
     plan = FaultPlan(seed=55, transient_rate=0.2, bad_page_rate=0.1,
                      corruption_rate=0.1, degraded_fraction=0.3)
-    server.serve([(f"c{i}", "feature") for i in range(3)], fault_plan=plan)
+    server.serve(requests(3), fault_plan=plan)
     return obs
 
 
@@ -53,8 +58,7 @@ def starved_run(movie):
     server.publish("feature", movie)
     plan = FaultPlan(seed=7, transient_rate=0.5, bad_page_rate=0.3,
                      corruption_rate=0.1, degraded_fraction=1.0)
-    server.serve([(f"c{i}", "feature") for i in range(3)],
-                 enforce_admission=False, fault_plan=plan)
+    server.serve(requests(3), enforce_admission=False, fault_plan=plan)
     return obs
 
 
@@ -78,7 +82,7 @@ class TestDeterminism:
             server.publish("feature", movie)
             plan = FaultPlan(seed=seed, transient_rate=0.3,
                              bad_page_rate=0.1)
-            server.serve([("c0", "feature")], fault_plan=plan)
+            server.serve(requests(1), fault_plan=plan)
             return to_json_lines(obs)
 
         assert export_with_seed(1) != export_with_seed(2)
@@ -89,7 +93,7 @@ class TestDeterminism:
             server = VodServer(bandwidth=2_000_000, prefetch_depth=8,
                                obs=obs)
             server.publish("feature", movie)
-            server.serve([("c0", "feature")])
+            server.serve(requests(1))
             return to_json_lines(obs)
 
         assert clean_export() == clean_export()
@@ -115,7 +119,7 @@ class TestDeterminism:
                                derivation_cache=cache, obs=obs)
             server.publish("feature", title)
             server.prefetch("feature")
-            server.serve([("c0", "feature"), ("c1", "feature")])
+            server.serve(requests(2))
             server.prefetch("feature")
             return to_json_lines(obs)
 

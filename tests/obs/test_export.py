@@ -93,7 +93,7 @@ def figure5_obs():
     from repro.core.composition import MultimediaObject
     from repro.edit import MediaEditor
     from repro.engine import CostModel, Player, Recorder
-    from repro.engine.vod import VodServer
+    from repro.engine.vod import SessionRequest, VodServer
     from repro.media import frames, signals
     from repro.media.objects import audio_object, video_object
 
@@ -115,7 +115,8 @@ def figure5_obs():
     obs = Observability()
     server = VodServer(bandwidth=8_000_000, obs=obs)
     server.publish("tape1", tape)
-    server.serve([("c0", "tape1"), ("c1", "tape1")],
+    server.serve([SessionRequest(client=c, title="tape1")
+                  for c in ("c0", "c1")],
                  enforce_admission=False)
     with obs.tracer.span("edit.render"):  # same-domain nesting
         Player(CostModel(bandwidth=8_000_000), obs=obs).play(movie)

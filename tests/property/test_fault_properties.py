@@ -52,7 +52,7 @@ def test_same_seed_playback_reports_are_bit_identical(plan, count, size):
                                      abort_skip_fraction=None),
             adaptation=AdaptationPolicy(levels=3),
         )
-        return player.play_reads(reads)
+        return player.play(reads)
 
     first = run()
     second = run()
