@@ -14,7 +14,7 @@ from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
 from repro.engine.player import AdaptationPolicy, CostModel, Player, RetryPolicy
 from repro.engine.recorder import Recorder
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.faults import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -98,13 +98,12 @@ def test_vod_failover_sweep(report, movie):
                 for i in range(4)]
     rows = []
     for severity in (0.0, 0.25, 0.5, 1.0):
-        outcome = server.serve(
-            requests,
+        outcome = server.serve(requests, ServeOptions(
             fault_plan=make_plan(severity) if severity else None,
             retry_policy=RetryPolicy(max_retries=3,
                                      abort_skip_fraction=0.25),
             adaptation=AdaptationPolicy(levels=3),
-        )
+        ))
         rows.append((
             f"{severity:.2f}",
             outcome.clean_sessions(),

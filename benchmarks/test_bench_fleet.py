@@ -19,7 +19,7 @@ from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.fleet import Fleet
 from repro.engine.recorder import Recorder
-from repro.engine.vod import SessionRequest
+from repro.engine.vod import ServeOptions, SessionRequest
 from repro.faults.crash import CrashInjector, CrashSite
 from repro.faults.disk import SimulatedMedium
 from repro.media import frames
@@ -68,7 +68,8 @@ def test_fleet_session_scaling(report, catalog):
         gc.disable()
         try:
             started = time.perf_counter()
-            merged = fleet.serve(requests, enforce_admission=False)
+            merged = fleet.serve(requests,
+                                 ServeOptions(enforce_admission=False))
             elapsed = time.perf_counter() - started
         finally:
             gc.enable()

@@ -16,7 +16,7 @@ import time
 from test_bench_figure5_pipeline import build_stack
 
 from repro.engine import CostModel, Player
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.obs import Observability, profile_stages, worst_verdicts
 
 #: min-of-N repetitions for the overhead measurement.
@@ -28,7 +28,7 @@ def serve_feature(interpretation, bandwidth, obs):
     server.publish("feature", interpretation)
     server.serve([SessionRequest(client=c, title="feature")
                   for c in ("c0", "c1")],
-                 enforce_admission=False)
+                 ServeOptions(enforce_admission=False))
     return server
 
 

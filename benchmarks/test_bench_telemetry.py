@@ -18,7 +18,7 @@ from repro.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
 from repro.engine import Recorder
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.media import frames
 from repro.media.objects import video_object
 from repro.obs import Observability
@@ -50,7 +50,7 @@ def serve_once(movie, with_telemetry: bool):
         for i in range(CLIENTS)
     ]
     start = time.perf_counter()
-    server.serve(requests, enforce_admission=False)
+    server.serve(requests, ServeOptions(enforce_admission=False))
     return time.perf_counter() - start, telemetry
 
 

@@ -12,7 +12,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.media import frames
 from repro.media.objects import video_object
 
@@ -41,8 +41,10 @@ def test_vod_capacity_sweep(report, benchmark, movie):
                     capacity * 4})
     for clients in sweep:
         requests = sessions(clients)
-        uncontrolled = server.serve(requests, enforce_admission=False)
-        controlled = server.serve(requests, enforce_admission=True)
+        uncontrolled = server.serve(requests,
+                                    ServeOptions(enforce_admission=False))
+        controlled = server.serve(requests,
+                                  ServeOptions(enforce_admission=True))
         rows.append((
             clients,
             f"{uncontrolled.underrun_sessions()}/{clients}",
@@ -62,8 +64,8 @@ def test_vod_capacity_sweep(report, benchmark, movie):
     # Shape claims: beyond capacity, uncontrolled service degrades while
     # admission keeps every served session clean.
     over = sessions(capacity * 4)
-    uncontrolled = server.serve(over, enforce_admission=False)
-    controlled = server.serve(over, enforce_admission=True)
+    uncontrolled = server.serve(over, ServeOptions(enforce_admission=False))
+    controlled = server.serve(over, ServeOptions(enforce_admission=True))
     assert uncontrolled.underrun_sessions() > 0
     assert controlled.underrun_sessions() == 0
     assert controlled.admitted_count == capacity

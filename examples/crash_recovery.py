@@ -30,7 +30,7 @@ from repro.durability import (
     read_bytes,
     recover_page_store,
 )
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.errors import SimulatedCrash
 from repro.faults import CrashInjector, CrashSite, SimulatedMedium
 
@@ -111,8 +111,8 @@ def act_three_vod_failover() -> None:
     requests = [SessionRequest(client=f"client-{i}", title="feature")
                 for i in range(3)]
     try:
-        server.serve(requests, checkpoint_to="/srv/vod.ckpt",
-                     checkpoint_fs=fs)
+        server.serve(requests, ServeOptions(checkpoint_to="/srv/vod.ckpt",
+                                            checkpoint_fs=fs))
     except SimulatedCrash as exc:
         print(f"  server died mid-batch: {exc}")
     fs.crash()

@@ -18,7 +18,7 @@ from repro.bench.reporting import print_table
 from repro.codecs.scalable import ScalableVideoCodec
 from repro.core.rational import Rational
 from repro.engine import AdaptationPolicy, CostModel, Player, Recorder, RetryPolicy
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.errors import BlobCorruptionError, TransientBlobError
 from repro.faults import FaultPlan, FaultyPager
 from repro.media import frames
@@ -97,11 +97,11 @@ def main() -> None:
     server.publish("movie", interpretation)
     requests = [SessionRequest(client=f"client-{i}", title="movie")
                 for i in range(3)]
-    report = server.serve(
-        requests, fault_plan=plan,
+    report = server.serve(requests, ServeOptions(
+        fault_plan=plan,
         retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.1),
         adaptation=adaptation,
-    )
+    ))
     rows = [
         (s.client,
          s.report.retries,

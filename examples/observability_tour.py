@@ -24,7 +24,7 @@ import os
 import tempfile
 
 from repro.engine import Recorder, RetryPolicy
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.blob import MemoryBlob
 from repro.faults import FaultPlan
 from repro.media import frames
@@ -51,8 +51,10 @@ def main() -> None:
     server.publish("feature", movie)
     server.serve(
         requests,
-        enforce_admission=False, fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
+        ServeOptions(
+            enforce_admission=False, fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
+        ),
     )
 
     # -- 2. One call: is serving healthy, and if not, why? ----------------
@@ -87,8 +89,10 @@ def main() -> None:
     server2.publish("feature", movie)
     server2.serve(
         requests,
-        enforce_admission=False, fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
+        ServeOptions(
+            enforce_admission=False, fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=3, abort_skip_fraction=0.5),
+        ),
     )
     identical = (to_chrome_trace(obs2) == trace
                  and obs2.events.export() == recorder.export())

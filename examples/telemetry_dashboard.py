@@ -22,7 +22,7 @@ from repro.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
 from repro.engine import Recorder
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.media import frames
 from repro.media.objects import video_object
 from repro.obs import Observability
@@ -52,7 +52,7 @@ def main() -> None:
         [SessionRequest(client=f"client-{i}", title="feature",
                         arrival_time=Rational(i, 8))
          for i in range(6)],
-        enforce_admission=False,
+        ServeOptions(enforce_admission=False),
     )
 
     # -- 2. The alert lifecycle, as health() saw it mid-serve -------------
@@ -84,7 +84,7 @@ def main() -> None:
         [SessionRequest(client=f"client-{i}", title="feature",
                         arrival_time=Rational(i, 8))
          for i in range(6)],
-        enforce_admission=False,
+        ServeOptions(enforce_admission=False),
     )
     identical = (telemetry2.store.dump() == store.dump()
                  and telemetry2.store.alert_rows() == store.alert_rows())

@@ -22,13 +22,16 @@ slots and build the result once, already in lowest terms with a
 positive denominator, without re-validating it. Every other operand
 type (``bool``, ``float``, ``complex``, other ``numbers.Rational``)
 goes through :class:`fractions.Fraction`, whose result is re-typed.
+Comparisons with a finite ``float`` are the exception: they use the
+float's exact value, as ``Fraction`` does, because ``Fraction``'s own
+comparison would round the float through :meth:`Rational.from_float`.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Union
 
 from repro.errors import RationalConversionError
@@ -138,7 +141,8 @@ def _operators(pair_op, forward_fallback, reverse_fallback):
 
 def _comparison(op, fallback):
     """An ordering operator, fast on exact ``int``/``Fraction``/
-    ``Rational`` operands, through ``Fraction`` otherwise."""
+    ``Rational`` operands and exact against a finite ``float``, through
+    ``Fraction`` otherwise."""
 
     def compare(a, b):
         kind = type(b)
@@ -147,6 +151,9 @@ def _comparison(op, fallback):
         if kind is Rational or kind is Fraction:
             return op(a._numerator * b._denominator,
                       a._denominator * b._numerator)
+        if isinstance(b, float) and isfinite(b):
+            numerator, denominator = b.as_integer_ratio()
+            return op(a._numerator * denominator, a._denominator * numerator)
         return fallback(a, b)
 
     compare.__name__ = fallback.__name__
@@ -245,6 +252,13 @@ class Rational(Fraction):
         if kind is Rational or kind is Fraction:
             return (self._numerator == other._numerator
                     and self._denominator == other._denominator)
+        if isinstance(other, complex) and not other.imag:
+            other = other.real
+        if isinstance(other, float) and isfinite(other):
+            # The float's exact value, as Fraction compares it: Fraction's
+            # own __eq__ would round it through our from_float.
+            return (self._numerator, self._denominator) == \
+                other.as_integer_ratio()
         return Fraction.__eq__(self, other)
 
     # Defining __eq__ would otherwise set __hash__ to None.

@@ -394,15 +394,14 @@ class CheckpointCrashScenario:
         ]
 
     def run(self, fs, crash, acks: list) -> None:
-        from repro.engine.vod import VodServer
+        from repro.engine.vod import ServeOptions, VodServer
 
         fs.makedirs("/srv")
         server = VodServer(bandwidth=50_000_000, crash=crash)
         server.publish("feature", self._title())
-        report = server.serve(
-            self._requests(), checkpoint_to="/srv/vod.ckpt",
-            checkpoint_fs=fs,
-        )
+        report = server.serve(self._requests(), ServeOptions(
+            checkpoint_to="/srv/vod.ckpt", checkpoint_fs=fs,
+        ))
         acks.append(report.admitted_count)
 
     def recover(self, fs, crash):

@@ -48,7 +48,6 @@ from repro.engine.vod import (
     Session,
     SessionRequest,
     VodServer,
-    _UNSET,
     normalize_requests,
 )
 from repro.errors import CheckpointError, EngineError, SimulatedCrash
@@ -319,24 +318,17 @@ class Fleet:
 
     # -- admission + serving -------------------------------------------------------
 
-    def admit(self, requests) -> tuple[list, list]:
+    def admit(self, requests) -> tuple[list[SessionRequest],
+                                       list[SessionRequest]]:
         """Fleet-wide greedy admission: each request routes to its
         owning shard and must fit that shard's remaining budget.
-        Same answer shapes as :meth:`VodServer.admit`."""
-        reqs, legacy = normalize_requests(requests)
-        admitted, rejected = self._admit(reqs)
-        if legacy:
-            return [r.key for r in admitted], [r.key for r in rejected]
-        return admitted, rejected
-
-    def _admit(self, requests: list[SessionRequest]) -> tuple[
-            list[SessionRequest], list[SessionRequest]]:
+        Returns (admitted, rejected), like :meth:`VodServer.admit`."""
         admitted: list[SessionRequest] = []
         rejected: list[SessionRequest] = []
         loads: dict[str, Rational] = {
             name: Rational(0) for name in self._live
         }
-        for request in requests:
+        for request in normalize_requests(requests):
             name = self.route(request.title)
             shard = self._shards[name]
             rate = shard.required_rate(request.title)
@@ -353,12 +345,8 @@ class Fleet:
     def _checkpoint_path(self, name: str) -> str:
         return f"{self.checkpoint_dir}/{name}.ckpt"
 
-    def serve(self, requests, options: ServeOptions | None = None, *,
-              enforce_admission=_UNSET,
-              fault_plan=_UNSET,
-              retry_policy=_UNSET,
-              adaptation=_UNSET,
-              granularity=_UNSET) -> ServerReport:
+    def serve(self, requests,
+              options: ServeOptions | None = None) -> ServerReport:
         """Serve a batch across the fleet; returns one merged report.
 
         Requests route to their owning shards and each shard's batch
@@ -370,14 +358,8 @@ class Fleet:
         durable checkpoint batch, and the merged report accounts every
         displaced session exactly once (recovered, resumed, or failed).
         """
-        reqs, _ = normalize_requests(requests)
-        opts = VodServer._merge_options(options, dict(
-            enforce_admission=enforce_admission,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            adaptation=adaptation,
-            granularity=granularity,
-        ))
+        reqs = normalize_requests(requests)
+        opts = ServeOptions() if options is None else options
         if opts.checkpoint_to is not None:
             raise EngineError(
                 "the fleet manages shard checkpoints itself; construct "
@@ -388,9 +370,9 @@ class Fleet:
         if not self._live:
             raise EngineError("no live shards: the whole fleet is dead")
         if opts.enforce_admission:
-            admitted, rejected = self._admit(reqs)
+            admitted, rejected = self.admit(reqs)
         else:
-            admitted, rejected = list(reqs), []
+            admitted, rejected = reqs, []
         metrics = self.obs.metrics
         metrics.counter("fleet.requests").inc(len(reqs))
         metrics.counter("fleet.admitted").inc(len(admitted))

@@ -19,8 +19,7 @@ that kernel:
 * :class:`SessionMachine` — one client session as an event-emitting
   state machine (``PENDING → STREAMING → DONE/FAILED``), driving a
   player stepper one element per event, or a whole-session runner in
-  one event when the schedule is uniform and the coarse granularity is
-  provably equivalent.
+  one event when every session arrives at the same instant.
 
 Everything is deterministic: the heap tie-break is insertion order, the
 clock is rational, and no event ever consults the machine it runs on.
@@ -72,8 +71,8 @@ class EventLoop:
     Events are ``(time, seq, callback, args)`` heap entries; ``seq`` is
     the global insertion counter, so two events at the same instant fire
     in the order they were scheduled — the property the serving path
-    relies on for reproducibility (and for exact equivalence with the
-    seed stepping loop when every session arrives at time zero).
+    relies on for reproducibility (and for playing same-instant
+    sessions in the order they were admitted).
     """
 
     def __init__(self, clock: SimulatedClock | None = None):
@@ -201,10 +200,8 @@ class SessionMachine:
     * ``runner`` — a zero-argument callable executing the whole session
       (the coarse granularity). The machine fires it in a single event
       at the session's arrival time. With every arrival at the same
-      instant this reproduces the seed stepping loop *exactly* —
-      events pop in insertion order, so sessions run serially in
-      admitted order and every observability record lands in the seed's
-      order.
+      instant, events pop in insertion order, so sessions run serially
+      in admitted order and so do their observability records.
     * ``stepper_factory`` — a zero-argument callable returning a player
       stepper (a generator yielding per-element simulated durations and
       returning the session's report). The machine consumes one element

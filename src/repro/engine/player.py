@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -602,20 +601,9 @@ class Player:
             "Interpretation, a MultimediaObject, or a list of planned reads"
         )
 
-    def play_reads(self, reads: list[_PlannedRead]) -> PlaybackReport:
-        """Deprecated: use :meth:`play` with the read list directly."""
-        warnings.warn(
-            "Player.play_reads is deprecated; use Player.play(reads)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.play(list(reads))
-
     def _run(self, reads: list[_PlannedRead]) -> PlaybackReport:
-        return self._drive(self.stepper(reads))
-
-    @staticmethod
-    def _drive(stepper) -> PlaybackReport:
-        """Run a stepper to completion in one go (the seed behaviour)."""
+        """Drain :meth:`stepper` in one go (the seed behaviour)."""
+        stepper = self.stepper(reads)
         while True:
             try:
                 next(stepper)
@@ -639,12 +627,22 @@ class Player:
         :class:`~repro.engine.kernel.BandwidthLedger` re-price reads as
         concurrent sessions come and go. None (the default) keeps the
         cost model's static bandwidth — the seed contract.
-        """
-        if self.fault_plan is not None:
-            return self._step_faulted(reads, share_factor)
-        return self._step_clean(reads, share_factor)
 
-    def _step_clean(self, reads: list[_PlannedRead], share_factor=None):
+        Without a fault plan each element is one read. With one, every
+        recovery action costs simulated time: a failed attempt charges
+        the full read it wasted plus the policy's backoff, so faults
+        surface as startup delay, lateness and underruns. An element
+        whose pages stay unreadable is skipped (a glitch — runs of
+        consecutive skips merge into one); scalable reads shrink to the
+        layer prefix that fits degraded bandwidth. The walk mirrors
+        :class:`~repro.faults.pager.FaultyPager`'s bookkeeping — visits
+        per page, global read index — so the same plan produces the
+        same storage behaviour at either enforcement point. The plan's
+        per-read bandwidth factor is scaled by ``share_factor``, so
+        dynamic processor sharing and injected degradation compose into
+        one multiplier (adaptation sees the combined factor too: more
+        bandwidth, higher layer).
+        """
         if not reads:
             return PlaybackReport(
                 element_count=0, duration=Rational(0),
@@ -653,40 +651,212 @@ class Player:
                 max_lateness=Rational(0), jitter=Rational(0),
                 prefetch_depth=self.prefetch_depth, seeks=0,
             )
-        stage_hist = self._stage_histogram() if self.obs.enabled else None
-        production = []
+        cost_model = self.cost_model
+        plan = self.fault_plan
+        policy = self.retry_policy
+        adaptation = self.adaptation
+        instrumented = self.obs.enabled
+        tracer = self.obs.tracer if instrumented else None
+        events = self.obs.events if instrumented else None
+        stage_hist = self._stage_histogram() if instrumented else None
         clock = Rational(0)
         cursor: int | None = None
         seeks = 0
-        for read in reads:
-            factor = share_factor() if share_factor is not None else None
+        retries = 0
+        skipped = 0
+        glitches = 0
+        in_glitch = False
+        visits: Counter = Counter()
+        presented: list[_PlannedRead] = []
+        production: list[Rational] = []
+        quality_sum = Rational(0)
+        adapted_reads = 0
+        total_bytes = 0
+
+        for index, read in enumerate(reads):
+            size = read.size
+            if plan is None:
+                factor = share_factor() if share_factor is not None else None
+            else:
+                element_start = clock
+                delivered_share: Rational | None = None
+                factor = plan.bandwidth_factor(index)
+                if share_factor is not None:
+                    factor = factor * share_factor()
+                latency = plan.extra_latency(index)
+                if (adaptation is not None and read.size > 0
+                        and adaptation.applies_to(read.label)):
+                    adapted_reads += 1
+                    level = adaptation.level_for(factor)
+                    size = min(
+                        read.size,
+                        math.ceil(Rational(read.size)
+                                  * adaptation.fraction(level)),
+                    )
+                    delivered_share = Rational(level + 1, adaptation.levels)
+                    if instrumented and level < adaptation.levels - 1:
+                        tracer.event(
+                            "engine.adaptation", at=clock,
+                            element=read.label, level=level, bytes=size,
+                        )
+                        events.record(
+                            Severity.INFO, "engine.player",
+                            "quality.adapted", at=clock,
+                            element=read.label, level=level, bytes=size,
+                        )
             contiguous = cursor is not None and read.offset == cursor
             if cursor is not None and not contiguous:
                 seeks += 1
+            cursor = read.offset + size
             if stage_hist is None:
-                cost = self.cost_model.element_cost(
-                    read.size, contiguous, bandwidth_factor=factor
+                cost = cost_model.element_cost(
+                    size, contiguous, bandwidth_factor=factor
                 )
-                clock += cost
             else:
-                read_cost, decode_cost = self.cost_model.cost_breakdown(
-                    read.size, contiguous, bandwidth_factor=factor
+                read_part, decode_part = cost_model.cost_breakdown(
+                    size, contiguous, bandwidth_factor=factor
                 )
-                stage_hist.observe(float(read_cost), stage="page_read")
-                if decode_cost:
-                    stage_hist.observe(float(decode_cost), stage="decode")
-                cost = read_cost + decode_cost
+                cost = read_part + decode_part
+
+            if plan is None:
+                # A clean element is one read: no page walk, no retries.
                 clock += cost
+                elapsed = cost
+            else:
+                # Injected latency delays every attempt's page read.
+                cost += latency
+                if stage_hist is not None:
+                    read_part += latency
+                success = False
+                pages = plan.pages_of(read.offset, size)
+                if any(plan.is_bad_page(p) for p in pages):
+                    # Permanently bad region: one probing attempt
+                    # discovers it; retrying cannot help, so skip now.
+                    self.obs.metrics.counter("faults.injected").inc(
+                        kind="bad_page"
+                    )
+                    probe_start = clock
+                    clock += cost
+                    if instrumented:
+                        stage_hist.observe(float(cost), stage="deliver")
+                        tracer.record(
+                            "engine.glitch", probe_start, clock,
+                            element=read.label, reason="bad_page",
+                        )
+                        events.record(
+                            Severity.ERROR, "engine.player",
+                            "element.skipped", at=clock,
+                            element=read.label, reason="bad_page",
+                        )
+                else:
+                    for attempt in range(policy.max_retries + 1):
+                        failed = False
+                        fault_kind = None
+                        for page_no in pages:
+                            visit = visits[page_no]
+                            visits[page_no] += 1
+                            # A transient error aborts the gather at this
+                            # page; a corrupted visit completes but fails
+                            # verification. Either way the whole element
+                            # is re-read.
+                            if plan.is_transient(page_no, visit):
+                                self.obs.metrics.counter(
+                                    "faults.injected"
+                                ).inc(kind="transient")
+                                failed = True
+                                fault_kind = "transient"
+                                break
+                            if plan.is_corrupted(page_no, visit):
+                                self.obs.metrics.counter(
+                                    "faults.injected"
+                                ).inc(kind="corrupted")
+                                failed = True
+                                fault_kind = "corrupted"
+                                break
+                        attempt_start = clock
+                        clock += cost
+                        if not failed:
+                            success = True
+                            break
+                        if attempt < policy.max_retries:
+                            clock += policy.backoff_cost(attempt)
+                            retries += 1
+                            if instrumented:
+                                stage_hist.observe(
+                                    float(clock - attempt_start),
+                                    stage="deliver",
+                                )
+                                tracer.record(
+                                    "engine.retry", attempt_start, clock,
+                                    element=read.label, attempt=attempt,
+                                )
+                                events.record(
+                                    Severity.WARNING, "engine.player",
+                                    "read.retry", at=clock,
+                                    element=read.label, attempt=attempt,
+                                    fault=fault_kind,
+                                )
+                        elif instrumented:
+                            stage_hist.observe(float(cost), stage="deliver")
+                            tracer.record(
+                                "engine.glitch", attempt_start, clock,
+                                element=read.label,
+                                reason="retries_exhausted",
+                            )
+                            events.record(
+                                Severity.ERROR, "engine.player",
+                                "element.skipped", at=clock,
+                                element=read.label,
+                                reason="retries_exhausted",
+                                fault=fault_kind,
+                            )
+                elapsed = clock - element_start
+                if not success:
+                    skipped += 1
+                    if not in_glitch:
+                        glitches += 1
+                    in_glitch = True
+                    yield elapsed
+                    continue
+                if delivered_share is not None:
+                    quality_sum += delivered_share
+                in_glitch = False
+            if stage_hist is not None:
+                stage_hist.observe(float(read_part), stage="page_read")
+                if decode_part:
+                    stage_hist.observe(float(decode_part), stage="decode")
+            presented.append(read)
             production.append(clock)
-            cursor = read.offset + read.size
-            yield cost
+            total_bytes += size
+            yield elapsed
+
+        if (policy.abort_skip_fraction is not None
+                and skipped > policy.abort_skip_fraction * len(reads)):
+            self.obs.metrics.counter("engine.play.aborts").inc()
+            if instrumented:
+                events.record(
+                    Severity.CRITICAL, "engine.player", "playback.aborted",
+                    at=clock, skipped=skipped, elements=len(reads),
+                )
+            raise PlaybackAbortError(
+                f"skipped {skipped}/{len(reads)} elements, beyond the "
+                f"policy's tolerance of {policy.abort_skip_fraction:.0%}"
+            )
+
         first_deadline = reads[0].deadline
         # At rate r, media time d is presented at reference time d / r.
-        deadlines = [(r.deadline - first_deadline) / self.rate for r in reads]
+        deadlines = [
+            (r.deadline - first_deadline) / self.rate for r in presented
+        ]
         prefetch = simulate_prefetch(production, deadlines, self.prefetch_depth)
-
-        total_bytes = sum(r.size for r in reads)
-        duration = max(deadlines) if deadlines else Rational(0)
+        if skipped:
+            # The timeline is the content's: skipping an element glitches
+            # the presentation but does not shorten the programme.
+            duration = max(
+                (r.deadline - first_deadline) / self.rate for r in reads
+            )
+        else:
+            duration = max(deadlines)
         required = (
             Rational(total_bytes) / duration if duration > 0 else Rational(0)
         )
@@ -694,38 +864,45 @@ class Player:
             max(p - (prefetch.startup_delay + d), Rational(0))
             for p, d in zip(production, deadlines)
         ]
-        jitter = (max(lateness) - min(lateness)) if lateness else Rational(0)
+        delivered_quality = (
+            quality_sum / adapted_reads if adapted_reads else Rational(1)
+        )
         report = PlaybackReport(
-            element_count=len(reads),
+            element_count=len(presented),
             duration=duration,
             required_rate=required,
             startup_delay=prefetch.startup_delay,
             underruns=prefetch.underruns,
             underrun_fraction=prefetch.underrun_fraction,
             max_lateness=max(lateness) if lateness else Rational(0),
-            jitter=jitter,
+            jitter=(max(lateness) - min(lateness)) if lateness else Rational(0),
             prefetch_depth=self.prefetch_depth,
             seeks=seeks,
             per_read=[
                 (read.label, deadline, late)
-                for read, deadline, late in zip(reads, deadlines, lateness)
+                for read, deadline, late in zip(presented, deadlines, lateness)
             ],
+            retries=retries,
+            skipped_elements=skipped,
+            glitches=glitches,
+            delivered_quality=delivered_quality,
         )
         self._evaluate_slo(report, at=clock)
-        if self.obs.enabled:
-            self.obs.tracer.record(
-                "engine.play", Rational(0), clock,
-                mode="clean", elements=len(reads), bytes=total_bytes,
+        if instrumented:
+            mode = "clean" if plan is None else "faulted"
+            counts = {} if plan is None else {"presented": len(presented)}
+            tracer.record(
+                "engine.play", Rational(0), clock, mode=mode,
+                elements=len(reads), bytes=total_bytes, **counts,
             )
-            self._record_metrics(report, total_bytes, prefetch, faulted=False)
+            self._record_metrics(report, total_bytes, prefetch, mode)
         return report
 
     def _record_metrics(self, report: PlaybackReport, total_bytes: int,
-                        prefetch, faulted: bool) -> None:
+                        prefetch, mode: str) -> None:
         """Fold one run's outcome into the attached metrics registry and
         embed the resulting snapshot in the report."""
         metrics = self.obs.metrics
-        mode = "faulted" if faulted else "clean"
         metrics.counter("engine.play.runs").inc(mode=mode)
         metrics.counter("engine.play.elements").inc(report.element_count)
         metrics.counter("engine.play.bytes").inc(total_bytes)
@@ -783,274 +960,3 @@ class Player:
                     at=at, slo=verdict.slo, measured=verdict.measured,
                     threshold=verdict.threshold, burn=verdict.burn,
                 )
-
-    # -- faulted playback ---------------------------------------------------------
-
-    def _step_faulted(self, reads: list[_PlannedRead], share_factor=None):
-        """Simulate playback against the fault plan's storage behaviour.
-
-        Every recovery action costs simulated time: a failed attempt
-        charges the full read it wasted plus the policy's backoff, so
-        faults surface as startup delay, lateness and underruns. An
-        element whose pages stay unreadable is skipped (a glitch — runs
-        of consecutive skips merge into one); scalable reads shrink to
-        the layer prefix that fits degraded bandwidth. The walk mirrors
-        :class:`~repro.faults.pager.FaultyPager`'s bookkeeping — visits
-        per page, global read index — so the same plan produces the
-        same storage behaviour at either enforcement point.
-
-        A generator (see :meth:`stepper`): yields each element's total
-        simulated duration — attempts, backoffs and latency included —
-        and returns the report. ``share_factor`` scales the plan's
-        per-read bandwidth factor, so dynamic processor sharing and
-        injected degradation compose into one multiplier (adaptation
-        sees the combined factor too: more bandwidth, higher layer).
-        """
-        if not reads:
-            return PlaybackReport(
-                element_count=0, duration=Rational(0),
-                required_rate=Rational(0), startup_delay=Rational(0),
-                underruns=0, underrun_fraction=0.0,
-                max_lateness=Rational(0), jitter=Rational(0),
-                prefetch_depth=self.prefetch_depth, seeks=0,
-            )
-        plan = self.fault_plan
-        policy = self.retry_policy
-        adaptation = self.adaptation
-        instrumented = self.obs.enabled
-        tracer = self.obs.tracer if instrumented else None
-        events = self.obs.events if instrumented else None
-        stage_hist = self._stage_histogram() if instrumented else None
-        clock = Rational(0)
-        cursor: int | None = None
-        seeks = 0
-        retries = 0
-        skipped = 0
-        glitches = 0
-        in_glitch = False
-        visits: Counter = Counter()
-        presented: list[tuple[_PlannedRead, Rational]] = []
-        quality_sum = Rational(0)
-        adapted_reads = 0
-        total_bytes = 0
-
-        for index, read in enumerate(reads):
-            element_start = clock
-            factor = plan.bandwidth_factor(index)
-            if share_factor is not None:
-                factor = factor * share_factor()
-            latency = plan.extra_latency(index)
-            size = read.size
-            delivered_share: Rational | None = None
-            if (adaptation is not None and read.size > 0
-                    and adaptation.applies_to(read.label)):
-                adapted_reads += 1
-                level = adaptation.level_for(factor)
-                size = min(
-                    read.size,
-                    math.ceil(Rational(read.size) * adaptation.fraction(level)),
-                )
-                delivered_share = Rational(level + 1, adaptation.levels)
-                if instrumented and level < adaptation.levels - 1:
-                    tracer.event(
-                        "engine.adaptation", at=clock, element=read.label,
-                        level=level, bytes=size,
-                    )
-                    events.record(
-                        Severity.INFO, "engine.player", "quality.adapted",
-                        at=clock, element=read.label, level=level,
-                        bytes=size,
-                    )
-            contiguous = cursor is not None and read.offset == cursor
-            if cursor is not None and not contiguous:
-                seeks += 1
-            if stage_hist is None:
-                attempt_cost = self.cost_model.element_cost(
-                    size, contiguous, bandwidth_factor=factor
-                ) + latency
-                read_part = decode_part = Rational(0)
-            else:
-                read_part, decode_part = self.cost_model.cost_breakdown(
-                    size, contiguous, bandwidth_factor=factor
-                )
-                read_part += latency
-                attempt_cost = read_part + decode_part
-            cursor = read.offset + size
-
-            pages = plan.pages_of(read.offset, size)
-            if any(plan.is_bad_page(p) for p in pages):
-                # Permanently bad region: one probing attempt discovers
-                # it; retrying cannot help, so skip immediately.
-                self.obs.metrics.counter("faults.injected").inc(
-                    kind="bad_page"
-                )
-                probe_start = clock
-                clock += attempt_cost
-                skipped += 1
-                if not in_glitch:
-                    glitches += 1
-                in_glitch = True
-                if instrumented:
-                    stage_hist.observe(float(attempt_cost), stage="deliver")
-                    tracer.record(
-                        "engine.glitch", probe_start, clock,
-                        element=read.label, reason="bad_page",
-                    )
-                    events.record(
-                        Severity.ERROR, "engine.player", "element.skipped",
-                        at=clock, element=read.label, reason="bad_page",
-                    )
-                yield clock - element_start
-                continue
-
-            success = False
-            for attempt in range(policy.max_retries + 1):
-                failed = False
-                fault_kind = None
-                for page_no in pages:
-                    visit = visits[page_no]
-                    visits[page_no] += 1
-                    # A transient error aborts the gather at this page; a
-                    # corrupted visit completes but fails verification.
-                    # Either way the whole element is re-read.
-                    if plan.is_transient(page_no, visit):
-                        self.obs.metrics.counter("faults.injected").inc(
-                            kind="transient"
-                        )
-                        failed = True
-                        fault_kind = "transient"
-                        break
-                    if plan.is_corrupted(page_no, visit):
-                        self.obs.metrics.counter("faults.injected").inc(
-                            kind="corrupted"
-                        )
-                        failed = True
-                        fault_kind = "corrupted"
-                        break
-                attempt_start = clock
-                clock += attempt_cost
-                if not failed:
-                    success = True
-                    if stage_hist is not None:
-                        stage_hist.observe(float(read_part),
-                                           stage="page_read")
-                        if decode_part:
-                            stage_hist.observe(float(decode_part),
-                                               stage="decode")
-                    break
-                if attempt < policy.max_retries:
-                    clock += policy.backoff_cost(attempt)
-                    retries += 1
-                    if instrumented:
-                        stage_hist.observe(float(clock - attempt_start),
-                                           stage="deliver")
-                        tracer.record(
-                            "engine.retry", attempt_start, clock,
-                            element=read.label, attempt=attempt,
-                        )
-                        events.record(
-                            Severity.WARNING, "engine.player", "read.retry",
-                            at=clock, element=read.label, attempt=attempt,
-                            fault=fault_kind,
-                        )
-                elif instrumented:
-                    stage_hist.observe(float(attempt_cost), stage="deliver")
-                    tracer.record(
-                        "engine.glitch", attempt_start, clock,
-                        element=read.label, reason="retries_exhausted",
-                    )
-                    events.record(
-                        Severity.ERROR, "engine.player", "element.skipped",
-                        at=clock, element=read.label,
-                        reason="retries_exhausted", fault=fault_kind,
-                    )
-
-            if success:
-                presented.append((read, clock))
-                total_bytes += size
-                if delivered_share is not None:
-                    quality_sum += delivered_share
-                in_glitch = False
-            else:
-                skipped += 1
-                if not in_glitch:
-                    glitches += 1
-                in_glitch = True
-            yield clock - element_start
-
-        if (policy.abort_skip_fraction is not None
-                and skipped > policy.abort_skip_fraction * len(reads)):
-            self.obs.metrics.counter("engine.play.aborts").inc()
-            if instrumented:
-                events.record(
-                    Severity.CRITICAL, "engine.player", "playback.aborted",
-                    at=clock, skipped=skipped, elements=len(reads),
-                )
-            raise PlaybackAbortError(
-                f"skipped {skipped}/{len(reads)} elements, beyond the "
-                f"policy's tolerance of {policy.abort_skip_fraction:.0%}"
-            )
-
-        first_deadline = reads[0].deadline
-        production = [p for _, p in presented]
-        deadlines = [
-            (r.deadline - first_deadline) / self.rate for r, _ in presented
-        ]
-        prefetch = simulate_prefetch(production, deadlines, self.prefetch_depth)
-        # The timeline is the content's: skipping an element glitches the
-        # presentation but does not shorten the programme.
-        duration = max(
-            (r.deadline - first_deadline) / self.rate for r in reads
-        )
-        required = (
-            Rational(total_bytes) / duration if duration > 0 else Rational(0)
-        )
-        lateness = [
-            max(p - (prefetch.startup_delay + d), Rational(0))
-            for p, d in zip(production, deadlines)
-        ]
-        delivered_quality = (
-            quality_sum / adapted_reads if adapted_reads else Rational(1)
-        )
-        report = PlaybackReport(
-            element_count=len(presented),
-            duration=duration,
-            required_rate=required,
-            startup_delay=prefetch.startup_delay,
-            underruns=prefetch.underruns,
-            underrun_fraction=prefetch.underrun_fraction,
-            max_lateness=max(lateness) if lateness else Rational(0),
-            jitter=(max(lateness) - min(lateness)) if lateness else Rational(0),
-            prefetch_depth=self.prefetch_depth,
-            seeks=seeks,
-            per_read=[
-                (read.label, deadline, late)
-                for (read, _), deadline, late in zip(
-                    presented, deadlines, lateness
-                )
-            ],
-            retries=retries,
-            skipped_elements=skipped,
-            glitches=glitches,
-            delivered_quality=delivered_quality,
-        )
-        self._evaluate_slo(report, at=clock)
-        if self.obs.enabled:
-            self.obs.tracer.record(
-                "engine.play", Rational(0), clock,
-                mode="faulted", elements=len(reads),
-                presented=len(presented), bytes=total_bytes,
-            )
-            self._record_metrics(report, total_bytes, prefetch, faulted=True)
-        return report
-
-    # -- multimedia objects ------------------------------------------------------
-
-    def play_multimedia(self, multimedia: MultimediaObject) -> PlaybackReport:
-        """Deprecated: use :meth:`play` with the multimedia object."""
-        warnings.warn(
-            "Player.play_multimedia is deprecated; "
-            "use Player.play(multimedia)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.play(multimedia)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -56,24 +55,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Checkpoint payload format version; bump on incompatible changes.
 CHECKPOINT_VERSION = 1
 
-#: Sentinel distinguishing "keyword not passed" from an explicit None in
-#: the ``serve``/``resume`` keyword shims.
-_UNSET: Any = object()
-
 #: Kernel drive modes a batch may request.
-_GRANULARITIES = ("auto", "session", "read")
+_GRANULARITIES = ("auto", "read")
 
 
 @dataclass(frozen=True, kw_only=True)
 class SessionRequest:
     """One client's request for a title, as a first-class object.
 
-    The redesigned serving API passes these instead of bare
-    ``(client, title)`` tuples. ``arrival_time`` staggers the session's
-    start on the kernel's shared clock (the seed behaviour is every
-    session arriving at time zero); ``retry_policy`` and ``adaptation``
-    override the batch-wide policies for this session only. ``key`` is
-    the session's identity — what fleet rollups count exactly once.
+    ``arrival_time`` staggers the session's start on the kernel's
+    shared clock (the seed behaviour is every session arriving at time
+    zero); ``retry_policy`` and ``adaptation`` override the batch-wide
+    policies for this session only. ``key`` is the session's identity —
+    what fleet rollups count exactly once.
     """
 
     client: str
@@ -98,15 +92,14 @@ class SessionRequest:
 
 @dataclass(frozen=True, kw_only=True)
 class ServeOptions:
-    """Batch-wide serving policy, as one object instead of loose kwargs.
+    """Batch-wide serving policy, as one object.
 
-    ``granularity`` picks the kernel drive mode: ``"session"`` runs
-    each session whole in a single event (exactly the seed stepping
-    semantics); ``"read"`` steps one element per event, so sessions
-    genuinely interleave on the shared clock and bandwidth re-prices as
-    sessions come and go; ``"auto"`` (the default) picks ``"session"``
-    when every arrival is at time zero — provably equivalent to the
-    seed loop — and ``"read"`` otherwise.
+    ``granularity`` picks the kernel drive mode: ``"read"`` steps one
+    element per event, so sessions genuinely interleave on the shared
+    clock and bandwidth re-prices as sessions come and go; ``"auto"``
+    (the default) runs each session whole in a single event when every
+    arrival is at time zero — sessions then play serially in admitted
+    order, the seed semantics — and steps reads otherwise.
     """
 
     enforce_admission: bool = True
@@ -129,48 +122,22 @@ class ServeOptions:
 
 
 def normalize_requests(
-    requests: "Sequence[SessionRequest | tuple[str, str]] | SessionRequest",
-    *, warn: bool = True, stacklevel: int = 3,
-) -> tuple[list[SessionRequest], bool]:
-    """Coerce a request batch to :class:`SessionRequest` objects.
+    requests: "Sequence[SessionRequest] | SessionRequest",
+) -> list[SessionRequest]:
+    """The batch as a list of :class:`SessionRequest` objects.
 
-    Native ``SessionRequest`` items pass through untouched; a single
-    request may stand in for a batch of one. Legacy ``(client, title)``
-    pairs are converted — with one :class:`DeprecationWarning` per call
-    unless ``warn`` is off (the same shim pattern as the PR-2
-    ``play_reads`` overloads). Returns ``(requests, legacy)`` where
-    ``legacy`` says whether any tuple form appeared, so callers like
-    :meth:`VodServer.admit` can answer in the shape they were asked.
+    A single request may stand in for a batch of one; any item that is
+    not a ``SessionRequest`` raises :class:`~repro.errors.EngineError`.
     """
     if isinstance(requests, SessionRequest):
-        return [requests], False
-    normalized: list[SessionRequest] = []
-    legacy = False
-    for request in requests:
-        if isinstance(request, SessionRequest):
-            normalized.append(request)
-            continue
-        if isinstance(request, str):
+        return [requests]
+    normalized = list(requests)
+    for request in normalized:
+        if not isinstance(request, SessionRequest):
             raise EngineError(
-                "requests must be SessionRequest objects or "
-                f"(client, title) pairs, got {request!r}"
+                f"requests must be SessionRequest objects, got {request!r}"
             )
-        try:
-            client, title = request
-        except (TypeError, ValueError):
-            raise EngineError(
-                "requests must be SessionRequest objects or "
-                f"(client, title) pairs, got {request!r}"
-            ) from None
-        legacy = True
-        normalized.append(SessionRequest(client=client, title=title))
-    if legacy and warn:
-        warnings.warn(
-            "passing (client, title) tuples is deprecated; pass "
-            "SessionRequest objects",
-            DeprecationWarning, stacklevel=stacklevel,
-        )
-    return normalized, legacy
+    return normalized
 
 
 @dataclass
@@ -561,29 +528,16 @@ class VodServer:
 
     # -- admission + serving ------------------------------------------------------
 
-    def admit(self, requests) -> tuple[list, list]:
+    def admit(self, requests) -> tuple[list[SessionRequest],
+                                       list[SessionRequest]]:
         """Greedy admission: accept requests while aggregate required
         rate (with margin) fits the bandwidth. Returns (admitted,
-        rejected).
-
-        Accepts :class:`SessionRequest` objects natively. Legacy
-        ``(client, title)`` pairs still work — with a
-        :class:`DeprecationWarning` — and come back in tuple form, so
-        existing callers keep unpacking what they passed.
-        """
-        reqs, legacy = normalize_requests(requests)
-        admitted, rejected = self._admit_requests(reqs)
-        if legacy:
-            return [r.key for r in admitted], [r.key for r in rejected]
-        return admitted, rejected
-
-    def _admit_requests(self, requests: list[SessionRequest]) -> tuple[
-            list[SessionRequest], list[SessionRequest]]:
+        rejected)."""
         admitted: list[SessionRequest] = []
         rejected: list[SessionRequest] = []
         load = Rational(0)
         budget = Rational(self.bandwidth)
-        for request in requests:
+        for request in normalize_requests(requests):
             rate = self.required_rate(request.title)
             projected = (load + rate) * as_rational(self.admission_margin)
             if projected <= budget:
@@ -593,33 +547,12 @@ class VodServer:
                 rejected.append(request)
         return admitted, rejected
 
-    @staticmethod
-    def _merge_options(options: ServeOptions | None,
-                       overrides: dict) -> ServeOptions:
-        given = {k: v for k, v in overrides.items() if v is not _UNSET}
-        if options is not None:
-            if given:
-                raise EngineError(
-                    "pass options=ServeOptions(...) or individual "
-                    "keywords, not both"
-                )
-            return options
-        return ServeOptions(**given)
-
-    def serve(self, requests, options: ServeOptions | None = None, *,
-              enforce_admission=_UNSET,
-              fault_plan=_UNSET,
-              retry_policy=_UNSET,
-              adaptation=_UNSET,
-              checkpoint_to=_UNSET,
-              checkpoint_fs=_UNSET,
-              granularity=_UNSET) -> ServerReport:
+    def serve(self, requests,
+              options: ServeOptions | None = None) -> ServerReport:
         """Simulate serving ``requests`` concurrently on the event kernel.
 
-        ``requests`` is a batch of :class:`SessionRequest` objects
-        (legacy ``(client, title)`` pairs still work, with a
-        :class:`DeprecationWarning`); batch-wide policy comes as a
-        :class:`ServeOptions` or as the individual keywords, not both.
+        ``requests`` is a batch of :class:`SessionRequest` objects;
+        batch-wide policy comes as a :class:`ServeOptions`.
 
         With ``enforce_admission`` the admission test runs first;
         without it every request is served (the overload experiment).
@@ -645,102 +578,20 @@ class VodServer:
         loses at most the in-flight session: :meth:`restore` +
         :meth:`resume` pick the batch up from the last completed one.
         """
-        reqs, _ = normalize_requests(requests)
-        opts = self._merge_options(options, dict(
-            enforce_admission=enforce_admission,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            adaptation=adaptation,
-            checkpoint_to=checkpoint_to,
-            checkpoint_fs=checkpoint_fs,
-            granularity=granularity,
-        ))
+        reqs = normalize_requests(requests)
+        opts = ServeOptions() if options is None else options
         if not reqs:
             raise EngineError("serve needs at least one request")
         if opts.enforce_admission:
-            admitted, rejected = self._admit_requests(reqs)
+            admitted, rejected = self.admit(reqs)
         else:
-            admitted, rejected = list(reqs), []
+            admitted, rejected = reqs, []
         metrics = self.obs.metrics
         metrics.counter("vod.requests").inc(len(reqs))
         metrics.counter("vod.admitted").inc(len(admitted))
         metrics.counter("vod.rejected").inc(len(rejected))
         share = max(1, self.bandwidth // len(admitted)) if admitted else 0
         sessions, failed = self._run_batch(admitted, rejected, opts, share)
-        self._batch_progress = None
-        report = ServerReport(
-            admitted=sessions,
-            rejected=rejected,
-            bandwidth=self.bandwidth,
-            per_client_bandwidth=share,
-            failed=failed,
-        )
-        self._reports.append(report)
-        return report
-
-    def serve_stepping(self, requests, options: ServeOptions | None = None, *,
-                       enforce_admission=_UNSET,
-                       fault_plan=_UNSET,
-                       retry_policy=_UNSET,
-                       adaptation=_UNSET,
-                       checkpoint_to=_UNSET,
-                       checkpoint_fs=_UNSET) -> ServerReport:
-        """The seed serving loop, retained as the equivalence oracle.
-
-        Steps each admitted session to completion before touching the
-        next — the pre-kernel semantics. The kernel path at session
-        granularity must produce byte-identical observability exports
-        and an equal :class:`ServerReport`; the equivalence suite holds
-        :meth:`serve` to this implementation. Not deprecated, but new
-        code should call :meth:`serve`.
-        """
-        reqs, _ = normalize_requests(requests, warn=False)
-        opts = self._merge_options(options, dict(
-            enforce_admission=enforce_admission,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            adaptation=adaptation,
-            checkpoint_to=checkpoint_to,
-            checkpoint_fs=checkpoint_fs,
-        ))
-        if not reqs:
-            raise EngineError("serve needs at least one request")
-        if opts.enforce_admission:
-            admitted, rejected = self._admit_requests(reqs)
-        else:
-            admitted, rejected = list(reqs), []
-        metrics = self.obs.metrics
-        metrics.counter("vod.requests").inc(len(reqs))
-        metrics.counter("vod.admitted").inc(len(admitted))
-        metrics.counter("vod.rejected").inc(len(rejected))
-        sessions: list[Session] = []
-        failed: list[tuple[str, str, str]] = []
-        if admitted:
-            share = max(1, self.bandwidth // len(admitted))
-            player = self._build_player(
-                share, opts.fault_plan, opts.retry_policy, opts.adaptation,
-            )
-            for position, request in enumerate(admitted):
-                self.crash.point("vod.serve.session")
-                session = self._serve_one(
-                    self._player_for(request, player, share, opts),
-                    request.client, request.title, share, opts.fault_plan,
-                    request.retry_policy or opts.retry_policy,
-                    request.adaptation or opts.adaptation,
-                    failed, request=request,
-                )
-                if session is not None:
-                    sessions.append(session)
-                if opts.checkpoint_to is not None:
-                    self._batch_progress = self._progress_payload(
-                        admitted, rejected, sessions, failed,
-                        admitted[position + 1:], share,
-                    )
-                    self.checkpoint_to(
-                        opts.checkpoint_to, fs=opts.checkpoint_fs,
-                    )
-        else:
-            share = 0
         self._batch_progress = None
         report = ServerReport(
             admitted=sessions,
@@ -812,30 +663,24 @@ class VodServer:
         """Drive one admitted batch on the event kernel.
 
         One :class:`~repro.engine.kernel.SessionMachine` per request,
-        all on one :class:`~repro.engine.kernel.EventLoop`. At
-        ``"session"`` granularity each machine runs its whole session
-        in a single event; with uniform arrivals the heap pops machines
-        in admitted order, which replays the seed stepping loop exactly
-        (the equivalence suite holds the exports byte-identical). At
-        ``"read"`` granularity machines advance one element per event,
-        genuinely interleaving on the shared clock, with the
-        :class:`~repro.engine.kernel.BandwidthLedger` re-pricing each
-        read by the sessions concurrently active.
+        all on one :class:`~repro.engine.kernel.EventLoop`. When every
+        request arrives at time zero under ``"auto"`` granularity, each
+        machine runs its whole session in a single event and the heap
+        pops machines in admitted order, so sessions play serially in
+        the order they were admitted. Otherwise machines advance one
+        element per event, genuinely interleaving on the shared clock,
+        with the :class:`~repro.engine.kernel.BandwidthLedger`
+        re-pricing each read by the sessions concurrently active.
 
         With observability disabled and no fault plan, identical
-        requests are exact replays of the same pure simulation, so the
-        session mode computes each distinct title once per batch and
-        reuses the report — an optimization, not an approximation.
+        requests are exact replays of the same pure simulation, so
+        whole-session events compute each distinct title once per batch
+        and reuse the report — an optimization, not an approximation.
         """
         failed = [] if failed is None else failed
         sessions: list[Session] = []
         if not admitted:
             return sessions, failed
-        granularity = opts.granularity
-        if granularity == "auto":
-            granularity = "session" if all(
-                r.arrival_time == 0 for r in admitted
-            ) else "read"
         default_player = self._build_player(
             share, opts.fault_plan, opts.retry_policy, opts.adaptation,
         )
@@ -853,7 +698,8 @@ class VodServer:
             )
             self.checkpoint_to(opts.checkpoint_to, fs=opts.checkpoint_fs)
 
-        if granularity == "session":
+        if opts.granularity == "auto" and all(
+                r.arrival_time == 0 for r in admitted):
             # Whole-session replay memo: sound only when sessions are
             # pure functions of their title (no obs, no shared faults,
             # no per-request policy).
@@ -873,11 +719,9 @@ class VodServer:
                             request=request,
                         )
                 session = self._serve_one(
+                    request,
                     self._player_for(request, default_player, share, opts),
-                    request.client, request.title, share, opts.fault_plan,
-                    request.retry_policy or opts.retry_policy,
-                    request.adaptation or opts.adaptation,
-                    failed, resumed=resumed, request=request,
+                    opts, share, failed, resumed,
                 )
                 if cacheable and session is not None:
                     memo[request.title] = session
@@ -896,19 +740,18 @@ class VodServer:
                 ).start(request.arrival_time)
         else:
             ledger = BandwidthLedger(len(admitted))
+
+            def steps(player: Player, reads: list, context: TraceContext):
+                stepper = player.stepper(reads, share_factor=ledger.factor)
+                if not self.obs.enabled:
+                    return stepper
+                return _trace_steps(self.obs, context, stepper)
+
             for index, request in enumerate(admitted):
                 player = self._player_for(request, default_player, share, opts)
                 reads = self._plan_reads(player, request.title)
                 context = TraceContext.for_session(request.client,
                                                    request.title)
-
-                def stepper_factory(player=player, reads=reads,
-                                    context=context):
-                    stepper = player.stepper(reads,
-                                             share_factor=ledger.factor)
-                    if not self.obs.enabled:
-                        return stepper
-                    return _trace_steps(self.obs, context, stepper)
 
                 def on_start(machine):
                     self.crash.point("vod.serve.session")
@@ -916,10 +759,14 @@ class VodServer:
                 def on_error(machine, exc, request=request, reads=reads,
                              context=context):
                     with self.obs.trace(context):
-                        return self._read_session_error(
-                            machine, exc, request, reads, ledger, share,
-                            opts, failed, context,
+                        fallback = self._fall_back(
+                            request, exc, opts, share, failed,
+                            fell_back=machine.restarts > 0,
+                            at=machine.loop.clock.now(),
                         )
+                    if fallback is None:
+                        return None
+                    return steps(fallback, reads, context)
 
                 def complete(machine, report, index=index, request=request,
                              context=context):
@@ -941,7 +788,11 @@ class VodServer:
                     record_progress(index)
 
                 SessionMachine(
-                    request.key, loop, stepper_factory=stepper_factory,
+                    request.key, loop,
+                    stepper_factory=(
+                        lambda player=player, reads=reads, context=context:
+                        steps(player, reads, context)
+                    ),
                     ledger=ledger, on_start=on_start, on_error=on_error,
                     on_complete=complete,
                 ).start(request.arrival_time)
@@ -954,130 +805,85 @@ class VodServer:
         self.last_loop_stats = loop.stats()
         return sessions, failed
 
-    def _read_session_error(self, machine, exc, request: SessionRequest,
-                            reads, ledger: BandwidthLedger, share: int,
-                            opts: ServeOptions, failed: list,
-                            context: TraceContext):
-        """Read-granularity fault handling: fall back once, then fail.
-
-        Events are stamped with the kernel clock — the simulated
-        instant the fault surfaced — and the trace context the caller
-        pushed, so a failed session's whole story shares one track.
-        """
-        now = machine.loop.clock.now()
-        if machine.restarts > 0:
-            failed.append((request.client, request.title, str(exc)))
-            self.obs.metrics.counter("vod.failed").inc()
-            self.obs.events.record(
-                Severity.CRITICAL, "vod.server", "session.failed",
-                at=now, client=request.client, title=request.title,
-                reason=str(exc),
-            )
-            return None
-        self.obs.metrics.counter("vod.fallbacks").inc()
-        self.obs.events.record(
-            Severity.WARNING, "vod.server", "session.fallback",
-            at=now, client=request.client, title=request.title,
-        )
-        fallback = self._fallback_player(
-            share, opts.fault_plan,
-            request.retry_policy or opts.retry_policy,
-            request.adaptation or opts.adaptation,
-        )
-        stepper = fallback.stepper(reads, share_factor=ledger.factor)
-        if not self.obs.enabled:
-            return stepper
-        return _trace_steps(self.obs, context, stepper)
-
     def _telemetry_source(self) -> str:
         """This server's name in the telemetry store: its scope prefix
         when it is a fleet shard, else ``"server"``."""
         return getattr(self.obs, "scope", None) or "server"
 
-    def _serve_one(self, player: Player, client: str, title: str,
-                   share: int, fault_plan: FaultPlan | None,
-                   retry_policy: RetryPolicy | None,
-                   adaptation: AdaptationPolicy | None,
+    def _serve_one(self, request: SessionRequest, player: Player,
+                   opts: ServeOptions, share: int,
                    failed: list[tuple[str, str, str]],
-                   resumed: bool = False,
-                   request: SessionRequest | None = None) -> Session | None:
-        """Play one admitted session, falling back on storage faults.
+                   resumed: bool) -> Session | None:
+        """Play one admitted session whole, falling back on storage faults.
 
         A :class:`~repro.errors.SimulatedCrash` is never treated as a
         storage fault — it is the machine dying, and must propagate to
         the crash harness."""
+        client, title = request.key
         with self.obs.trace(TraceContext.for_session(client, title)), \
                 self.obs.tracer.span(
                     "vod.session", client=client, title=title,
                 ) as span:
-            try:
-                report = player.play(self._titles[title])
-            except SimulatedCrash:
-                raise
-            except MediaModelError:
-                self.obs.metrics.counter("vod.fallbacks").inc()
-                span.set(outcome="fallback")
-                self.obs.events.record(
-                    Severity.WARNING, "vod.server",
-                    "session.fallback", client=client, title=title,
-                )
-                session = self._serve_degraded(
-                    client, title, share, fault_plan, retry_policy,
-                    adaptation, failed, request=request,
-                )
-                if session is not None:
-                    session.resumed = resumed
-                return session
-            span.set(outcome="served", underruns=report.underruns)
-            return Session(client, title, report, resumed=resumed,
-                           request=request)
+            degraded = False
+            while True:
+                try:
+                    report = player.play(self._titles[title])
+                    break
+                except SimulatedCrash:
+                    raise
+                except MediaModelError as exc:
+                    player = self._fall_back(request, exc, opts, share,
+                                             failed, fell_back=degraded)
+                    if player is None:
+                        return None
+                    degraded = True
+                    span.set(outcome="fallback")
+            if not degraded:
+                span.set(outcome="served", underruns=report.underruns)
+            return Session(client, title, report, degraded=degraded,
+                           resumed=resumed, request=request)
 
-    def _fallback_player(self, share: int, fault_plan: FaultPlan | None,
-                         retry_policy: RetryPolicy | None,
-                         adaptation: AdaptationPolicy | None) -> Player:
-        """The degraded-mode player: unbounded skip tolerance and, when
-        the title is scalable, quality pinned to the base layer so each
+    def _fall_back(self, request: SessionRequest, exc: MediaModelError,
+                   opts: ServeOptions, share: int,
+                   failed: list[tuple[str, str, str]], *, fell_back: bool,
+                   at: Rational | None = None) -> Player | None:
+        """Fall back once, then fail: both drive modes' fault handling.
+
+        A session's first storage fault re-admits it in fallback mode:
+        the returned player has unbounded skip tolerance and, when the
+        title is scalable, quality pinned to the base layer so each
         element needs the fewest bytes (and the fewest pages —
-        shrinking the fault surface)."""
-        base = retry_policy or RetryPolicy()
-        lenient = base.replace(abort_skip_fraction=None)
-        fallback_adaptation = adaptation
-        if adaptation is not None:
-            fallback_adaptation = adaptation.replace(
-                max_level=adaptation.min_level
-            )
-        return self._build_player(
-            share, fault_plan, lenient, fallback_adaptation,
-        )
+        shrinking the fault surface). A fault in the fallback replay
+        (``fell_back``) fails the session: it lands in ``failed`` and
+        None comes back.
 
-    def _serve_degraded(self, client: str, title: str, share: int,
-                        fault_plan: FaultPlan | None,
-                        retry_policy: RetryPolicy | None,
-                        adaptation: AdaptationPolicy | None,
-                        failed: list[tuple[str, str, str]],
-                        request: SessionRequest | None = None,
-                        ) -> Session | None:
-        """Replay a faulted session in fallback mode.
-
-        Records the session in ``failed`` and returns None when even
-        the fallback cannot complete.
+        ``at`` stamps the events. Read granularity passes the kernel
+        clock, the simulated instant the fault surfaced; whole-session
+        events leave the flight recorder's own clock in charge.
         """
-        fallback = self._fallback_player(
-            share, fault_plan, retry_policy, adaptation,
-        )
-        try:
-            report = fallback.play(self._titles[title])
-        except SimulatedCrash:
-            raise
-        except MediaModelError as exc:
+        client, title = request.key
+        if fell_back:
             failed.append((client, title, str(exc)))
             self.obs.metrics.counter("vod.failed").inc()
             self.obs.events.record(
                 Severity.CRITICAL, "vod.server", "session.failed",
-                client=client, title=title, reason=str(exc),
+                at=at, client=client, title=title, reason=str(exc),
             )
             return None
-        return Session(client, title, report, degraded=True, request=request)
+        self.obs.metrics.counter("vod.fallbacks").inc()
+        self.obs.events.record(
+            Severity.WARNING, "vod.server", "session.fallback",
+            at=at, client=client, title=title,
+        )
+        retry_policy = (request.retry_policy or opts.retry_policy
+                        or RetryPolicy())
+        adaptation = request.adaptation or opts.adaptation
+        if adaptation is not None:
+            adaptation = adaptation.replace(max_level=adaptation.min_level)
+        return self._build_player(
+            share, opts.fault_plan,
+            retry_policy.replace(abort_skip_fraction=None), adaptation,
+        )
 
     # -- checkpoint / restore -----------------------------------------------------
 
@@ -1247,9 +1053,7 @@ class VodServer:
             )
         self._pending_batch = batch
 
-    def resume(self, options: ServeOptions | None = None, *,
-               fault_plan=_UNSET, retry_policy=_UNSET,
-               adaptation=_UNSET) -> ServerReport:
+    def resume(self, options: ServeOptions | None = None) -> ServerReport:
         """Finish the serve batch interrupted by the crash.
 
         Sessions completed before the crash are *not* re-served: they
@@ -1263,11 +1067,7 @@ class VodServer:
                 "nothing to resume: this server was not restored from a "
                 "mid-serve checkpoint"
             )
-        opts = self._merge_options(options, dict(
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            adaptation=adaptation,
-        ))
+        opts = ServeOptions() if options is None else options
         batch = self._pending_batch
         self._pending_batch = None
         try:

@@ -235,7 +235,7 @@ def run_telemetry() -> tuple[bool, str]:
     from repro.codecs.jpeg_like import JpegLikeCodec
     from repro.core.rational import Rational
     from repro.engine.recorder import Recorder
-    from repro.engine.vod import SessionRequest, VodServer
+    from repro.engine.vod import ServeOptions, SessionRequest, VodServer
     from repro.media import frames
     from repro.media.objects import video_object
     from repro.obs import Observability
@@ -265,7 +265,7 @@ def run_telemetry() -> tuple[bool, str]:
             [SessionRequest(client=f"client-{i}", title="feature",
                             arrival_time=Rational(i, 8))
              for i in range(6)],
-            enforce_admission=False,
+            ServeOptions(enforce_admission=False),
         )
         return telemetry, seen_mid_serve
 

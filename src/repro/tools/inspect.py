@@ -63,7 +63,7 @@ from repro.blob.pages import MemoryPager, PageStore
 from repro.cache import BufferPool
 from repro.core.interpretation import Interpretation
 from repro.engine.player import CostModel, Player
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.obs import (
     Observability,
     events_to_table,
@@ -184,7 +184,7 @@ def serve_instrumented(interpretation: Interpretation, bandwidth: int,
         SessionRequest(client=f"client-{i}", title=interpretation.name)
         for i in range(clients)
     ]
-    server.serve(requests, enforce_admission=False)
+    server.serve(requests, ServeOptions(enforce_admission=False))
     return server
 
 
@@ -215,7 +215,7 @@ def fleet_census_text(interpretation: Interpretation, bandwidth: int,
     fleet.serve(
         [SessionRequest(client=f"client-{i}", title=title)
          for i in range(clients)],
-        enforce_admission=False,
+        ServeOptions(enforce_admission=False),
     )
     health = fleet.health()
     rows = []

@@ -133,3 +133,15 @@ class TestHelpers:
 
     def test_hashable_like_fraction(self):
         assert hash(Rational(1, 2)) == hash(Fraction(1, 2))
+
+    def test_float_comparisons_are_exact(self):
+        # 0.1 is 3602879701896397 / 2**55, not one tenth: equal values
+        # must hash alike, so the comparison may not round the float.
+        assert Rational(1, 10) != 0.1
+        assert 0.1 != Rational(1, 10)
+        assert Rational(1, 10) < 0.1
+        assert Rational(1, 10) != complex(0.1, 0)
+        assert Rational(1, 2) == 0.5
+        assert hash(Rational(1, 2)) == hash(0.5)
+        assert Rational(1, 2) == complex(0.5, 0)
+        assert Rational(1, 2) <= 0.5 < Rational(3, 4)

@@ -1,5 +1,8 @@
 """Tests for resilient playback under injected storage faults."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.core.rational import Rational
@@ -12,6 +15,7 @@ from repro.engine.player import (
 )
 from repro.errors import EngineError, PlaybackAbortError
 from repro.faults import FaultPlan
+from repro.obs import STAGE_BUCKETS, STAGE_METRIC, Observability
 
 
 def make_reads(count=50, size=1000, fps=25):
@@ -38,12 +42,38 @@ class TestCleanPathUnchanged:
         assert report.delivered_quality == 1
 
     def test_zero_rate_plan_matches_clean_run(self):
-        """An all-zero plan exercises the faulted path but must agree
-        with the clean path on every metric."""
+        """An all-zero plan exercises the faulted branch of the stepper
+        but must agree with the clean branch on every metric: played
+        plainly, played instrumented, and stepped under a shifting
+        bandwidth share."""
         reads = make_reads()
-        clean = play(reads)
-        faulted = play(reads, plan=FaultPlan(seed=4))
-        assert faulted == clean
+        zero = FaultPlan(seed=4)
+        assert play(reads, plan=zero) == play(reads)
+
+        def observed(plan):
+            # The embedded metric snapshots differ by design: they count
+            # runs per mode ("clean" or "faulted").
+            report = play(reads, plan=plan, obs=Observability())
+            assert report.slo
+            return dataclasses.replace(report, metrics=None)
+
+        assert observed(zero) == observed(None)
+
+        def stepped(plan):
+            factors = itertools.cycle(
+                [Rational(1), Rational(2), Rational(3, 2)])
+            player = Player(CostModel(bandwidth=100_000), fault_plan=plan)
+            stepper = player.stepper(reads,
+                                     share_factor=lambda: next(factors))
+            durations = []
+            while True:
+                try:
+                    durations.append(next(stepper))
+                except StopIteration as stop:
+                    return durations, stop.value
+
+        assert stepped(zero) == stepped(None)
+        assert stepped(None)[1] != play(reads)
 
 
 class TestRetries:
@@ -59,6 +89,39 @@ class TestRetries:
         # Backoff pauses are simulated time: they push lateness/underruns up.
         assert slow.max_lateness > calm.max_lateness
         assert slow.underruns >= calm.underruns
+
+    def test_degraded_latency_charged_as_page_read_time(self):
+        """A read in a degraded window waits the plan's extra latency:
+        the element takes that much longer, and the stage profile books
+        the wait as page-read time."""
+        reads = make_reads()
+        wait = Rational(1, 100)
+
+        def elapsed(latency, obs=None):
+            plan = FaultPlan(seed=4, degraded_fraction=1.0,
+                             degraded_bandwidth_factor=Rational(1),
+                             degraded_latency=latency)
+            player = Player(CostModel(bandwidth=100_000), fault_plan=plan,
+                            obs=obs)
+            stepper = player.stepper(reads)
+            total = Rational(0)
+            while True:
+                try:
+                    total += next(stepper)
+                except StopIteration:
+                    return total
+
+        assert elapsed(wait) - elapsed(Rational(0)) == wait * len(reads)
+        waited, prompt = Observability(), Observability()
+        assert (elapsed(wait, waited) - elapsed(Rational(0), prompt)
+                == wait * len(reads))
+
+        def page_read(obs):
+            return obs.metrics.histogram(
+                STAGE_METRIC, buckets=STAGE_BUCKETS).sum(stage="page_read")
+
+        assert page_read(waited) - page_read(prompt) == \
+            pytest.approx(float(wait) * len(reads))
 
     def test_all_elements_recovered_with_enough_retries(self):
         reads = make_reads()

@@ -110,12 +110,6 @@ class TestCatalogAndAdmission:
         assert len(admitted) == owner_capacity
         assert len(rejected) == 5
 
-    def test_admit_mirrors_legacy_shape(self, movie, short):
-        fleet = build_fleet(movie, short)
-        with pytest.deprecated_call():
-            admitted, rejected = fleet.admit([("a", "feature")])
-        assert admitted == [("a", "feature")] and rejected == []
-
 
 class TestFleetServe:
     def test_merged_report(self, movie, short):
@@ -261,7 +255,7 @@ class TestFleetTelemetry:
             [SessionRequest(client=f"client-{i}", title="feature",
                             arrival_time=Rational(i, 8))
              for i in range(6)],
-            enforce_admission=False,
+            ServeOptions(enforce_admission=False),
         )
         return fleet, telemetry, transitions
 

@@ -10,7 +10,12 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import ServerHealth, SessionRequest, VodServer
+from repro.engine.vod import (
+    ServeOptions,
+    ServerHealth,
+    SessionRequest,
+    VodServer,
+)
 from repro.faults import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -34,7 +39,8 @@ def serve(movie, bandwidth=2_000_000, clients=2, fault_plan=None, obs=None):
     server = VodServer(bandwidth=bandwidth, prefetch_depth=8, obs=obs)
     server.publish("feature", movie)
     server.serve(requests(clients),
-                 enforce_admission=False, fault_plan=fault_plan)
+                 ServeOptions(enforce_admission=False,
+                              fault_plan=fault_plan))
     return server
 
 
@@ -143,9 +149,10 @@ class TestCriticalHealth:
                          corruption_rate=0.1, degraded_fraction=1.0)
         server = VodServer(bandwidth=6_000, prefetch_depth=8, obs=obs)
         server.publish("feature", movie)
-        server.serve(requests(2),
-                     enforce_admission=False, fault_plan=plan,
-                     retry_policy=RetryPolicy(abort_skip_fraction=0.2))
+        server.serve(requests(2), ServeOptions(
+            enforce_admission=False, fault_plan=plan,
+            retry_policy=RetryPolicy(abort_skip_fraction=0.2),
+        ))
         health = server.health()
         assert health.status == "critical"
         assert any(v.severity is Severity.CRITICAL for v in health.slo)
@@ -161,6 +168,6 @@ class TestCriticalHealth:
         server = VodServer(bandwidth=2_000_000, derivation_cache=cache,
                            obs=obs)
         server.publish("feature", movie)
-        server.serve(requests(1), enforce_admission=False)
+        server.serve(requests(1), ServeOptions(enforce_admission=False))
         ratios = server.health().cache_hit_ratios
         assert "derivation" in ratios

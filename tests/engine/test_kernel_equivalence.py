@@ -1,10 +1,10 @@
-"""Equivalence suite: kernel-scheduled serve vs the seed stepping loop.
+"""Replay-memo equivalence: memoized serves match real ones.
 
-The kernel rebuild of :meth:`VodServer.serve` must be a pure refactor
-for uniform-arrival batches: byte-identical observability exports and
-identical :class:`ServerReport`\\s against :meth:`serve_stepping`, the
-seed loop retained verbatim as the oracle — including for same-seed
-faulted runs, adaptation runs and checkpointed runs.
+An unobserved, unfaulted uniform-arrival batch plays each distinct title
+once and copies the report to every other session of that title. The
+copies must equal what real runs compute; an observed batch must run
+every session for real. The serve exports themselves are pinned by the
+goldens in ``test_serve_golden.py``.
 """
 
 import dataclasses
@@ -13,14 +13,11 @@ import pytest
 
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
-from repro.engine.player import AdaptationPolicy, RetryPolicy
 from repro.engine.recorder import Recorder
-from repro.engine.vod import ServeOptions, SessionRequest, VodServer
-from repro.faults.disk import SimulatedMedium
-from repro.faults.plan import FaultPlan
+from repro.engine.vod import SessionRequest, VodServer
 from repro.media import frames
 from repro.media.objects import video_object
-from repro.obs import Observability, to_json_lines
+from repro.obs import Observability
 
 
 def make_title(name, frame_count=25, size=48):
@@ -52,108 +49,6 @@ def build_server(movie, short, obs=None):
 def requests(n, title="feature"):
     return [SessionRequest(client=f"client-{i}", title=title)
             for i in range(n)]
-
-
-def run_both(movie, short, reqs, options=None):
-    """Serve the same batch through the kernel and the seed loop.
-
-    Separate servers, separate observability sinks — the only shared
-    inputs are the published titles and the request batch. Returns
-    ``(kernel_report, seed_report, kernel_obs, seed_obs)``.
-    """
-    obs_a, obs_b = Observability(), Observability()
-    server_a = build_server(movie, short, obs=obs_a)
-    server_b = build_server(movie, short, obs=obs_b)
-    report_a = server_a.serve(reqs, options)
-    report_b = server_b.serve_stepping(reqs, options)
-    return report_a, report_b, obs_a, obs_b
-
-
-class TestCleanEquivalence:
-    def test_reports_and_exports_identical(self, movie, short):
-        reqs = requests(3) + requests(2, "short")
-        report_a, report_b, obs_a, obs_b = run_both(movie, short, reqs)
-        assert report_a == report_b
-        assert to_json_lines(obs_a) == to_json_lines(obs_b)
-
-    def test_single_session(self, movie, short):
-        report_a, report_b, obs_a, obs_b = run_both(
-            movie, short, requests(1))
-        assert report_a == report_b
-        assert to_json_lines(obs_a) == to_json_lines(obs_b)
-
-    def test_overloaded_batch_same_rejections(self, movie, short):
-        obs_a, obs_b = Observability(), Observability()
-        server_a = build_server(movie, short, obs=obs_a)
-        server_b = build_server(movie, short, obs=obs_b)
-        capacity = server_a.capacity("feature")
-        reqs = requests(capacity + 4)
-        report_a = server_a.serve(reqs)
-        report_b = server_b.serve_stepping(reqs)
-        assert report_a == report_b
-        assert len(report_a.rejected) == 4
-        assert to_json_lines(obs_a) == to_json_lines(obs_b)
-
-    def test_legacy_tuples_match_native_requests(self, movie, short):
-        obs_a, obs_b = Observability(), Observability()
-        server_a = build_server(movie, short, obs=obs_a)
-        server_b = build_server(movie, short, obs=obs_b)
-        native = requests(3)
-        legacy = [(r.client, r.title) for r in native]
-        report_a = server_a.serve(native)
-        with pytest.deprecated_call():
-            report_b = server_b.serve(legacy)
-        assert report_a == report_b
-        assert to_json_lines(obs_a) == to_json_lines(obs_b)
-
-
-class TestFaultedEquivalence:
-    def test_same_seed_faulted_run(self, movie, short):
-        plan = FaultPlan(seed=55, page_size=512, bad_page_rate=0.05)
-        report_a, report_b, obs_a, obs_b = run_both(
-            movie, short, requests(3),
-            ServeOptions(fault_plan=plan),
-        )
-        assert report_a == report_b
-        assert to_json_lines(obs_a) == to_json_lines(obs_b)
-
-    def test_faulted_run_with_fallbacks(self, movie, short):
-        # A strict retry policy forces some sessions through the
-        # degraded-fallback path; the kernel must replay it in the
-        # same order with the same fault-visit counters.
-        plan = FaultPlan(seed=55, page_size=512, bad_page_rate=0.2)
-        strict = RetryPolicy(max_retries=0, abort_skip_fraction=0.01)
-        report_a, report_b, obs_a, obs_b = run_both(
-            movie, short, requests(4),
-            ServeOptions(fault_plan=plan, retry_policy=strict),
-        )
-        assert report_a == report_b
-        assert to_json_lines(obs_a) == to_json_lines(obs_b)
-
-    def test_adaptation_run(self, movie, short):
-        plan = FaultPlan(seed=7, page_size=512, bad_page_rate=0.1)
-        adaptation = AdaptationPolicy(levels=3)
-        report_a, report_b, obs_a, obs_b = run_both(
-            movie, short, requests(3),
-            ServeOptions(fault_plan=plan, adaptation=adaptation),
-        )
-        assert report_a == report_b
-        assert to_json_lines(obs_a) == to_json_lines(obs_b)
-
-
-class TestCheckpointedEquivalence:
-    def test_durable_checkpoint_bytes_identical(self, movie, short):
-        fs_a, fs_b = SimulatedMedium(), SimulatedMedium()
-        server_a = build_server(movie, short)
-        server_b = build_server(movie, short)
-        reqs = requests(3)
-        server_a.serve(reqs, ServeOptions(
-            checkpoint_to="/ckpt/batch.json", checkpoint_fs=fs_a))
-        server_b.serve_stepping(reqs, ServeOptions(
-            checkpoint_to="/ckpt/batch.json", checkpoint_fs=fs_b))
-        from repro.durability.atomic import read_bytes
-        assert read_bytes("/ckpt/batch.json", fs=fs_a) == \
-            read_bytes("/ckpt/batch.json", fs=fs_b)
 
 
 class TestReplayMemo:

@@ -1,5 +1,5 @@
-"""Tests for the polymorphic ``Player.play`` front door, the deprecated
-shims, and the policy ``replace`` helpers."""
+"""Tests for the polymorphic ``Player.play`` front door and the policy
+``replace`` helpers."""
 
 import pytest
 
@@ -82,20 +82,6 @@ class TestPolymorphicPlay:
     def test_rejects_mixed_list(self, player):
         with pytest.raises(EngineError, match="cannot play"):
             player.play([1, 2, 3])
-
-
-class TestDeprecatedShims:
-    def test_play_reads_warns_and_delegates(self, player, movie):
-        reads = player.plan_interpretation(movie)
-        with pytest.warns(DeprecationWarning, match="play_reads"):
-            report = player.play_reads(reads)
-        assert report == player.play(reads)
-
-    def test_play_multimedia_warns_and_delegates(self, player):
-        multimedia = _multimedia()
-        with pytest.warns(DeprecationWarning, match="play_multimedia"):
-            report = player.play_multimedia(multimedia)
-        assert report == player.play(multimedia)
 
 
 class TestKeywordOnlyPolicies:

@@ -1,9 +1,8 @@
 """Tests for the session-object serving API.
 
-:class:`SessionRequest` / :class:`ServeOptions` are the redesigned
-request surface; legacy ``(client, title)`` tuples and bare keywords
-remain as a deprecation shim. Identity normalization on
-:meth:`ServerReport.outcomes` is what fleet rollups count with.
+:class:`SessionRequest` objects and one :class:`ServeOptions` are the
+whole request surface: anything else is refused. Identity normalization
+on :meth:`ServerReport.outcomes` is what fleet rollups count with.
 """
 
 import warnings
@@ -13,6 +12,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
+from repro.engine.fleet import Fleet
 from repro.engine.player import AdaptationPolicy, RetryPolicy
 from repro.engine.recorder import Recorder
 from repro.engine.vod import (
@@ -51,6 +51,13 @@ def server(movie):
     return server
 
 
+@pytest.fixture
+def fleet(movie):
+    fleet = Fleet(bandwidth=2_000_000, shards=2)
+    fleet.publish("feature", movie)
+    return fleet
+
+
 class TestSessionRequest:
     def test_kw_only(self):
         with pytest.raises(TypeError):
@@ -87,6 +94,12 @@ class TestServeOptions:
         with pytest.raises(EngineError, match="granularity"):
             ServeOptions(granularity="frame")
 
+    def test_session_granularity_rejected(self):
+        # Whole-session events come from "auto" when every arrival is
+        # at time zero; there is no way to ask for them otherwise.
+        with pytest.raises(EngineError, match="granularity"):
+            ServeOptions(granularity="session")
+
     def test_replace(self):
         opts = ServeOptions(granularity="read")
         off = opts.replace(enforce_admission=False)
@@ -95,23 +108,12 @@ class TestServeOptions:
 
 
 class TestNormalization:
-    def test_tuples_warn_once_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            reqs, legacy = normalize_requests(
-                [("a", "feature"), ("b", "feature")])
-        assert legacy
-        assert [r.key for r in reqs] == [("a", "feature"), ("b", "feature")]
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1
-
     def test_native_requests_pass_through_silently(self):
         native = [SessionRequest(client="a", title="feature")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reqs, legacy = normalize_requests(native)
-        assert not legacy
-        assert reqs[0] is native[0]
+            reqs = normalize_requests(native)
+        assert reqs == native and reqs[0] is native[0]
 
     def test_strings_rejected(self):
         with pytest.raises(EngineError):
@@ -119,12 +121,6 @@ class TestNormalization:
 
 
 class TestServeSurface:
-    def test_legacy_tuples_deprecated_but_served(self, server):
-        with pytest.deprecated_call():
-            report = server.serve([("alice", "feature")])
-        assert report.admitted_count == 1
-        assert report.admitted[0].identity == ("alice", "feature")
-
     def test_native_requests_emit_no_warning(self, server):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -133,7 +129,7 @@ class TestServeSurface:
         assert report.admitted_count == 1
 
     def test_options_and_kwargs_conflict(self, server):
-        with pytest.raises(EngineError, match="not both"):
+        with pytest.raises(TypeError):
             server.serve(
                 [SessionRequest(client="a", title="feature")],
                 ServeOptions(granularity="read"),
@@ -144,9 +140,6 @@ class TestServeSurface:
         native = [SessionRequest(client="a", title="feature")]
         admitted, rejected = server.admit(native)
         assert admitted == native and rejected == []
-        with pytest.deprecated_call():
-            admitted, rejected = server.admit([("a", "feature")])
-        assert admitted == [("a", "feature")] and rejected == []
 
     def test_session_carries_its_request(self, server):
         request = SessionRequest(client="alice", title="feature")
@@ -185,6 +178,29 @@ class TestServeSurface:
         by_client = {s.client: s for s in report.admitted}
         assert by_client["adaptive"].report.delivered_quality <= \
             by_client["fixed"].report.delivered_quality
+
+
+class TestRequestValidation:
+    """Servers and fleets take :class:`SessionRequest` items and one
+    :class:`ServeOptions`, nothing else."""
+
+    @pytest.mark.parametrize("item", [("alice", "feature"),
+                                      "alice:feature", 42],
+                             ids=["tuple", "string", "int"])
+    @pytest.mark.parametrize("surface", ["server", "fleet"])
+    @pytest.mark.parametrize("verb", ["serve", "admit"])
+    def test_non_request_items_rejected(self, request, verb, surface, item):
+        target = request.getfixturevalue(surface)
+        batch = [SessionRequest(client="a", title="feature"), item]
+        with pytest.raises(EngineError, match="SessionRequest"):
+            getattr(target, verb)(batch)
+
+    @pytest.mark.parametrize("surface", ["server", "fleet"])
+    def test_bare_keywords_rejected(self, request, surface):
+        target = request.getfixturevalue(surface)
+        with pytest.raises(TypeError):
+            target.serve([SessionRequest(client="a", title="feature")],
+                          enforce_admission=False)
 
 
 class TestReadGranularity:

@@ -1,16 +1,24 @@
 """Golden serve exports: byte-for-byte oracles for the serving path.
 
-Two serves are frozen under ``golden/``:
+These serves are frozen under ``golden/``:
 
 * ``fleet_read.txt`` — a 40-session staggered :meth:`Fleet.serve` at
   ``granularity="read"`` with observability on;
 * ``vod_faulted.txt`` — a same-seed faulted :meth:`VodServer.serve`
-  with an :class:`AdaptationPolicy`.
+  with an :class:`AdaptationPolicy`;
+* ``vod_*`` — uniform-arrival :meth:`VodServer.serve` batches over a
+  two-title catalog: a clean mixed batch, a single session, an
+  overloaded batch, a same-seed faulted run, a faulted run whose
+  sessions fall back, an adaptation run, and the bytes of the
+  checkpoint file a checkpointed serve leaves behind. They were frozen
+  while the pre-kernel serving loop was still in the code and agreed
+  with the kernel on every byte, so they pin the seed semantics.
 
-Each file holds every admitted session's :class:`PlaybackReport` fields
-as exact ``repr`` — a rational that comes back as a plain ``Fraction``,
-or moves by one part in a billion, changes the bytes — followed by the
-``to_json_lines`` export of the run's observability sink.
+Each ``.txt`` file holds every admitted session's
+:class:`PlaybackReport` fields as exact ``repr`` — a rational that comes
+back as a plain ``Fraction``, or moves by one part in a billion, changes
+the bytes — followed by the ``to_json_lines`` export of the run's
+observability sink.
 
 Regenerate with ``PYTHONPATH=src python tests/engine/test_serve_golden.py``
 only when a change is meant to alter what the server computes, and say
@@ -29,7 +37,9 @@ from repro.core.rational import Rational
 from repro.engine.fleet import Fleet
 from repro.engine.player import AdaptationPolicy, RetryPolicy
 from repro.engine.recorder import Recorder
+from repro.durability.atomic import read_bytes
 from repro.engine.vod import ServeOptions, SessionRequest, VodServer
+from repro.faults.disk import SimulatedMedium
 from repro.faults.plan import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -110,9 +120,71 @@ def vod_faulted_serve() -> str:
     return render(report, obs)
 
 
+def catalog_server(obs=None) -> VodServer:
+    """A server publishing a 25-frame ``feature`` and a 12-frame
+    ``short``, both freshly recorded."""
+    server = VodServer(bandwidth=2_000_000, prefetch_depth=8, obs=obs)
+    for name, frame_count in (("feature", 25), ("short", 12)):
+        footage = frames.scene(48, 36, frame_count, "orbit")
+        server.publish(name, Recorder(MemoryBlob()).record(
+            [video_object(footage, name)],
+            encoders={name: JpegLikeCodec(quality=40).encode},
+            interpretation_name=f"{name}-capture",
+        ))
+    return server
+
+
+def catalog_requests(count: int, title: str = "feature") -> list:
+    return [SessionRequest(client=f"client-{i}", title=title)
+            for i in range(count)]
+
+
+def catalog_serve(requests, options=None) -> str:
+    obs = Observability()
+    report = catalog_server(obs).serve(requests, options)
+    return render(report, obs)
+
+
+def vod_overloaded_serve() -> str:
+    """Four requests past the feature's capacity; the surplus is
+    rejected by admission."""
+    obs = Observability()
+    server = catalog_server(obs)
+    report = server.serve(
+        catalog_requests(server.capacity("feature") + 4))
+    return render(report, obs)
+
+
+def vod_checkpoint_bytes() -> str:
+    """The checkpoint file a three-session checkpointed serve leaves."""
+    fs = SimulatedMedium()
+    catalog_server().serve(catalog_requests(3), ServeOptions(
+        checkpoint_to="/ckpt/batch.json", checkpoint_fs=fs))
+    return read_bytes("/ckpt/batch.json", fs=fs).decode("utf-8")
+
+
 SERVES = {
     "fleet_read.txt": fleet_read_serve,
     "vod_faulted.txt": vod_faulted_serve,
+    "vod_clean_mixed.txt": lambda: catalog_serve(
+        catalog_requests(3) + catalog_requests(2, "short")),
+    "vod_single.txt": lambda: catalog_serve(catalog_requests(1)),
+    "vod_overloaded.txt": vod_overloaded_serve,
+    "vod_faulted_seed55.txt": lambda: catalog_serve(
+        catalog_requests(3), ServeOptions(fault_plan=FaultPlan(
+            seed=55, page_size=512, bad_page_rate=0.05))),
+    # A strict retry policy sends every session through the degraded
+    # fallback.
+    "vod_fallbacks.txt": lambda: catalog_serve(
+        catalog_requests(4), ServeOptions(
+            fault_plan=FaultPlan(seed=55, page_size=512, bad_page_rate=0.2),
+            retry_policy=RetryPolicy(max_retries=0,
+                                     abort_skip_fraction=0.01))),
+    "vod_adaptation.txt": lambda: catalog_serve(
+        catalog_requests(3), ServeOptions(
+            fault_plan=FaultPlan(seed=7, page_size=512, bad_page_rate=0.1),
+            adaptation=AdaptationPolicy(levels=3))),
+    "vod_checkpoint.json": vod_checkpoint_bytes,
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.errors import EngineError, ResourceError
 from repro.media import frames
 from repro.media.objects import video_object
@@ -111,7 +111,8 @@ class TestServing:
     def test_overload_without_admission_underruns(self, server):
         capacity = server.capacity("feature")
         overload = capacity * 3
-        report = server.serve(requests(overload), enforce_admission=False)
+        report = server.serve(requests(overload),
+                              ServeOptions(enforce_admission=False))
         assert report.admitted_count == overload
         assert report.underrun_sessions() > 0
 
@@ -120,7 +121,7 @@ class TestServing:
         properly, keeps every served session clean."""
         capacity = server.capacity("feature")
         protected = server.serve(requests(capacity * 3),
-                                 enforce_admission=True)
+                                 ServeOptions(enforce_admission=True))
         assert protected.underrun_sessions() == 0
         assert len(protected.rejected) == capacity * 2
 

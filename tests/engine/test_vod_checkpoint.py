@@ -8,7 +8,12 @@ from repro.blob.blob import MemoryBlob
 from repro.cache import DerivationCache
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import CHECKPOINT_VERSION, SessionRequest, VodServer
+from repro.engine.vod import (
+    CHECKPOINT_VERSION,
+    ServeOptions,
+    SessionRequest,
+    VodServer,
+)
 from repro.errors import CheckpointError, SimulatedCrash
 from repro.faults import CrashInjector, CrashSite, SimulatedMedium
 from repro.media import frames
@@ -123,8 +128,8 @@ class TestFailover:
         requests = [SessionRequest(client=f"client-{i}", title="feature")
                     for i in range(3)]
         with pytest.raises(SimulatedCrash):
-            server.serve(requests, checkpoint_to="/srv/vod.ckpt",
-                         checkpoint_fs=fs)
+            server.serve(requests, ServeOptions(
+                checkpoint_to="/srv/vod.ckpt", checkpoint_fs=fs))
         fs.crash()
 
     def test_mid_batch_crash_resumes_remainder(self, movie):
@@ -153,7 +158,7 @@ class TestFailover:
         server = make_server(movie)
         report = server.serve(
             [SessionRequest(client=c, title="feature") for c in "ab"],
-            checkpoint_to="/srv/vod.ckpt", checkpoint_fs=fs,
+            ServeOptions(checkpoint_to="/srv/vod.ckpt", checkpoint_fs=fs),
         )
         assert len(report.admitted) == 2
         payload = json.loads(

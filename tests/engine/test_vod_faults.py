@@ -7,7 +7,7 @@ from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
 from repro.engine.player import AdaptationPolicy, RetryPolicy
 from repro.engine.recorder import Recorder
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.faults import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -36,12 +36,12 @@ class TestFaultedServing:
     def test_serve_with_faults_never_raises(self, server):
         plan = FaultPlan(seed=55, transient_rate=0.2, bad_page_rate=0.1,
                          corruption_rate=0.1, degraded_fraction=0.3)
-        report = server.serve(requests(3), fault_plan=plan)
+        report = server.serve(requests(3), ServeOptions(fault_plan=plan))
         assert report.admitted_count + report.failed_sessions() == 3
 
     def test_faulted_sessions_account_as_degraded(self, server):
         plan = FaultPlan(seed=55, page_size=512, bad_page_rate=0.15)
-        report = server.serve(requests(2), fault_plan=plan)
+        report = server.serve(requests(2), ServeOptions(fault_plan=plan))
         assert report.degraded_sessions() > 0
         assert report.clean_sessions() + report.underrun_sessions() >= 0
         total = report.degraded_sessions() + sum(
@@ -53,8 +53,8 @@ class TestFaultedServing:
     def test_aborting_session_is_readmitted_degraded(self, server):
         plan = FaultPlan(seed=55, page_size=512, bad_page_rate=0.5)
         strict = RetryPolicy(abort_skip_fraction=0.01)
-        report = server.serve(requests(2), fault_plan=plan,
-                              retry_policy=strict)
+        report = server.serve(requests(2), ServeOptions(
+            fault_plan=plan, retry_policy=strict))
         # The strict policy aborts first service; the server re-admits
         # in fallback mode rather than propagating or dropping.
         assert report.admitted_count == 2
@@ -65,22 +65,21 @@ class TestFaultedServing:
     def test_adaptation_degrades_instead_of_underrunning(self, server):
         plan = FaultPlan(seed=66, degraded_fraction=0.7, degradation_span=8,
                          degraded_bandwidth_factor=Rational(1, 4))
-        adapted = server.serve(
-            requests(2), fault_plan=plan,
-            adaptation=AdaptationPolicy(levels=3),
-        )
+        adapted = server.serve(requests(2), ServeOptions(
+            fault_plan=plan, adaptation=AdaptationPolicy(levels=3),
+        ))
         assert adapted.mean_delivered_quality() < 1.0
         assert adapted.degraded_sessions() == 2
 
     def test_same_seed_serves_identically(self, server):
         plan = FaultPlan(seed=77, transient_rate=0.2, bad_page_rate=0.05)
-        a = server.serve(requests(3), fault_plan=plan)
-        b = server.serve(requests(3), fault_plan=plan)
+        a = server.serve(requests(3), ServeOptions(fault_plan=plan))
+        b = server.serve(requests(3), ServeOptions(fault_plan=plan))
         assert a == b
 
     def test_clean_serving_unchanged_by_fault_machinery(self, server):
         before = server.serve(requests(2))
-        after = server.serve(requests(2), fault_plan=None)
+        after = server.serve(requests(2), ServeOptions(fault_plan=None))
         assert before == after
         assert before.degraded_sessions() == 0
         assert before.failed_sessions() == 0

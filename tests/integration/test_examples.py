@@ -12,17 +12,10 @@ import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 
-EXAMPLES = [
-    "quickstart",
-    "movie_production",
-    "multilingual_query",
-    "midi_studio",
-    "animation_pipeline",
-    "database_tour",
-    "observability_tour",
-    "crash_recovery",
-    "fleet_failover",
-]
+EXAMPLES = sorted(
+    name[:-len(".py")] for name in os.listdir(EXAMPLES_DIR)
+    if name.endswith(".py")
+)
 
 
 def load_example(name):

@@ -11,7 +11,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.recorder import Recorder
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.faults import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
@@ -42,7 +42,7 @@ def faulted_run(movie, event_capacity=1024):
     server.publish("feature", movie)
     plan = FaultPlan(seed=55, transient_rate=0.2, bad_page_rate=0.1,
                      corruption_rate=0.1, degraded_fraction=0.3)
-    server.serve(requests(3), fault_plan=plan)
+    server.serve(requests(3), ServeOptions(fault_plan=plan))
     return obs
 
 
@@ -58,7 +58,8 @@ def starved_run(movie):
     server.publish("feature", movie)
     plan = FaultPlan(seed=7, transient_rate=0.5, bad_page_rate=0.3,
                      corruption_rate=0.1, degraded_fraction=1.0)
-    server.serve(requests(3), enforce_admission=False, fault_plan=plan)
+    server.serve(requests(3),
+                 ServeOptions(enforce_admission=False, fault_plan=plan))
     return obs
 
 
@@ -82,7 +83,7 @@ class TestDeterminism:
             server.publish("feature", movie)
             plan = FaultPlan(seed=seed, transient_rate=0.3,
                              bad_page_rate=0.1)
-            server.serve(requests(1), fault_plan=plan)
+            server.serve(requests(1), ServeOptions(fault_plan=plan))
             return to_json_lines(obs)
 
         assert export_with_seed(1) != export_with_seed(2)

@@ -93,7 +93,7 @@ def figure5_obs():
     from repro.core.composition import MultimediaObject
     from repro.edit import MediaEditor
     from repro.engine import CostModel, Player, Recorder
-    from repro.engine.vod import SessionRequest, VodServer
+    from repro.engine.vod import ServeOptions, SessionRequest, VodServer
     from repro.media import frames, signals
     from repro.media.objects import audio_object, video_object
 
@@ -117,7 +117,7 @@ def figure5_obs():
     server.publish("tape1", tape)
     server.serve([SessionRequest(client=c, title="tape1")
                   for c in ("c0", "c1")],
-                 enforce_admission=False)
+                 ServeOptions(enforce_admission=False))
     with obs.tracer.span("edit.render"):  # same-domain nesting
         Player(CostModel(bandwidth=8_000_000), obs=obs).play(movie)
     return obs

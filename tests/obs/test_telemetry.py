@@ -13,7 +13,7 @@ from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
 from repro.engine.kernel import EventLoop
 from repro.engine.recorder import Recorder
-from repro.engine.vod import SessionRequest, VodServer
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.errors import ObservabilityError
 from repro.media import frames
 from repro.media.objects import video_object
@@ -322,7 +322,7 @@ def overloaded_serve(movie, telemetry):
     server.serve(
         [SessionRequest(client=f"client-{i}", title="feature",
                         arrival_time=Rational(i, 8)) for i in range(6)],
-        enforce_admission=False,
+        ServeOptions(enforce_admission=False),
     )
     return server
 
@@ -353,7 +353,7 @@ class TestServeIntegration:
             [SessionRequest(client=f"client-{i}", title="feature",
                             arrival_time=Rational(i, 8))
              for i in range(6)],
-            enforce_admission=False,
+            ServeOptions(enforce_admission=False),
         )
         states = [state for _, state, _, _ in mid_serve]
         assert "pending" in states and "firing" in states \
