@@ -93,6 +93,7 @@ class FilePager:
         size = self._file.tell()
         if size % page_size:
             if not repair:
+                self._file.close()
                 raise BlobError(
                     f"{self.path} size {size} is not a multiple of page size"
                 )

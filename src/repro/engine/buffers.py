@@ -10,9 +10,9 @@ depth; benchmark E7 sweeps the depth.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.core.rational import Rational, as_rational
+from repro.core.rational import ZERO, Rational, as_rational
 from repro.errors import EngineError
 
 
@@ -65,6 +65,9 @@ class PrefetchReport:
     ``high_water`` is the maximum number of elements simultaneously
     buffered (produced but not yet presented) — the actual memory the
     prefetch buffer needed, at most ``depth`` during steady state.
+    ``lateness[i]`` is how long element ``i`` was presented after its
+    shifted deadline (0 when it was on time); ``max_wait`` is the
+    largest of them and ``underruns`` counts the positive ones.
     """
 
     depth: int
@@ -73,6 +76,7 @@ class PrefetchReport:
     max_wait: Rational
     presented: int
     high_water: int = 0
+    lateness: list[Rational] = field(default_factory=list)
 
     @property
     def underrun_fraction(self) -> float:
@@ -105,27 +109,32 @@ def simulate_prefetch(
     fill = min(depth, count)
     startup = as_rational(production_times[fill - 1])
     underruns = 0
-    max_wait = Rational(0)
+    max_wait = ZERO
+    lateness = []
     presentations = []
-    for produced, deadline in zip(production_times, deadlines):
-        produced = as_rational(produced)
-        shifted_deadline = startup + as_rational(deadline)
-        if produced > shifted_deadline:
-            underruns += 1
-            max_wait = max(max_wait, produced - shifted_deadline)
-        presentations.append(max(produced, shifted_deadline))
     # Buffer occupancy high-water: both production and presentation
-    # times are non-decreasing, so a single forward scan counting
-    # elements produced but not yet presented at each production
-    # instant finds the peak.
+    # times are non-decreasing, so counting at each production instant
+    # the earlier elements produced but not yet presented finds the
+    # peak in the same forward pass.
     high_water = 0
     presented_before = 0
-    for index, produced in enumerate(production_times):
+    for index, (produced, deadline) in enumerate(
+            zip(production_times, deadlines)):
         produced = as_rational(produced)
         while (presented_before < index
                and presentations[presented_before] < produced):
             presented_before += 1
         high_water = max(high_water, index + 1 - presented_before)
+        shifted_deadline = startup + as_rational(deadline)
+        if produced > shifted_deadline:
+            late = produced - shifted_deadline
+            underruns += 1
+            max_wait = max(max_wait, late)
+            presentations.append(produced)
+        else:
+            late = ZERO
+            presentations.append(shifted_deadline)
+        lateness.append(late)
     return PrefetchReport(
         depth=depth,
         startup_delay=startup,
@@ -133,4 +142,5 @@ def simulate_prefetch(
         max_wait=max_wait,
         presented=count,
         high_water=high_water,
+        lateness=lateness,
     )

@@ -68,16 +68,25 @@ class SimulatedClock:
 class EventLoop:
     """A deterministic heap-scheduled event loop on a simulated clock.
 
-    Events are ``(time, seq, callback, args)`` heap entries; ``seq`` is
-    the global insertion counter, so two events at the same instant fire
-    in the order they were scheduled — the property the serving path
-    relies on for reproducibility (and for playing same-instant
-    sessions in the order they were admitted).
+    Events are ``(float(time), time, seq, callback, args)`` heap
+    entries; ``seq`` is the global insertion counter, so two events at
+    the same instant fire in the order they were scheduled — the
+    property the serving path relies on for reproducibility (and for
+    playing same-instant sessions in the order they were admitted).
+
+    The leading float is a sort key only, there so that heap sifts
+    compare in C rather than through ``Rational``'s Python-level
+    operators. ``float()`` of a ``Rational`` is correctly rounded and
+    therefore monotone (``a < b`` implies ``float(a) <= float(b)``): a
+    differing float settles only pairs whose exact order it agrees
+    with, and pairs whose floats tie fall through to the exact time and
+    then to ``seq``. Pop order is exactly ``(time, seq)`` order, and the
+    float never reaches the clock.
     """
 
     def __init__(self, clock: SimulatedClock | None = None):
         self.clock = clock if clock is not None else SimulatedClock()
-        self._heap: list[tuple[Rational, int, Callable, tuple]] = []
+        self._heap: list[tuple[float, Rational, int, Callable, tuple]] = []
         self._seq = 0
         self.events_processed = 0
         self.peak_pending = 0
@@ -96,7 +105,7 @@ class EventLoop:
             )
         seq = self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (when, seq, callback, args))
+        heapq.heappush(self._heap, (float(when), when, seq, callback, args))
         if len(self._heap) > self.peak_pending:
             self.peak_pending = len(self._heap)
         return seq
@@ -117,7 +126,7 @@ class EventLoop:
         limit = None if until is None else as_rational(until)
         fired = 0
         while self._heap:
-            when, _seq, callback, args = self._heap[0]
+            _key, when, _seq, callback, args = self._heap[0]
             if limit is not None and when > limit:
                 break
             heapq.heappop(self._heap)
@@ -154,7 +163,8 @@ class BandwidthLedger:
     ``total / active``, i.e. the nominal share scaled by
     ``planned / active`` ≥ 1. Steppers ask :meth:`factor` before every
     element read, so a session that outlives its neighbours speeds up
-    exactly when they leave.
+    exactly when they leave. The factor changes only when a session
+    enters or leaves, so it is computed there, not on every read.
     """
 
     def __init__(self, planned: int):
@@ -163,20 +173,23 @@ class BandwidthLedger:
         self.planned = planned
         self.active = 0
         self.peak_active = 0
+        self._factor = Rational(planned)
 
     def enter(self) -> None:
         self.active += 1
         if self.active > self.peak_active:
             self.peak_active = self.active
+        self._factor = Rational(self.planned, self.active)
 
     def leave(self) -> None:
         if self.active <= 0:
             raise EngineError("ledger underflow: leave() without enter()")
         self.active -= 1
+        self._factor = Rational(self.planned, max(1, self.active))
 
     def factor(self) -> Rational:
         """Bandwidth multiplier over the nominal equal share, >= 1."""
-        return Rational(self.planned, max(1, self.active))
+        return self._factor
 
     def __repr__(self) -> str:
         return (

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.composition import MultimediaObject
 from repro.core.interpretation import Interpretation
-from repro.core.rational import Rational, as_rational
+from repro.core.rational import ZERO, Rational, as_rational
 from repro.engine.buffers import simulate_prefetch
 from repro.errors import EngineError, PlaybackAbortError
 from repro.faults.plan import FaultPlan
@@ -109,7 +109,7 @@ class CostModel:
         if not contiguous:
             read += self.seek_time
         decode = (Rational(size) / self.decode_rate if self.decode_rate
-                  else Rational(0))
+                  else ZERO)
         return read, decode
 
     def replace(self, **overrides) -> "CostModel":
@@ -348,6 +348,21 @@ class _PlannedRead:
     offset: int
     size: int
     deadline: Rational
+
+
+def _relative_deadlines(reads: list[_PlannedRead], origin: Rational,
+                        rate: Rational) -> list[Rational]:
+    """Each read's deadline on reference time, relative to ``origin``.
+
+    At rate r, media time d is presented at reference time d / r. The
+    common zero origin and unit rate skip their identity arithmetic.
+    """
+    deadlines = [r.deadline for r in reads]
+    if origin != 0:
+        deadlines = [d - origin for d in deadlines]
+    if rate != 1:
+        deadlines = [d / rate for d in deadlines]
+    return deadlines
 
 
 class Player:
@@ -659,6 +674,7 @@ class Player:
         tracer = self.obs.tracer if instrumented else None
         events = self.obs.events if instrumented else None
         stage_hist = self._stage_histogram() if instrumented else None
+        decodes = cost_model.decode_rate is not None
         clock = Rational(0)
         cursor: int | None = None
         seeks = 0
@@ -716,7 +732,7 @@ class Player:
                 read_part, decode_part = cost_model.cost_breakdown(
                     size, contiguous, bandwidth_factor=factor
                 )
-                cost = read_part + decode_part
+                cost = read_part + decode_part if decodes else read_part
 
             if plan is None:
                 # A clean element is one read: no page walk, no retries.
@@ -844,26 +860,25 @@ class Player:
             )
 
         first_deadline = reads[0].deadline
-        # At rate r, media time d is presented at reference time d / r.
-        deadlines = [
-            (r.deadline - first_deadline) / self.rate for r in presented
-        ]
+        deadlines = _relative_deadlines(presented, first_deadline, self.rate)
         prefetch = simulate_prefetch(production, deadlines, self.prefetch_depth)
         if skipped:
             # The timeline is the content's: skipping an element glitches
             # the presentation but does not shorten the programme.
             duration = max(
-                (r.deadline - first_deadline) / self.rate for r in reads
+                _relative_deadlines(reads, first_deadline, self.rate)
             )
         else:
             duration = max(deadlines)
         required = (
             Rational(total_bytes) / duration if duration > 0 else Rational(0)
         )
-        lateness = [
-            max(p - (prefetch.startup_delay + d), Rational(0))
-            for p, d in zip(production, deadlines)
-        ]
+        lateness = prefetch.lateness
+        jitter = prefetch.max_wait
+        if lateness and prefetch.underruns == len(lateness):
+            # Lateness is never negative, so the earliest is zero unless
+            # every element was late.
+            jitter -= min(lateness)
         delivered_quality = (
             quality_sum / adapted_reads if adapted_reads else Rational(1)
         )
@@ -874,8 +889,8 @@ class Player:
             startup_delay=prefetch.startup_delay,
             underruns=prefetch.underruns,
             underrun_fraction=prefetch.underrun_fraction,
-            max_lateness=max(lateness) if lateness else Rational(0),
-            jitter=(max(lateness) - min(lateness)) if lateness else Rational(0),
+            max_lateness=prefetch.max_wait,
+            jitter=jitter,
             prefetch_depth=self.prefetch_depth,
             seeks=seeks,
             per_read=[

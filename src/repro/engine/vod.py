@@ -355,13 +355,20 @@ def _trace_steps(obs: Observability, context: TraceContext, stepper):
     the context only around ``next(stepper)`` (never across a yield)
     keeps each session's spans and events stamped with its own trace
     id. ``StopIteration.value`` — the session report — passes through.
+    The push and pop are :meth:`Observability.trace`'s, inlined: this
+    runs once per element read.
     """
+    tracer, events = obs.tracer, obs.events
     while True:
-        with obs.trace(context):
-            try:
-                dt = next(stepper)
-            except StopIteration as stop:
-                return stop.value
+        tracer.push_context(context)
+        events.push_context(context)
+        try:
+            dt = next(stepper)
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            events.pop_context()
+            tracer.pop_context()
         yield dt
 
 
@@ -633,7 +640,7 @@ class VodServer:
 
         Planning an :class:`Interpretation` is pure and observes
         nothing, so the plan is computed once per title and shared by
-        every stepper that plays it.
+        every session that plays it, in either drive mode.
         """
         reads = self._plan_cache.get(title)
         if reads is None:
@@ -827,7 +834,7 @@ class VodServer:
             degraded = False
             while True:
                 try:
-                    report = player.play(self._titles[title])
+                    report = player.play(self._plan_reads(player, title))
                     break
                 except SimulatedCrash:
                     raise

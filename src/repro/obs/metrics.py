@@ -38,6 +38,10 @@ LabelKey = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: Mapping[str, Any]) -> LabelKey:
+    if len(labels) == 1:
+        # The common single-label case has nothing to sort.
+        ((name, value),) = labels.items()
+        return ((name, str(value)),)
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

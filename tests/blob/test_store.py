@@ -52,9 +52,9 @@ class TestBlobStore:
 
     def test_file_backed(self, tmp_path):
         path = tmp_path / "store.dat"
-        store = BlobStore.file_backed(path)
-        store.create("x").append(b"persisted")
-        assert store.get("x").read_all() == b"persisted"
+        with BlobStore.file_backed(path) as store:
+            store.create("x").append(b"persisted")
+            assert store.get("x").read_all() == b"persisted"
         assert path.exists()
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.rational import Rational
 from repro.engine.kernel import (
@@ -86,6 +88,17 @@ class TestEventLoop:
         loop.run()
         assert fired == ["in", "boundary", "out"]
 
+    def test_times_sharing_a_float_fire_in_exact_order(self):
+        loop = EventLoop()
+        fired = []
+        above_one = Rational(2**53 + 1, 2**53)
+        assert float(above_one) == float(Rational(1))
+        loop.at(above_one, fired.append, "later")
+        loop.at(1, fired.append, "earlier")
+        loop.run()
+        assert fired == ["earlier", "later"]
+        assert loop.clock.now() == above_one
+
     def test_crash_propagates_and_preserves_heap(self):
         loop = EventLoop()
 
@@ -109,6 +122,36 @@ class TestEventLoop:
         assert stats["pending"] == 0
         assert stats["peak_pending"] == 2
         assert stats["now"] == Rational(1)
+
+
+# Above 1 a double's spacing is 2**-52, so every offset of k / 2**55
+# from an integer base rounds to the same float as the base: events a
+# float-only heap key could not tell apart, mixed with same-instant ties.
+instants = st.builds(
+    lambda base, offset: Rational(base) + Rational(offset, 2**55),
+    st.integers(1, 3), st.integers(-2, 2),
+)
+
+
+@settings(max_examples=200)
+@given(times=st.lists(instants, min_size=1, max_size=30), cut=instants)
+def test_pop_order_is_exact_time_then_insertion(times, cut):
+    loop = EventLoop()
+    fired = []
+    # Labels count down, so a heap that lost the insertion counter would
+    # break same-instant ties by label, the wrong way round.
+    labels = [len(times) - i for i in range(len(times))]
+    for when, label in zip(times, labels):
+        loop.at(when, fired.append, label)
+    order = sorted(range(len(times)), key=lambda i: (times[i], i))
+    expected = [labels[i] for i in order]
+    early = sum(1 for when in times if when <= cut)
+    assert loop.run(until=cut) == early
+    assert fired == expected[:early]
+    assert loop.pending == len(times) - early
+    loop.run()
+    assert fired == expected
+    assert loop.clock.now() == max(times)
 
 
 class TestBandwidthLedger:
@@ -137,6 +180,24 @@ class TestBandwidthLedger:
     def test_needs_a_planned_session(self):
         with pytest.raises(EngineError):
             BandwidthLedger(0)
+
+    @given(planned=st.integers(1, 8),
+           moves=st.lists(st.booleans(), max_size=40))
+    def test_factor_tracks_every_enter_and_leave(self, planned, moves):
+        ledger = BandwidthLedger(planned)
+        active = 0
+        for entering in moves:
+            if entering:
+                ledger.enter()
+                active += 1
+            elif active:
+                ledger.leave()
+                active -= 1
+            else:
+                with pytest.raises(EngineError, match="underflow"):
+                    ledger.leave()
+            assert ledger.active == active
+            assert ledger.factor() == Rational(planned, max(1, active))
 
 
 def counting_stepper(durations, result="report"):

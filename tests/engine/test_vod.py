@@ -132,3 +132,25 @@ class TestServing:
     def test_per_client_bandwidth(self, server):
         report = server.serve(requests(2))
         assert report.per_client_bandwidth == 1_000_000
+
+    def test_whole_session_events_plan_each_title_once(self, movie,
+                                                        monkeypatch):
+        from repro.engine.player import Player
+        from repro.obs import Observability
+
+        plans = []
+        plan = Player.plan_interpretation
+
+        def counted(player, interpretation, *args, **kwargs):
+            plans.append(interpretation)
+            return plan(player, interpretation, *args, **kwargs)
+
+        monkeypatch.setattr(Player, "plan_interpretation", counted)
+        # Observability turns the replay memo off, so each of these
+        # uniform-arrival sessions runs its own whole-session event.
+        server = VodServer(bandwidth=2_000_000, obs=Observability())
+        server.publish("feature", movie)
+        options = ServeOptions(enforce_admission=False)
+        server.serve(requests(3), options)
+        server.serve(requests(2), options)
+        assert plans == [movie]

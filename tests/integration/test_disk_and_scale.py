@@ -44,13 +44,13 @@ class TestDiskBackedCapture:
         video = video_object(frames.scene(24, 16, 8, "orbit"), "v")
         audio = audio_object(signals.sine(440, 0.32, 8000), "a",
                              sample_rate=8000, block_samples=320)
-        store = BlobStore.file_backed(tmp_path / "media.dat")
-        blob = store.create("tape1")
-        interpretation = Recorder(blob).record(
-            [video, audio], encoders={"a": PcmCodec(16, 1).encode},
-        )
         path = tmp_path / "movie.rmf"
-        write_container(interpretation, path)
+        with BlobStore.file_backed(tmp_path / "media.dat") as store:
+            blob = store.create("tape1")
+            interpretation = Recorder(blob).record(
+                [video, audio], encoders={"a": PcmCodec(16, 1).encode},
+            )
+            write_container(interpretation, path)
 
         restored = read_container(path)
         report = Player(CostModel(bandwidth=10_000_000)).play(restored)

@@ -126,6 +126,16 @@ def test_float_and_hash_match_fraction(r):
     assert r in {Fraction(r)} and Fraction(r) in {r}
 
 
+@given(a=rationals, numerator=st.integers(0, 4), exponent=st.integers(0, 80))
+def test_float_is_monotone(a, numerator, exponent):
+    # Gaps down to 2**-80 put b within a float's spacing of a, where the
+    # two round to the same double; the event kernel's heap key relies
+    # on rounding never reversing an order.
+    b = a + Rational(numerator, 2**exponent)
+    assert a <= b
+    assert float(a) <= float(b)
+
+
 @given(numerator=integers, denominator=st.one_of(st.none(), integers))
 def test_construction_from_ints(numerator, denominator):
     check(lambda: Rational(numerator, denominator),
