@@ -24,7 +24,12 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.interpretation import Interpretation
 from repro.core.rational import Rational, as_rational
-from repro.engine.kernel import BandwidthLedger, EventLoop, SessionMachine
+from repro.engine.kernel import (
+    BandwidthLedger,
+    EventLoop,
+    SessionMachine,
+    SimulatedClock,
+)
 from repro.engine.player import (
     AdaptationPolicy,
     CostModel,
@@ -407,7 +412,9 @@ class VodServer:
         pipeline: when attached (and ``obs`` is live), every serve
         batch schedules a repeating scrape on its event loop, sampling
         the registry into the telemetry store and evaluating burn-rate
-        alerts mid-serve."""
+        alerts mid-serve. Every batch runs on the server's one simulated
+        clock, so a later batch starts where the previous one ended and
+        its scrapes never go back in time."""
         if bandwidth <= 0:
             raise EngineError("bandwidth must be positive")
         if admission_margin < 1.0:
@@ -427,6 +434,7 @@ class VodServer:
         self.plan_check = plan_check
         self.crash = crash or NULL_CRASH
         self.telemetry = telemetry
+        self._clock = SimulatedClock()
         self._titles: dict[str, Interpretation] = {}
         self._plan_cache: dict[str, list] = {}
         self._reports: list[ServerReport] = []
@@ -670,7 +678,9 @@ class VodServer:
         """Drive one admitted batch on the event kernel.
 
         One :class:`~repro.engine.kernel.SessionMachine` per request,
-        all on one :class:`~repro.engine.kernel.EventLoop`. When every
+        all on one :class:`~repro.engine.kernel.EventLoop` over the
+        server's clock; arrival times count from the instant the batch
+        starts. When every
         request arrives at time zero under ``"auto"`` granularity, each
         machine runs its whole session in a single event and the heap
         pops machines in admitted order, so sessions play serially in
@@ -691,7 +701,8 @@ class VodServer:
         default_player = self._build_player(
             share, opts.fault_plan, opts.retry_policy, opts.adaptation,
         )
-        loop = EventLoop()
+        loop = EventLoop(self._clock)
+        origin = self._clock.now()
         done = [False] * len(admitted)
         checkpointing = opts.checkpoint_to is not None
 
@@ -744,7 +755,7 @@ class VodServer:
                     request.key, loop,
                     runner=lambda request=request: runner(request),
                     on_complete=complete,
-                ).start(request.arrival_time)
+                ).start(origin)
         else:
             ledger = BandwidthLedger(len(admitted))
 
@@ -802,7 +813,7 @@ class VodServer:
                     ),
                     ledger=ledger, on_start=on_start, on_error=on_error,
                     on_complete=complete,
-                ).start(request.arrival_time)
+                ).start(origin + request.arrival_time)
         scraping = self.telemetry is not None and self.obs.enabled
         if scraping:
             self.telemetry.attach(loop, self.obs, self._telemetry_source())

@@ -12,13 +12,14 @@ axis:
   rules. The scrape re-schedules itself only while the loop still has
   work pending, so a drained serve ends with one final sample instead
   of an immortal timer.
-* :class:`TelemetryStore` — a stdlib-``sqlite3`` time-series store
-  following the :mod:`repro.query.sqlutil` conventions (exact-rational
-  timestamps as INTEGER pairs, a REAL approximation as a conservative
-  prefilter re-judged exactly in Python). Windowed rollups —
+* :class:`TelemetryStore` — an in-memory time-series store. Each
+  ``(source, metric, label set)`` series is a timed stream: an
+  append-only run of samples in time order on the simulated clock,
+  each stamped with its exact rational scrape time. Windowed rollups —
   :meth:`~TelemetryStore.delta`, :meth:`~TelemetryStore.rate`,
   :meth:`~TelemetryStore.quantile` via elementwise bucket-count merges
-  — are pure functions of the stored rows.
+  — are pure functions of the stored samples, and every read, the dump
+  and the dashboard come from that one copy.
 * :class:`AlertManager` — multi-window burn-rate alerting in the
   Prometheus style: each :class:`BurnRateRule` re-expresses an
   :class:`~repro.obs.slo.Slo` objective over a short/long window pair;
@@ -29,7 +30,7 @@ axis:
 
 Determinism contract (the same one the rest of :mod:`repro.obs`
 keeps): scrape times come from the kernel's rational clock, rollups
-are exact-or-float arithmetic over stored rows, and
+are exact-or-float arithmetic over stored samples, and
 :meth:`TelemetryStore.dump` iterates in sorted order — two same-seed
 runs produce byte-identical dumps and alert timelines.
 """
@@ -60,87 +61,55 @@ __all__ = [
 #: adding only a handful of events per simulated second of serving.
 DEFAULT_SCRAPE_INTERVAL = Rational(1, 4)
 
-#: Relative slack for the REAL prefilter columns, mirroring the
-#: TemporalIndex: the float scan may admit extra candidate rows, which
-#: the exact re-check below discards — never the reverse.
-_EPS_REL = 1e-9
+#: Most extra scrapes :meth:`Telemetry.drain` takes to cool a source's
+#: alerts, a bound against pathological windows.
+_DRAIN_LIMIT = 64
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS scrapes (
-    scrape_id INTEGER PRIMARY KEY,
-    source    TEXT NOT NULL,
-    t_num     INTEGER NOT NULL,
-    t_den     INTEGER NOT NULL,
-    t_approx  REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS samples (
-    scrape_id INTEGER NOT NULL,
-    metric    TEXT NOT NULL,
-    labels    TEXT NOT NULL,
-    kind      TEXT NOT NULL,
-    value     REAL,
-    count     INTEGER,
-    total     REAL,
-    buckets   TEXT
-);
-CREATE TABLE IF NOT EXISTS hist_bounds (
-    metric TEXT PRIMARY KEY,
-    bounds TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS alert_log (
-    seq        INTEGER PRIMARY KEY,
-    alert      TEXT NOT NULL,
-    source     TEXT NOT NULL,
-    state      TEXT NOT NULL,
-    t_num      INTEGER NOT NULL,
-    t_den      INTEGER NOT NULL,
-    t_approx   REAL NOT NULL,
-    burn_short REAL NOT NULL,
-    burn_long  REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_samples_metric
-    ON samples (metric, scrape_id);
-CREATE INDEX IF NOT EXISTS idx_scrapes_time
-    ON scrapes (t_approx);
-"""
+#: Where each readable field sits in a stored sample, which is the
+#: tuple ``(at, value, count, total, counts, scrape_id, kind)``.
+_FIELDS = {"value": 1, "count": 2, "total": 3}
+_COUNTS, _SCRAPE_ID, _KIND = 4, 5, 6
 
 
-def _margin(value: float) -> float:
-    return _EPS_REL * (1.0 + abs(value))
+def _real(reading: Any) -> float | None:
+    """A reading as the store keeps it: a float, or None for NaN, bools
+    and anything non-numeric — they have no place on a time axis, but
+    their presence is still dumped."""
+    if isinstance(reading, bool) or not isinstance(reading, (int, float)):
+        return None
+    reading = float(reading)
+    return None if reading != reading else reading
+
+
+def _field_index(field: str) -> int:
+    index = _FIELDS.get(field)
+    if index is None:
+        raise ObservabilityError(
+            f"field must be value, count or total, got {field!r}"
+        )
+    return index
 
 
 class TelemetryStore:
-    """An exact-timestamped time series of metric samples in SQLite.
+    """An exact-timestamped time series of metric samples, in memory.
 
-    One row per (scrape, metric, label set). Counters and gauges store
-    their reading in ``value``; histograms store the observation
+    One sample per (scrape, metric, label set), appended to its
+    ``(source, metric, labels-JSON)`` series. Counters and gauges keep
+    their reading in ``value``; histograms keep the observation
     ``count``, the running ``total`` and the bucket-count vector (the
-    fixed boundaries live once per metric in ``hist_bounds``).
-    Non-numeric gauge readings are kept as NULL — they have no place
-    on a time axis but their presence is still dumped.
+    fixed boundaries live once per metric). Readings are floats, and
+    ``None`` where a reading is NaN, a bool or not a number.
+
+    A source's scrapes must not go back in time, so every series stays
+    in time order: a window is read from the newest sample backwards.
     """
 
-    def __init__(self, path: str = ":memory:"):
-        # Imported lazily: repro.query pulls in repro.obs at package
-        # import, so a top-level import here would be a cycle.
-        from repro.query.sqlutil import open_tuned, rational_columns
-
-        self._rational_columns = rational_columns
-        self._conn = open_tuned(path)
-        self._conn.executescript(_SCHEMA)
-        self._scrape_seq = 0
-        self._alert_seq = 0
-        # Row-fetch memo, invalidated by the next scrape: one alert
-        # pass queries the same (metric, at) twice — once per window.
-        self._series_cache: dict[tuple, dict[tuple, list[tuple]]] = {}
-        # Write-through mirror of the samples table, in insert order:
-        # {(source, metric, labels): [(when, value, count, total,
-        # buckets), ...]}. Alert evaluation reads at the newest scrape
-        # time every quarter-second of simulated time — serving those
-        # reads from memory keeps the scrape out of SQLite entirely;
-        # time-travel reads (at < newest) still go through SQL.
-        self._live: dict[tuple, list[tuple]] = {}
-        self._latest: Rational | None = None
+    def __init__(self):
+        self._scrapes: list[tuple[str, Rational]] = []
+        self._newest: dict[str, Rational] = {}
+        self._series: dict[tuple[str, str, str], list[tuple]] = {}
+        self._bounds: dict[str, tuple] = {}
+        self._alerts: list[tuple] = []
 
     # -- writes ---------------------------------------------------------------
 
@@ -149,20 +118,20 @@ class TelemetryStore:
 
         Returns the scrape id. ``snapshot`` is the
         :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` shape (a
-        scoped view's restricted snapshot works identically).
+        scoped view's restricted snapshot works identically). A scrape
+        older than ``source``'s newest raises
+        :class:`~repro.errors.ObservabilityError`.
         """
-        self._scrape_seq += 1
-        self._series_cache.clear()
-        scrape_id = self._scrape_seq
         when = as_rational(at)
-        self._latest = when
-        num, den, approx = self._rational_columns(at)
-        self._conn.execute(
-            "INSERT INTO scrapes (scrape_id, source, t_num, t_den, t_approx)"
-            " VALUES (?, ?, ?, ?, ?)",
-            (scrape_id, source, num, den, approx),
-        )
-        rows = []
+        newest = self._newest.get(source)
+        if newest is not None and when < newest:
+            raise ObservabilityError(
+                f"source {source!r} scraped at {when}, before its newest "
+                f"scrape at {newest}"
+            )
+        self._newest[source] = when
+        self._scrapes.append((source, when))
+        scrape_id = len(self._scrapes)
         for metric in sorted(snapshot):
             body = snapshot[metric]
             kind = body.get("type", "metric")
@@ -170,181 +139,109 @@ class TelemetryStore:
                 labels = json.dumps(series.get("labels", {}), sort_keys=True)
                 value = series.get("value")
                 if kind == "histogram" and isinstance(value, dict):
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO hist_bounds (metric, bounds)"
-                        " VALUES (?, ?)",
-                        (metric, json.dumps(value["buckets"])),
-                    )
-                    rows.append((
-                        scrape_id, metric, labels, kind, None,
-                        value["count"], value["sum"],
-                        json.dumps(value["counts"]),
-                    ))
+                    self._bounds.setdefault(metric, tuple(value["buckets"]))
+                    sample = (when, None, value["count"], _real(value["sum"]),
+                              tuple(value["counts"]), scrape_id, kind)
                 else:
-                    numeric = value if isinstance(value, (int, float)) \
-                        and not isinstance(value, bool) else None
-                    rows.append((
-                        scrape_id, metric, labels, kind, numeric,
-                        None, None, None,
-                    ))
-        for _, metric, labels, _, numeric, count, total, buckets in rows:
-            self._live.setdefault((source, metric, labels), []).append(
-                (when, numeric, count, total, buckets)
-            )
-        self._conn.executemany(
-            "INSERT INTO samples (scrape_id, metric, labels, kind, value,"
-            " count, total, buckets) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            rows,
-        )
+                    sample = (when, _real(value), None, None, None,
+                              scrape_id, kind)
+                self._series.setdefault((source, metric, labels),
+                                        []).append(sample)
         return scrape_id
 
     def record_alert(self, alert: str, source: str, state: str, at,
                      burn_short: float, burn_long: float) -> int:
         """Append one alert transition to the timeline."""
-        self._alert_seq += 1
-        num, den, approx = self._rational_columns(at)
-        self._conn.execute(
-            "INSERT INTO alert_log (seq, alert, source, state, t_num,"
-            " t_den, t_approx, burn_short, burn_long)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (self._alert_seq, alert, source, state, num, den, approx,
-             burn_short, burn_long),
-        )
-        return self._alert_seq
+        self._alerts.append((alert, source, state, as_rational(at),
+                             float(burn_short), float(burn_long)))
+        return len(self._alerts)
 
     # -- reads ----------------------------------------------------------------
 
     @property
     def scrape_count(self) -> int:
-        return self._scrape_seq
+        return len(self._scrapes)
 
     def latest_time(self) -> Rational | None:
         """The newest scrape's simulated time, or None when empty."""
-        return self._latest
+        return self._scrapes[-1][1] if self._scrapes else None
 
     def sources(self) -> list[str]:
-        return [r[0] for r in self._conn.execute(
-            "SELECT DISTINCT source FROM scrapes ORDER BY source"
-        )]
+        return sorted(self._newest)
 
     def metrics(self) -> list[str]:
-        return [r[0] for r in self._conn.execute(
-            "SELECT DISTINCT metric FROM samples ORDER BY metric"
-        )]
+        return sorted({metric for _, metric, _ in self._series})
 
     def metric_kinds(self) -> dict[str, str]:
         """``{metric: kind}`` for every stored metric."""
-        return {r[0]: r[1] for r in self._conn.execute(
-            "SELECT DISTINCT metric, kind FROM samples ORDER BY metric"
-        )}
+        kinds = {key[1]: samples[-1][_KIND] for key, samples
+                 in self._series.items()}
+        return {metric: kinds[metric] for metric in sorted(kinds)}
 
-    def _matches(self, metric: str, name: str) -> bool:
-        """Whether stored ``name`` answers to query ``metric``: exact,
-        or a scoped ``<prefix>.<metric>`` (fleet shards prefix every
-        metric with their shard name)."""
-        return name == metric or name.endswith("." + metric)
-
-    def _series_rows(self, metric: str, at, source: str | None,
-                     columns: str) -> dict[tuple, list[tuple]]:
-        """Per-(source, metric, labels) sample rows up to exact ``at``.
-
-        The SQL ``t_approx`` bound is the conservative REAL prefilter;
-        candidates are re-judged against the exact rational timestamp,
-        so float rounding can only widen the scan.
-        """
-        cache_key = (metric, at, source, columns)
-        cached = self._series_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        if self._latest is not None and at >= self._latest:
-            # every stored row qualifies: answer from the live mirror
-            index = {"m.value": 1, "m.count": 2, "m.total": 3,
-                     "m.buckets": 4}[columns]
-            grouped = {
-                key: [(row[0], row[index]) for row in samples]
-                for key, samples in self._live.items()
-                if self._matches(metric, key[1])
-                and (source is None or key[0] == source)
-            }
-            self._series_cache[cache_key] = grouped
-            return grouped
-        hi = float(at)
-        # The LIKE arm is a coarse SQL prefilter (its ``_`` wildcard
-        # over-matches); _matches() below re-judges exactly.
-        clauses = ["s.t_approx <= ?", "(m.metric = ? OR m.metric LIKE ?)"]
-        params: list[Any] = [hi + _margin(hi), metric, "%." + metric]
-        if source is not None:
-            clauses.append("s.source = ?")
-            params.append(source)
-        query = (
-            f"SELECT s.source, m.metric, m.labels, s.t_num, s.t_den,"
-            f" {columns} FROM samples m"
-            f" JOIN scrapes s ON s.scrape_id = m.scrape_id"
-            f" WHERE {' AND '.join(clauses)}"
-            f" ORDER BY m.scrape_id"
-        )
-        grouped: dict[tuple, list[tuple]] = {}
-        for row in self._conn.execute(query, params):
-            if not self._matches(metric, row[1]):
-                continue
-            when = Rational(row[3], row[4])
-            if when > at:  # prefilter false positive
-                continue
-            grouped.setdefault((row[0], row[1], row[2]), []).append(
-                (when, *row[5:])
-            )
-        self._series_cache[cache_key] = grouped
-        return grouped
+    def _matching(self, metric: str, source: str | None):
+        """``(key, samples)`` for every series answering to ``metric``:
+        its exact name, or a scoped ``<prefix>.<metric>`` (fleet shards
+        prefix every metric with their shard name)."""
+        suffix = "." + metric
+        for key, samples in self._series.items():
+            name = key[1]
+            if (name == metric or name.endswith(suffix)) and \
+                    (source is None or key[0] == source):
+                yield key, samples
 
     @staticmethod
-    def _windowed(samples: list[tuple], start) -> tuple | None:
-        """``(last-at-or-before-start, last)`` sample values, or None
-        when the series has no samples yet. A series younger than the
-        window start contributes from zero."""
-        if not samples:
+    def _windowed(samples: list[tuple], at, start) -> tuple | None:
+        """``(last-at-or-before-start, last-at-or-before-at)`` samples,
+        or None when the series has no sample by ``at``. A series
+        younger than the window start has no baseline and contributes
+        from zero."""
+        index = len(samples) - 1
+        while index >= 0 and samples[index][0] > at:
+            index -= 1
+        if index < 0:
             return None
-        baseline = None
-        for row in samples:
-            if row[0] <= start:
-                baseline = row
-            else:
-                break
-        return baseline, samples[-1]
+        last = samples[index]
+        while index >= 0 and samples[index][0] > start:
+            index -= 1
+        return (samples[index] if index >= 0 else None), last
+
+    def _window(self, window, at) -> tuple[Rational, Rational] | None:
+        """``(at, start)`` of the trailing ``window`` ending at ``at``
+        (default: the newest scrape), or None for an empty store."""
+        at = self.latest_time() if at is None else as_rational(at)
+        if at is None:
+            return None
+        window = as_rational(window)
+        if window <= 0:
+            raise ObservabilityError(f"window must be positive, got {window}")
+        return at, at - window
 
     def delta(self, metric: str, window, at=None, source: str | None = None,
               field: str = "value") -> float:
         """Counter increase over the trailing ``window`` ending at ``at``
         (default: the newest scrape), summed across matching series.
 
-        ``field`` selects the sampled column: ``"value"`` for counters
-        and gauges, ``"count"`` / ``"total"`` for histogram observation
-        counts and running sums. A series first seen inside the window
-        contributes its whole reading (counters start at zero).
+        Only samples taken at or before ``at`` count. ``field`` selects
+        the sampled reading: ``"value"`` for counters and gauges,
+        ``"count"`` / ``"total"`` for histogram observation counts and
+        running sums. A series first seen inside the window contributes
+        its whole reading (counters start at zero).
         """
-        if field not in ("value", "count", "total"):
-            raise ObservabilityError(
-                f"delta field must be value, count or total, got {field!r}"
-            )
-        at = self.latest_time() if at is None else as_rational(at)
-        if at is None:
+        index = _field_index(field)
+        span = self._window(window, at)
+        if span is None:
             return 0.0
-        window = as_rational(window)
-        if window <= 0:
-            raise ObservabilityError(f"window must be positive, got {window}")
-        start = at - window
         total = 0.0
-        column = {"value": "m.value", "count": "m.count",
-                  "total": "m.total"}[field]
-        for samples in self._series_rows(metric, at, source, column).values():
-            bracket = self._windowed(samples, start)
+        for _, samples in self._matching(metric, source):
+            bracket = self._windowed(samples, *span)
             if bracket is None:
                 continue
             baseline, last = bracket
-            if last[1] is None:
+            if last[index] is None:
                 continue
-            before = baseline[1] if baseline is not None and \
-                baseline[1] is not None else 0.0
-            total += last[1] - before
+            before = baseline[index] if baseline is not None and \
+                baseline[index] is not None else 0.0
+            total += last[index] - before
         return total
 
     def rate(self, metric: str, window, at=None, source: str | None = None,
@@ -366,34 +263,25 @@ class TelemetryStore:
         """
         if not 0.0 <= q <= 1.0:
             raise ObservabilityError(f"quantile must be in [0, 1], got {q}")
-        at = self.latest_time() if at is None else as_rational(at)
-        if at is None:
+        span = self._window(window, at)
+        if span is None:
             return 0.0
-        window = as_rational(window)
-        if window <= 0:
-            raise ObservabilityError(f"window must be positive, got {window}")
-        start = at - window
         merged: list[int] = []
         bounds: tuple[float, ...] | None = None
-        for (_, name, _), samples in self._series_rows(
-                metric, at, source, "m.buckets").items():
-            bracket = self._windowed(samples, start)
-            if bracket is None or bracket[1][1] is None:
+        for (_, name, _), samples in self._matching(metric, source):
+            bracket = self._windowed(samples, *span)
+            if bracket is None or bracket[1][_COUNTS] is None:
                 continue
             if bounds is None:
-                row = self._conn.execute(
-                    "SELECT bounds FROM hist_bounds WHERE metric = ?",
-                    (name,),
-                ).fetchone()
-                if row is None:
+                bounds = self._bounds.get(name)
+                if bounds is None:
                     continue
-                bounds = tuple(json.loads(row[0]))
             baseline, last = bracket
-            last_counts = json.loads(last[1])
-            if baseline is not None and baseline[1] is not None:
-                base_counts = json.loads(baseline[1])
+            last_counts = last[_COUNTS]
+            if baseline is not None and baseline[_COUNTS] is not None:
+                base_counts = baseline[_COUNTS]
             else:
-                base_counts = [0] * len(last_counts)
+                base_counts = (0,) * len(last_counts)
             if not merged:
                 merged = [0] * len(last_counts)
             for i, (lo, hi_c) in enumerate(zip(base_counts, last_counts)):
@@ -419,70 +307,70 @@ class TelemetryStore:
     def series(self, metric: str, source: str | None = None,
                field: str = "value") -> dict[tuple, list[tuple]]:
         """Every matching series as ``{(source, metric, labels):
-        [(time, value), ...]}`` — the dashboard's raw feed."""
-        at = self.latest_time()
-        if at is None:
-            return {}
-        column = {"value": "m.value", "count": "m.count",
-                  "total": "m.total"}[field]
-        return self._series_rows(metric, at, source, column)
+        [(time, value), ...]}`` over all its samples — the dashboard's
+        raw feed."""
+        index = _field_index(field)
+        return {
+            key: [(sample[0], sample[index]) for sample in samples]
+            for key, samples in self._matching(metric, source)
+        }
 
     def alert_rows(self) -> list[dict[str, Any]]:
         """The alert timeline in transition order, exact timestamps."""
         return [
             {
                 "seq": seq, "alert": alert, "source": source,
-                "state": state, "at": str(Rational(num, den)),
+                "state": state, "at": str(at),
                 "burn_short": burn_short, "burn_long": burn_long,
             }
-            for seq, alert, source, state, num, den, burn_short, burn_long
-            in self._conn.execute(
-                "SELECT seq, alert, source, state, t_num, t_den,"
-                " burn_short, burn_long FROM alert_log ORDER BY seq"
-            )
+            for seq, (alert, source, state, at, burn_short, burn_long)
+            in enumerate(self._alerts, start=1)
         ]
 
     def dump(self) -> str:
         """The whole store as deterministic JSON lines.
 
-        Fixed table order, fixed row order, sorted keys, exact
-        timestamps as ``num/den`` strings — the byte-identity oracle
-        for same-seed runs.
+        Scrapes by id, samples by (scrape id, metric, labels JSON),
+        histogram boundaries by metric, alerts by sequence number;
+        sorted keys, exact timestamps as ``num/den`` strings — the
+        byte-identity oracle for same-seed runs.
         """
-        lines = []
-        for sid, source, num, den in self._conn.execute(
-                "SELECT scrape_id, source, t_num, t_den FROM scrapes"
-                " ORDER BY scrape_id"):
-            lines.append(json.dumps(
-                {"scrape": sid, "source": source,
-                 "at": str(Rational(num, den))},
-                sort_keys=True))
-        for row in self._conn.execute(
-                "SELECT scrape_id, metric, labels, kind, value, count,"
-                " total, buckets FROM samples"
-                " ORDER BY scrape_id, metric, labels"):
-            sid, metric, labels, kind, value, count, total, buckets = row
+        lines = [
+            json.dumps({"scrape": sid, "source": source, "at": str(at)},
+                       sort_keys=True)
+            for sid, (source, at) in enumerate(self._scrapes, start=1)
+        ]
+        rows = sorted(
+            ((sample[_SCRAPE_ID], metric, labels, sample)
+             for (_, metric, labels), samples in self._series.items()
+             for sample in samples),
+            key=lambda row: row[:3],
+        )
+        for sid, metric, labels, sample in rows:
+            _, value, count, total, counts, _, kind = sample
             body: dict[str, Any] = {"scrape": sid, "metric": metric,
                                     "labels": json.loads(labels),
                                     "kind": kind}
             if kind == "histogram":
                 body["count"] = count
                 body["sum"] = total
-                body["counts"] = json.loads(buckets) if buckets else []
+                body["counts"] = [] if counts is None else list(counts)
             else:
                 body["value"] = value
             lines.append(json.dumps(body, sort_keys=True))
-        for metric, bounds in self._conn.execute(
-                "SELECT metric, bounds FROM hist_bounds ORDER BY metric"):
+        for metric in sorted(self._bounds):
             lines.append(json.dumps(
-                {"histogram": metric, "buckets": json.loads(bounds)},
+                {"histogram": metric, "buckets": list(self._bounds[metric])},
                 sort_keys=True))
         for row in self.alert_rows():
             lines.append(json.dumps(row, sort_keys=True))
         return "\n".join(lines) + "\n"
 
     def close(self) -> None:
-        self._conn.close()
+        """Drop every stored sample, scrape and alert."""
+        for held in (self._scrapes, self._newest, self._series,
+                     self._bounds, self._alerts):
+            held.clear()
 
     def __enter__(self) -> "TelemetryStore":
         return self
@@ -492,8 +380,8 @@ class TelemetryStore:
 
     def __repr__(self) -> str:
         return (
-            f"TelemetryStore({self._scrape_seq} scrapes, "
-            f"{self._alert_seq} alert transitions)"
+            f"TelemetryStore({self.scrape_count} scrapes, "
+            f"{len(self._alerts)} alert transitions)"
         )
 
 
@@ -732,13 +620,6 @@ class AlertManager:
 # -- the scraper ---------------------------------------------------------------
 
 
-def _base_registry(metrics):
-    """Unwrap nested ScopedMetrics views down to the real registry."""
-    while hasattr(metrics, "registry"):
-        metrics = metrics.registry
-    return metrics
-
-
 class Telemetry:
     """The clock-driven scraper tying store and alerts to a serve.
 
@@ -751,21 +632,21 @@ class Telemetry:
 
     One Telemetry may serve a whole fleet: each shard attaches with
     its own ``source`` name and scoped sink, and the shared store
-    keeps per-source series.
+    keeps per-source series. ``rules`` defaults to
+    :func:`default_burn_rate_rules`; pass
+    ``default_burn_rate_rules(policy)`` to alert on another policy.
     """
 
     def __init__(self, *, interval=DEFAULT_SCRAPE_INTERVAL,
-                 store: TelemetryStore | None = None,
-                 rules: tuple[BurnRateRule, ...] | None = None,
-                 policy: SloPolicy | None = None):
+                 rules: tuple[BurnRateRule, ...] | None = None):
         self.interval = as_rational(interval)
         if self.interval <= 0:
             raise ObservabilityError(
                 f"scrape interval must be positive, got {interval}"
             )
-        self.store = store if store is not None else TelemetryStore()
+        self.store = TelemetryStore()
         if rules is None:
-            rules = default_burn_rate_rules(policy)
+            rules = default_burn_rate_rules()
         self.alerts = AlertManager(rules, self.store)
         self._overflow_seen: dict[tuple[str, tuple], int] = {}
 
@@ -779,32 +660,31 @@ class Telemetry:
             loop.after(self.interval, self._scrape, loop, obs, source)
 
     def sample(self, obs, source: str, at) -> int:
-        """Take one sample now: overflow check, snapshot, alert pass."""
-        self._note_overflow(obs)
-        scrape_id = self.store.record_scrape(source, at,
-                                             obs.metrics.snapshot())
+        """Take one sample now: snapshot, overflow check, alert pass."""
+        snapshot = obs.metrics.snapshot()
+        self._note_overflow(obs, snapshot)
+        scrape_id = self.store.record_scrape(source, at, snapshot)
         self.alerts.evaluate(source, at, events=obs.events,
                              metrics=obs.metrics)
         return scrape_id
 
-    def _note_overflow(self, obs) -> None:
+    def _note_overflow(self, obs, snapshot: dict[str, Any]) -> None:
         """Mirror histogram overflow-bucket growth into a counter.
 
         ``Histogram.quantile`` clamps overflow ranks to the last finite
         boundary; this counter makes that saturation visible in the
-        time series instead of silent.
+        time series instead of silent. The overflow is each series'
+        last bucket count in ``snapshot``; a grown counter's export is
+        written back into ``snapshot``, so this scrape stores it.
         """
-        registry = _base_registry(obs.metrics)
-        names = getattr(obs.metrics, "names", lambda: [])()
         overflow = None
-        for name in names:
-            metric = registry.get(name)
-            if getattr(metric, "kind", "") != "histogram" or \
-                    name.endswith("telemetry.histogram.overflow"):
+        for name, body in snapshot.items():
+            if body["type"] != "histogram":
                 continue
-            for key in metric.labels_seen():
-                seen = self._overflow_seen.get((name, key), 0)
-                current = metric.overflow_count(**dict(key))
+            for series in body["series"]:
+                key = (name, tuple(series.get("labels", {}).items()))
+                seen = self._overflow_seen.get(key, 0)
+                current = series["value"]["counts"][-1]
                 if current > seen:
                     if overflow is None:
                         overflow = obs.metrics.counter(
@@ -813,19 +693,22 @@ class Telemetry:
                                  " boundary, by metric",
                         )
                     overflow.inc(current - seen, metric=name)
-                    self._overflow_seen[(name, key)] = current
+                    self._overflow_seen[key] = current
+        if overflow is not None:
+            snapshot[overflow.name] = overflow.export()
 
-    def drain(self, loop, obs, source: str, limit: int = 64) -> int:
+    def drain(self, loop, obs, source: str) -> int:
         """Scrape an idle loop until ``source`` has no active alerts.
 
         Each extra scrape advances the simulated clock one interval;
         with no new traffic the windows empty, burns cool, and pending
         alerts cancel while firing ones resolve — all before the serve
-        returns. ``limit`` bounds the cool-down against pathological
-        windows. Returns the number of extra scrapes taken.
+        returns. At most :data:`_DRAIN_LIMIT` scrapes bound the
+        cool-down against pathological windows. Returns the number of
+        extra scrapes taken.
         """
         taken = 0
-        while taken < limit and self.alerts.active(source):
+        while taken < _DRAIN_LIMIT and self.alerts.active(source):
             loop.after(self.interval, self.sample_once, loop, obs, source)
             loop.run()
             taken += 1
@@ -838,6 +721,6 @@ class Telemetry:
     def __repr__(self) -> str:
         return (
             f"Telemetry(interval={self.interval}, "
-            f"{self.store._scrape_seq} scrapes, "
+            f"{self.store.scrape_count} scrapes, "
             f"{len(self.alerts.rules)} rules)"
         )

@@ -167,8 +167,7 @@ def encode_attribute(value: Any) -> str | None:
     return None
 
 
-#: REAL approximation for the prefilter columns (shared helper; the
-#: telemetry store uses the same convention).
+#: REAL approximation for the prefilter columns.
 _approx = approx
 
 

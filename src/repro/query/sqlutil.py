@@ -1,14 +1,13 @@
-"""Shared stdlib-``sqlite3`` helpers for the relational accelerators.
+"""Shared stdlib-``sqlite3`` helpers for the relational accelerator.
 
-Two in-tree subsystems keep relational state in SQLite: the
-:class:`~repro.query.index.TemporalIndex` (PR 9) and the telemetry
-time-series store (:mod:`repro.obs.telemetry`). Both follow the same
-conventions, factored out here:
+The :class:`~repro.query.index.TemporalIndex` keeps the catalog's
+relational state in SQLite and follows two conventions, factored out
+here:
 
-* **Tuned in-memory-class connections** — the stores are deterministic
-  caches over exact in-process state, so durability pragmas are off:
-  crash safety belongs to :mod:`repro.durability`, not to these
-  sidecars, and the pragmas buy a large constant factor.
+* **Tuned in-memory-class connections** — the index is a deterministic
+  cache over exact in-process state, so durability pragmas are off:
+  crash safety belongs to :mod:`repro.durability`, not to this
+  sidecar, and the pragmas buy a large constant factor.
 * **Exact-rational columns** — timestamps are stored as exact
   ``(numerator, denominator)`` INTEGER pairs plus a REAL approximation.
   The REAL column is a *conservative prefilter* for B-tree range scans;
@@ -23,12 +22,11 @@ import math
 import sqlite3
 from fractions import Fraction
 
-from repro.core.rational import Rational, as_rational
+from repro.core.rational import Rational
 
 __all__ = [
     "approx",
     "open_tuned",
-    "rational_columns",
     "rational_from_row",
 ]
 
@@ -37,7 +35,7 @@ def open_tuned(path: str = ":memory:") -> sqlite3.Connection:
     """A connection with the accelerator pragmas applied.
 
     ``journal_mode=MEMORY`` / ``synchronous=OFF`` / ``temp_store=MEMORY``:
-    the store is rebuildable from in-process state, so nothing is paid
+    the index is rebuildable from in-process state, so nothing is paid
     for durability it does not need.
     """
     conn = sqlite3.connect(path)
@@ -64,13 +62,6 @@ def approx(value: Fraction) -> float:
     # repro: suppress DF006 — saturating to ±inf is the documented contract
     except OverflowError:  # pragma: no cover - astronomical timestamps
         return math.inf if value > 0 else -math.inf
-
-
-def rational_columns(value) -> tuple[int, int, float]:
-    """``(numerator, denominator, approximation)`` for an exact column
-    pair plus its REAL prefilter."""
-    exact = as_rational(value)
-    return exact.numerator, exact.denominator, approx(exact)
 
 
 def rational_from_row(numerator: int, denominator: int) -> Rational:

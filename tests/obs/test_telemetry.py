@@ -1,10 +1,13 @@
 """Tests for the clock-driven telemetry pipeline.
 
 Store rollups (delta / rate / windowed quantile via bucket merges),
-burn-rate rules, the alert state machine, the scraper's kernel
-integration, the mid-serve health degradation, and the byte-identity
-contract of :meth:`TelemetryStore.dump`.
+the read rule (only samples at or before ``at`` count, across every
+source), burn-rate rules, the alert state machine, the scraper's
+kernel integration, the mid-serve health degradation, and the
+byte-identity contract of :meth:`TelemetryStore.dump`.
 """
+
+import json
 
 import pytest
 
@@ -62,6 +65,32 @@ class TestStoreRollups:
         # time travel: at t=3 the newest reading is 25
         assert store.delta("hits", window=2, at=Rational(3)) == 25 - 0
 
+    def test_default_time_reads_only_samples_up_to_the_newest_scrape(self):
+        # shard0 runs ahead to t=12 before shard1 scrapes up to t=5:
+        # the newest scrape is t=5, so shard0's later samples are in
+        # the future of the default read time and must not count
+        store = TelemetryStore()
+        scrape_counter(store, [10 * t for t in range(1, 13)],
+                       source="shard0")
+        scrape_counter(store, list(range(1, 6)), source="shard1")
+        assert store.latest_time() == Rational(5)
+        assert store.delta("hits", window=1) == 11
+        assert store.delta("hits", window=1) == \
+            store.delta("hits", window=1, at=Rational(5))
+        assert store.delta("hits", window=1, at=Rational(49, 10)) == 11
+        # the raw feed still holds every sample
+        assert [len(s) for s in store.series("hits").values()] == [12, 5]
+
+    def test_a_source_cannot_scrape_back_in_time(self):
+        store = TelemetryStore()
+        scrape_counter(store, [1, 2])
+        with pytest.raises(ObservabilityError):
+            store.record_scrape("srv", Rational(1), counter_snapshot("hits", 3))
+        # another source keeps its own clock, and equal times are fine
+        store.record_scrape("edge", Rational(1), counter_snapshot("hits", 1))
+        store.record_scrape("srv", Rational(2), counter_snapshot("hits", 3))
+        assert store.scrape_count == 4
+
     def test_suffix_match_covers_shard_prefixes(self):
         store = TelemetryStore()
         store.record_scrape("shard0", Rational(1), counter_snapshot(
@@ -77,6 +106,8 @@ class TestStoreRollups:
         store = TelemetryStore()
         with pytest.raises(ObservabilityError):
             store.delta("hits", window=1, field="bogus")
+        with pytest.raises(ObservabilityError):
+            store.series("hits", field="bogus")
         scrape_counter(store, [1])
         with pytest.raises(ObservabilityError):
             store.delta("hits", window=0)
@@ -94,6 +125,31 @@ class TestStoreRollups:
         assert store.metric_kinds() == {"hits": "counter"}
         assert store.sources() == ["srv"]
         assert store.scrape_count == 1
+
+    def test_readings_are_kept_as_floats_or_none(self):
+        store = TelemetryStore()
+        store.record_scrape("srv", Rational(1), {"g": {
+            "type": "gauge", "series": [
+                {"labels": {"r": "int"}, "value": 7},
+                {"labels": {"r": "nan"}, "value": float("nan")},
+                {"labels": {"r": "bool"}, "value": False},
+            ]}})
+        values = {key[2]: samples[0][1]
+                  for key, samples in store.series("g").items()}
+        assert values == {'{"r": "int"}': 7.0, '{"r": "nan"}': None,
+                          '{"r": "bool"}': None}
+        assert type(values['{"r": "int"}']) is float
+
+    def test_close_drops_every_row(self):
+        with TelemetryStore() as store:
+            scrape_counter(store, [1, 2])
+            store.record_alert("r", "srv", "pending", Rational(2), 2.0, 1.0)
+        assert store.scrape_count == 0
+        assert store.latest_time() is None
+        assert store.dump() == "\n"
+        # an emptied store takes scrapes again, from any time
+        scrape_counter(store, [5])
+        assert store.delta("hits", window=1) == 5
 
 
 def hist_snapshot(name, counts, total, buckets=(0.1, 1.0)):
@@ -377,6 +433,28 @@ class TestServeIntegration:
         overloaded_serve(movie, second)
         assert first.store.dump() == second.store.dump()
         assert first.store.alert_rows() == second.store.alert_rows()
+
+    def test_second_serve_continues_the_servers_clock(self, movie):
+        telemetry = Telemetry()
+        server = overloaded_serve(movie, telemetry)
+        transitions = len(telemetry.store.alert_rows())
+        assert transitions > 0
+        # two sessions fit the bandwidth: served alone they raise no
+        # alert, and after the overloaded batch they must not either
+        server.serve(
+            [SessionRequest(client=f"late-{i}", title="feature",
+                            arrival_time=Rational(i, 8)) for i in range(2)],
+            ServeOptions(enforce_admission=False),
+        )
+        assert len(telemetry.store.alert_rows()) == transitions
+        times: dict[str, list[Rational]] = {}
+        for line in telemetry.store.dump().splitlines():
+            row = json.loads(line)
+            if "source" in row and "scrape" in row:
+                times.setdefault(row["source"], []).append(
+                    Rational(row["at"]))
+        assert list(times) == ["server"]
+        assert times["server"] == sorted(times["server"])
 
     def test_underrun_series_has_a_time_axis(self, movie):
         telemetry = Telemetry()

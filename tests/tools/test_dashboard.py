@@ -80,3 +80,11 @@ class TestRenderDashboard:
     def test_empty_store_short_circuits(self):
         text = render_dashboard(TelemetryStore())
         assert "(no scrapes recorded)" in text
+
+    def test_nan_gauge_reading_renders_as_no_signal(self):
+        store = TelemetryStore()
+        for tick, level in enumerate([2.0, float("nan"), 4.0], start=1):
+            store.record_scrape("srv", Rational(tick), {"level": {
+                "type": "gauge", "series": [{"value": level}]}})
+        # the NaN is stored as no reading and drawn as a blank point
+        assert sparkline([2.0, 0.0, 4.0]) in render_dashboard(store)
