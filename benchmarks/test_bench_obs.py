@@ -8,10 +8,9 @@ the benchmark reproduces the same counts byte for byte.
 
 from test_bench_figure5_pipeline import build_stack
 
-from repro.bench.reporting import metric_snapshot_rows
 from repro.blob import BlobStore
 from repro.engine import CostModel, Player
-from repro.obs import Observability
+from repro.obs import Observability, metrics_rows
 
 
 def run_instrumented_pipeline():
@@ -40,7 +39,7 @@ def test_obs_pipeline_counters(report, benchmark):
     report.table(
         "obs-pipeline",
         ("metric", "type", "labels", "value"),
-        metric_snapshot_rows(obs.metrics.snapshot()),
+        metrics_rows(obs),
         title="OBS — per-subsystem counters, Figure-5 pipeline workload",
     )
 

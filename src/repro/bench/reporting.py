@@ -47,39 +47,3 @@ def print_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
                 title: str | None = None) -> None:
     print()
     print(table_text(headers, rows, title))
-
-
-def metric_snapshot_rows(snapshot: dict) -> list[tuple[str, str, str, str]]:
-    """Flatten a metrics snapshot (``MetricsRegistry.snapshot()`` or
-    ``PlaybackReport.metrics``) to ``(metric, type, labels, value)``
-    rows, sorted for stable output."""
-    rows = []
-    for name in sorted(snapshot):
-        body = snapshot[name]
-        for entry in body["series"]:
-            labels = entry.get("labels") or {}
-            value = entry["value"]
-            if isinstance(value, dict):  # histogram series
-                rendered = (
-                    f"count={value['count']} sum={value['sum']:.6g} "
-                    f"buckets={value['counts']}"
-                )
-            else:
-                rendered = str(value)
-            rows.append((
-                name,
-                body["type"],
-                ",".join(f"{k}={labels[k]}" for k in sorted(labels)),
-                rendered,
-            ))
-    return rows
-
-
-def metric_snapshot_text(snapshot: dict, title: str | None = None) -> str:
-    """Aligned text table of a metrics snapshot, benchmark-style —
-    embed observability captures next to the paper tables."""
-    return table_text(
-        ("metric", "type", "labels", "value"),
-        metric_snapshot_rows(snapshot),
-        title=title,
-    )

@@ -10,18 +10,17 @@ a specific visual fidelity."
   media objects with domain attributes, multimedia objects, provenance;
 * :mod:`repro.query.query` — those three §1.2 queries (and more) over
   the catalog;
-* :mod:`repro.query.temporal` — temporal predicates over compositions;
+* :mod:`repro.query.temporal` — temporal predicates over compositions,
+  by linear scan of a timeline;
 * :mod:`repro.query.index` — the relational temporal-index accelerator
-  (pre/post/level axis encodings, exact-rational timeline columns,
-  window-function rollups) behind ``MediaDatabase(index=True)``.
+  (pre/post/level composition axes, exact-rational timeline columns,
+  window-function rollups) behind ``MediaDatabase(index=True)``, which
+  routes each query to it or to the linear scan. Lineage queries always
+  walk the catalog's in-memory provenance graph.
 """
 
 from repro.query.database import MediaDatabase
-from repro.query.index import (
-    TemporalIndex,
-    demonstrate_correctness,
-    encode_attribute,
-)
+from repro.query.index import TemporalIndex, encode_attribute
 from repro.query.query import (
     frames_at_fidelity,
     select_duration,
@@ -38,7 +37,6 @@ from repro.query.temporal import (
 __all__ = [
     "MediaDatabase",
     "TemporalIndex",
-    "demonstrate_correctness",
     "encode_attribute",
     "frames_at_fidelity",
     "select_duration",

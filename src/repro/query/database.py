@@ -8,15 +8,17 @@ catalog models exactly that: media objects carry *domain attributes*
 content, and multimedia objects, interpretations and the provenance graph
 are registered beside them.
 
-Queries run on one of two backends. The **linear** backend scans the
-live Python objects — always available, always correct, the oracle. The
-**indexed** backend (``MediaDatabase(index=True)``) writes every catalog
-mutation through to a :class:`~repro.query.index.TemporalIndex` and
-serves selections, temporal predicates and lineage axes from indexed
-SQLite relations. Every dual-backend query takes ``backend="auto" |
-"index" | "linear"``; ``auto`` uses the index when one is attached and
-the query is expressible there, falling back to the linear scan
-otherwise — so exotic filter values lose speed, never answers.
+Selections, temporal predicates and composition axes run on one of two
+backends. The **linear** backend scans the live Python objects — always
+available, always correct, the reference the indexed answers are held
+to. The **indexed** backend (``MediaDatabase(index=True)``) writes every
+catalog mutation through to a :class:`~repro.query.index.TemporalIndex`
+and serves those queries from indexed SQLite relations. Each of them
+takes ``backend="auto" | "index" | "linear"``; ``auto`` uses the index
+when one is attached and the query is expressible there, falling back
+to the linear scan otherwise — so exotic filter values lose speed,
+never answers. Lineage queries have one path: a ranked walk of the
+in-memory :class:`~repro.core.provenance.ProvenanceGraph`.
 """
 
 from __future__ import annotations
@@ -58,9 +60,8 @@ class MediaDatabase(Instrumented):
     With ``index=True`` (or ``index="/path/to.db"`` for a file-backed
     index) a :class:`~repro.query.index.TemporalIndex` shadows the
     catalog: mutations write through synchronously, and ``objects()``,
-    the temporal predicates and the lineage axes gain an indexed fast
-    path. The linear scan stays available via ``backend="linear"`` as
-    the correctness oracle.
+    the temporal predicates and the composition axes gain an indexed
+    fast path. The linear scan stays available via ``backend="linear"``.
 
     Instrumentable: an attached sink counts catalog lookups and misses,
     and records each :meth:`objects` query's candidate/match counts —
@@ -125,9 +126,8 @@ class MediaDatabase(Instrumented):
         graph checker runs first and a structurally broken object
         (derivation cycle, dangling input, kind mismatch) is refused
         with :class:`~repro.errors.PlanRejectedError` instead of
-        poisoning the catalog. When an index is attached the object,
-        its attributes and its derivation chain write through in the
-        same call.
+        poisoning the catalog. When an index is attached the object
+        and its attributes write through in the same call.
         """
         if obj.name in self._entries:
             raise CatalogError(f"object {obj.name!r} already cataloged")
@@ -138,8 +138,6 @@ class MediaDatabase(Instrumented):
         self.provenance.register(obj)
         if self._index is not None:
             self._index.index_object(obj, entry.attributes)
-            if obj.is_derived:
-                self._index.index_provenance(obj)
         return entry
 
     def get_object(self, name: str) -> MediaObject:
@@ -392,27 +390,20 @@ class MediaDatabase(Instrumented):
 
     # -- lineage queries ---------------------------------------------------------------
 
-    def lineage(self, name: str,
-                backend: str = "auto") -> list[MediaObject]:
+    def lineage(self, name: str) -> list[MediaObject]:
         """"Keep track of, and query, manipulations to media objects."
 
         Transitive derivation inputs of ``name``, nearest first (ties
-        by name then object id) on both backends.
+        by name then object id). ``name`` itself is listed, at depth 0,
+        only when a derivation cycle leads back to it.
         """
         obj = self.get_object(name)
-        if self._use_index(backend):
-            return [self.provenance.get(node)
-                    for node, _, _ in self._index.ancestors_of(obj.object_id)]
         return _ranked(self.provenance, obj,
                        self.provenance.lineage(obj), "up")
 
-    def derived_from(self, name: str,
-                     backend: str = "auto") -> list[MediaObject]:
+    def derived_from(self, name: str) -> list[MediaObject]:
         """Objects transitively derived from ``name``, nearest first."""
         obj = self.get_object(name)
-        if self._use_index(backend):
-            return [self.provenance.get(node)
-                    for node, _, _ in self._index.descendants_of(obj.object_id)]
         return _ranked(self.provenance, obj,
                        self.provenance.descendants(obj), "down")
 
@@ -526,9 +517,9 @@ def _ranked(provenance: ProvenanceGraph, obj: MediaObject,
             related: list[MediaObject], direction: str) -> list[MediaObject]:
     """Order a lineage/descendants result by (depth, name, object id).
 
-    BFS order depends on dict insertion history; both backends instead
-    rank by minimum derivation distance with deterministic tie-breaks,
-    so indexed and linear answers are byte-identical.
+    BFS order depends on dict insertion history; ranking by minimum
+    derivation distance with deterministic tie-breaks makes the answer
+    independent of the order objects were cataloged in.
     """
     step = (provenance.antecedents if direction == "up"
             else provenance.derivatives)

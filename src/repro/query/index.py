@@ -12,41 +12,45 @@ style of the XPath-accelerator line of work:
   pre/post/level numbering, so descendant and ancestor axes over nested
   multimedia objects become indexed range predicates
   (``parent.pre < node.pre < parent.post``);
-* **derivation graphs** (provenance) get the same encoding over the
-  DAG's tree unfolding — one occurrence row per path — so lineage and
-  derived-from queries are containment ranges with depth =
-  ``MIN(level difference)`` over occurrences;
 * **component timelines** are stored as exact-rational
   ``(start_num, start_den, end_num, end_den)`` columns plus a
-  conservative float approximation used only to *narrow* candidates
-  through a B-tree range (never to decide): the final temporal
-  predicate re-checks candidates with the exact interval algebra of
-  :mod:`repro.core.intervals`, so indexed answers are byte-identical
-  to the linear scan;
+  conservative float approximation (:func:`approx`) used only to
+  *narrow* candidates through a B-tree range (never to decide): the
+  final temporal predicate re-checks candidates with the exact interval
+  algebra of :mod:`repro.core.intervals`, so indexed answers are
+  byte-identical to the linear scan;
 * **rollups** (duration shares, fidelity statistics) use SQL window
   functions over the encoded rows.
+
+Derivation graphs are not encoded here: the catalog's in-memory
+:class:`~repro.core.provenance.ProvenanceGraph` answers lineage and
+derived-from queries faster than a relational copy of it can.
+
+The index is a rebuildable cache over exact in-process state, so its
+connection (:func:`open_tuned`) turns durability pragmas off; crash
+safety belongs to :mod:`repro.durability`, not to this sidecar.
 
 Write-through is the invariant: every catalog mutation
 (:meth:`~repro.query.database.MediaDatabase.add_object`,
 ``set_attribute``, ``ingest_directory``) updates the relations in the
 same call, and mutable compositions carry a version counter the index
 snapshots, re-encoding a changed tree lazily before answering for it.
-The linear scan is retained throughout as the correctness oracle —
-:func:`demonstrate_correctness` runs both backends over randomized
-catalogs and insists on identical result sets in identical order.
+The linear scan stays as the backend of a catalog without an index,
+and the test suite holds every indexed answer to it: same result sets,
+same order.
 """
 
 from __future__ import annotations
 
 import math
+import sqlite3
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.core.intervals import Interval
 from repro.core.rational import Rational, as_rational
 from repro.errors import QueryError, QueryIndexError
 from repro.obs.instrument import Instrumented, Observability
-from repro.query.sqlutil import approx, open_tuned, rational_from_row
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.composition import MultimediaObject
@@ -56,11 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: correctly-rounded doubles (error ~1e-16 relative); a 1e-9 margin is
 #: conservatively wide without dragging in meaningful over-fetch.
 _EPS_REL = 1e-9
-
-#: Ceiling on derivation occurrence rows; the tree unfolding of a DAG
-#: can explode on adversarial sharing, and a runaway rebuild should
-#: fail loudly rather than fill memory.
-_MAX_OCCURRENCES = 5_000_000
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS objects (
@@ -79,25 +78,6 @@ CREATE TABLE IF NOT EXISTS attributes (
     PRIMARY KEY (object_id, key)
 ) WITHOUT ROWID;
 CREATE INDEX IF NOT EXISTS idx_attributes_kv ON attributes(key, value);
-CREATE TABLE IF NOT EXISTS prov_nodes (
-    node        TEXT PRIMARY KEY,
-    name        TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS prov_edges (
-    child       TEXT NOT NULL,
-    parent      TEXT NOT NULL,
-    position    INTEGER NOT NULL,
-    PRIMARY KEY (child, position)
-);
-CREATE INDEX IF NOT EXISTS idx_prov_edges_parent ON prov_edges(parent);
-CREATE TABLE IF NOT EXISTS prov_occ (
-    node        TEXT NOT NULL,
-    pre         INTEGER NOT NULL,
-    post        INTEGER NOT NULL,
-    level       INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_prov_occ_node ON prov_occ(node);
-CREATE INDEX IF NOT EXISTS idx_prov_occ_pre ON prov_occ(pre);
 CREATE TABLE IF NOT EXISTS composition (
     mm          TEXT NOT NULL,
     pre         INTEGER NOT NULL,
@@ -167,15 +147,41 @@ def encode_attribute(value: Any) -> str | None:
     return None
 
 
-#: REAL approximation for the prefilter columns.
-_approx = approx
+def open_tuned(path: str = ":memory:") -> sqlite3.Connection:
+    """A connection with the accelerator pragmas applied.
+
+    ``journal_mode=MEMORY`` / ``synchronous=OFF`` / ``temp_store=MEMORY``:
+    the index is rebuildable from in-process state, so nothing is paid
+    for durability it does not need.
+    """
+    conn = sqlite3.connect(path)
+    try:
+        conn.executescript(
+            "PRAGMA journal_mode=MEMORY;"
+            "PRAGMA synchronous=OFF;"
+            "PRAGMA temp_store=MEMORY;"
+        )
+    except Exception:
+        conn.close()  # don't leak the handle when a pragma fails
+        raise
+    return conn
+
+
+def approx(value: Fraction) -> float:
+    """A REAL approximation of an exact rational, for prefilter columns.
+
+    Saturates to +/-inf on astronomical values instead of raising —
+    the exact columns still hold the true number.
+    """
+    try:
+        return float(value)
+    # repro: suppress DF006 — saturating to ±inf is the documented contract
+    except OverflowError:  # pragma: no cover - astronomical timestamps
+        return math.inf if value > 0 else -math.inf
 
 
 def _margin(value: float) -> float:
     return _EPS_REL * (1.0 + abs(value))
-
-
-_rational = rational_from_row
 
 
 class TemporalIndex(Instrumented):
@@ -197,8 +203,6 @@ class TemporalIndex(Instrumented):
         self.path = path
         self._conn = open_tuned(path)
         self._conn.executescript(_SCHEMA)
-        self._prov_dirty = False
-        self._prov_known: set[str] = set()
         # Keys that ever carried a value with no canonical encoding;
         # equality filters on them must use the linear oracle.
         self._opaque_keys: set[str] = set()
@@ -293,106 +297,6 @@ class TemporalIndex(Instrumented):
         )
         self._wrote("set_attribute", f"{name}.{key}")
 
-    # -- provenance write-through --------------------------------------------------
-
-    def index_provenance(self, obj: "MediaObject") -> None:
-        """Write ``obj``'s derivation chain through (nodes + edges).
-
-        Mirrors :meth:`repro.core.provenance.ProvenanceGraph.register`:
-        walking inputs recursively so one call captures the whole
-        production chain. The pre/post occurrence encoding is rebuilt
-        lazily on the next axis query.
-        """
-        from repro.core.media_object import DerivedMediaObject
-
-        stack = [obj]
-        nodes: list[tuple[str, str]] = []
-        edges: list[tuple[str, str, int]] = []
-        while stack:
-            o = stack.pop()
-            if o.object_id in self._prov_known:
-                continue
-            self._prov_known.add(o.object_id)
-            nodes.append((o.object_id, o.name))
-            if isinstance(o, DerivedMediaObject):
-                for position, parent in enumerate(o.derivation_object.inputs):
-                    edges.append((o.object_id, parent.object_id, position))
-                    stack.append(parent)
-        if not nodes:
-            return
-        self._conn.executemany(
-            "INSERT OR IGNORE INTO prov_nodes (node, name) VALUES (?, ?)",
-            nodes,
-        )
-        if edges:
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO prov_edges (child, parent, position)"
-                " VALUES (?, ?, ?)", edges,
-            )
-        self._prov_dirty = True
-        self._wrote("provenance", obj.name, rows=len(nodes) + len(edges))
-
-    def _ensure_provenance_occ(self) -> None:
-        if not self._prov_dirty:
-            return
-        with self._obs.tracer.span("query.index.build", what="provenance"):
-            children: dict[str, list[str]] = {}
-            has_parent: set[str] = set()
-            for child, parent in self._conn.execute(
-                "SELECT child, parent FROM prov_edges"
-                " ORDER BY parent, child"
-            ):
-                children.setdefault(parent, []).append(child)
-                has_parent.add(child)
-            all_nodes = [row[0] for row in self._conn.execute(
-                "SELECT node FROM prov_nodes ORDER BY node"
-            )]
-            roots = [n for n in all_nodes if n not in has_parent]
-            rows: list[tuple[str, int, int, int]] = []
-            counter = 0
-            for root in roots:
-                # Iterative DFS: (node, level, iterator-state) frames so
-                # ten-thousand-deep production chains don't hit the
-                # recursion limit. ``on_path`` guards against cycles.
-                on_path: set[str] = set()
-                stack: list[list] = [[root, 0, 0, None]]
-                while stack:
-                    frame = stack[-1]
-                    node, level, child_i, pre = frame
-                    if pre is None:
-                        if node in on_path:
-                            raise QueryIndexError(
-                                "derivation graph contains a cycle at "
-                                f"{node!r}"
-                            )
-                        on_path.add(node)
-                        frame[3] = counter
-                        counter += 1
-                    kids = children.get(node, ())
-                    if child_i < len(kids):
-                        frame[2] += 1
-                        stack.append([kids[child_i], level + 1, 0, None])
-                        continue
-                    rows.append((node, frame[3], counter, level))
-                    counter += 1
-                    on_path.discard(node)
-                    stack.pop()
-                    if len(rows) > _MAX_OCCURRENCES:
-                        raise QueryIndexError(
-                            "derivation unfolding exceeds "
-                            f"{_MAX_OCCURRENCES} occurrences; the sharing "
-                            "in this DAG defeats the interval encoding"
-                        )
-            self._conn.execute("DELETE FROM prov_occ")
-            self._conn.executemany(
-                "INSERT INTO prov_occ (node, pre, post, level)"
-                " VALUES (?, ?, ?, ?)", rows,
-            )
-            self._prov_dirty = False
-            self._obs.metrics.counter("query.index.rebuilds").inc(
-                what="provenance"
-            )
-
     # -- composition write-through -------------------------------------------------
 
     def ensure_multimedia(self, multimedia: "MultimediaObject") -> None:
@@ -486,7 +390,7 @@ class TemporalIndex(Instrumented):
                         ))
                         if level == 0:
                             max_dur = max(
-                                max_dur, _approx(leaf_iv.duration)
+                                max_dur, approx(leaf_iv.duration)
                             )
                     continue
                 post = counter
@@ -498,7 +402,7 @@ class TemporalIndex(Instrumented):
                     0, interval,
                 ))
                 if level == 1:
-                    max_dur = max(max_dur, _approx(interval.duration))
+                    max_dur = max(max_dur, approx(interval.duration))
                 seen_on_path.discard(id(node))
                 stack.pop()
 
@@ -617,7 +521,7 @@ class TemporalIndex(Instrumented):
         ).fetchone()
         if meta is None:
             raise QueryIndexError(f"multimedia {mm!r} is not indexed")
-        ws, we = _approx(window.start), _approx(window.end)
+        ws, we = approx(window.start), approx(window.end)
         lo = ws - meta[0]
         lo -= _margin(lo)
         hi = we + _margin(we)
@@ -628,7 +532,7 @@ class TemporalIndex(Instrumented):
             (mm, lo, hi),
         ).fetchall()
         candidates = [
-            (label, Interval(_rational(sn, sd), _rational(en, ed)))
+            (label, Interval(Rational(sn, sd), Rational(en, ed)))
             for label, sn, sd, en, ed in rows
         ]
         candidates.sort(key=lambda item: (item[1].start, item[0]))
@@ -643,7 +547,7 @@ class TemporalIndex(Instrumented):
         ).fetchone()
         if row is None:
             raise QueryError(f"{mm!r} has no component {label!r}")
-        return Interval(_rational(row[0], row[1]), _rational(row[2], row[3]))
+        return Interval(Rational(row[0], row[1]), Rational(row[2], row[3]))
 
     def components_overlapping(self, mm: str, label: str) -> list[str]:
         """Labels of top-level components sharing time with ``label``."""
@@ -692,7 +596,7 @@ class TemporalIndex(Instrumented):
             ).fetchall()
         self._fastpath("occurrences")
         return [
-            (mm, path, Interval(_rational(sn, sd), _rational(en, ed)))
+            (mm, path, Interval(Rational(sn, sd), Rational(en, ed)))
             for mm, path, sn, sd, en, ed in rows
         ]
 
@@ -741,48 +645,6 @@ class TemporalIndex(Instrumented):
             ).fetchall()
         self._fastpath("ancestors")
         return [r[0] for r in rows]
-
-    # -- derivation axes ---------------------------------------------------------------
-
-    def ancestors_of(self, node: str) -> list[tuple[str, str, int]]:
-        """Transitive derivation inputs of ``node``: (node, name, depth).
-
-        Ordered nearest-first (min depth over occurrence pairs), ties
-        by name then node id.
-        """
-        self._ensure_provenance_occ()
-        with self._obs.tracer.span(
-            "query.index.select", op="lineage", node=node,
-        ):
-            rows = self._conn.execute(
-                "SELECT n.node, n.name, MIN(a.level - d.level) AS depth"
-                " FROM prov_occ a JOIN prov_occ d"
-                "   ON d.pre < a.pre AND d.post > a.post"
-                " JOIN prov_nodes n ON n.node = d.node"
-                " WHERE a.node = ?"
-                " GROUP BY n.node, n.name"
-                " ORDER BY depth, n.name, n.node", (node,),
-            ).fetchall()
-        self._fastpath("lineage")
-        return [(n, name, depth) for n, name, depth in rows]
-
-    def descendants_of(self, node: str) -> list[tuple[str, str, int]]:
-        """Objects transitively derived from ``node``: (node, name, depth)."""
-        self._ensure_provenance_occ()
-        with self._obs.tracer.span(
-            "query.index.select", op="derived_from", node=node,
-        ):
-            rows = self._conn.execute(
-                "SELECT n.node, n.name, MIN(d.level - a.level) AS depth"
-                " FROM prov_occ a JOIN prov_occ d"
-                "   ON d.pre > a.pre AND d.pre < a.post"
-                " JOIN prov_nodes n ON n.node = d.node"
-                " WHERE a.node = ?"
-                " GROUP BY n.node, n.name"
-                " ORDER BY depth, n.name, n.node", (node,),
-            ).fetchall()
-        self._fastpath("derived_from")
-        return [(n, name, depth) for n, name, depth in rows]
 
     # -- rollups -----------------------------------------------------------------------
 
@@ -846,8 +708,7 @@ class TemporalIndex(Instrumented):
 
     def census(self) -> dict[str, Any]:
         """Row counts, relation/index inventory, size and write state."""
-        tables = ("objects", "attributes", "attr_stats", "prov_nodes",
-                  "prov_edges", "prov_occ", "composition",
+        tables = ("objects", "attributes", "attr_stats", "composition",
                   "composition_meta")
         counts = {
             table: self._conn.execute(
@@ -866,7 +727,6 @@ class TemporalIndex(Instrumented):
             "rows": counts,
             "indexes": indexes,
             "size_bytes": page_count * page_size,
-            "provenance_dirty": self._prov_dirty,
             "writes": self._write_seq,
             "last_write": self.last_write,
         }
@@ -880,7 +740,7 @@ def _composition_row(mm: str, pre: int, post: int, level: int, path: str,
     return (
         mm, pre, post, level, path, label, obj_name, is_leaf,
         start.numerator, start.denominator, end.numerator, end.denominator,
-        _approx(start), _approx(end),
+        approx(start), approx(end),
     )
 
 
@@ -895,188 +755,7 @@ def _stat_float(value: Any) -> float | None:
         return None
 
 
-# -- dual-backend correctness harness ------------------------------------------------
-
-
-def demonstrate_correctness(seed: int = 0, objects: int = 96,
-                            components: int = 64, windows: int = 24,
-                            mutations: int = 16) -> dict[str, Any]:
-    """Prove the indexed and linear backends answer identically.
-
-    Builds a seeded randomized catalog (attribute-rich objects, a
-    derivation chain, a nested composition with instants, duplicate
-    starts and contained intervals), then runs every dual-backend query
-    through both paths and insists on *byte-identical* result sets —
-    same names, same order — including after ``set_attribute``
-    mutations. Returns a report dict; ``report["ok"]`` is the gate.
-    """
-    import numpy as np
-
-    from repro.core.composition import MultimediaObject
-    from repro.query.database import MediaDatabase
-
-    rng = np.random.default_rng(seed)
-
-    def pick(seq):
-        return seq[int(rng.integers(len(seq)))]
-
-    db = MediaDatabase(f"correctness-{seed}", index=True)
-    genres = ("drama", "news", "sport", "music", "archive")
-    langs = ("en", "de", "fr", None)
-
-    for i in range(objects):
-        obj = _cheap_still(f"obj-{i:04d}")
-        db.add_object(
-            obj,
-            genre=pick(genres),
-            year=int(rng.integers(1990, 2000)),
-            rating=pick((1, 2, 3, True, 4.5)),
-            language=pick(langs),
-        )
-
-    # A small derivation chain for the lineage axes.
-    chain = _derivation_chain(db, length=6)
-
-    mm = MultimediaObject("random-timeline")
-    shared = _cheap_still("shared-leaf")
-    nested = MultimediaObject("nested")
-    nested.add_temporal(shared, at=0, duration=Rational(1, 2), label="inner-a")
-    nested.add_temporal(shared, at=Rational(1, 4), duration=0,
-                        label="inner-instant")
-    mm.add_temporal(nested, at=1, label="nested")
-    for i in range(components):
-        start = Rational(int(rng.integers(0, 41)), pick((1, 2, 3, 4)))
-        duration = Rational(int(rng.integers(0, 13)), pick((1, 2, 3)))
-        mm.add_temporal(shared, at=start, duration=duration,
-                        label=f"c{i:03d}")
-    db.add_multimedia(mm)
-
-    report: dict[str, Any] = {"seed": seed, "checks": 0, "disagreements": []}
-
-    def compare(what: str, indexed, linear) -> None:
-        report["checks"] += 1
-        if indexed != linear:
-            report["disagreements"].append(
-                {"query": what, "indexed": indexed, "linear": linear}
-            )
-
-    def sweep(round_label: str) -> None:
-        for genre in genres:
-            compare(
-                f"{round_label} objects(genre={genre})",
-                [o.name for o in db.objects(backend="index", genre=genre)],
-                [o.name for o in db.objects(backend="linear", genre=genre)],
-            )
-        for year in (1990, 1994, 1999):
-            compare(
-                f"{round_label} objects(year={year}, rating=1)",
-                [o.name for o in db.objects(backend="index", year=year,
-                                            rating=1)],
-                [o.name for o in db.objects(backend="linear", year=year,
-                                            rating=1)],
-            )
-        compare(
-            f"{round_label} objects(language=None)",
-            [o.name for o in db.objects(backend="index", language=None)],
-            [o.name for o in db.objects(backend="linear", language=None)],
-        )
-
-    sweep("initial")
-
-    labels = [label for label, _ in mm.timeline()]
-    sampled = rng.choice(len(labels), size=min(12, len(labels)),
-                         replace=False)
-    for label in (labels[int(i)] for i in sampled):
-        compare(
-            f"overlapping({label})",
-            db.components_overlapping("random-timeline", label,
-                                      backend="index"),
-            db.components_overlapping("random-timeline", label,
-                                      backend="linear"),
-        )
-    for _ in range(windows):
-        a = Rational(int(rng.integers(0, 51)), pick((1, 2, 4)))
-        b = a + Rational(int(rng.integers(0, 11)), pick((1, 2)))
-        compare(
-            f"during([{a}, {b}))",
-            db.components_during("random-timeline", a, b, backend="index"),
-            db.components_during("random-timeline", a, b, backend="linear"),
-        )
-    compare(
-        "occurrences_of(shared-leaf)",
-        db.occurrences_of("shared-leaf", backend="index"),
-        db.occurrences_of("shared-leaf", backend="linear"),
-    )
-    compare(
-        "component_descendants(root)",
-        db.component_descendants("random-timeline", backend="index"),
-        db.component_descendants("random-timeline", backend="linear"),
-    )
-    compare(
-        "component_descendants(nested)",
-        db.component_descendants("random-timeline", "nested",
-                                 backend="index"),
-        db.component_descendants("random-timeline", "nested",
-                                 backend="linear"),
-    )
-    compare(
-        f"lineage({chain[-1]})",
-        [o.name for o in db.lineage(chain[-1], backend="index")],
-        [o.name for o in db.lineage(chain[-1], backend="linear")],
-    )
-    compare(
-        f"derived_from({chain[0]})",
-        [o.name for o in db.derived_from(chain[0], backend="index")],
-        [o.name for o in db.derived_from(chain[0], backend="linear")],
-    )
-
-    # Mutations must write through: mutate, then re-compare.
-    for i in range(mutations):
-        name = f"obj-{int(rng.integers(objects)):04d}"
-        db.set_attribute(name, "genre", pick(genres))
-        db.set_attribute(name, "restored", bool(i % 2))
-    sweep("post-mutation")
-    compare(
-        "objects(restored=True)",
-        [o.name for o in db.objects(backend="index", restored=True)],
-        [o.name for o in db.objects(backend="linear", restored=True)],
-    )
-
-    report["ok"] = not report["disagreements"]
-    return report
-
-
-def _cheap_still(name: str):
-    """A minimal cataloguable still object (shared type/descriptor)."""
-    from repro.core.media_object import StillMediaObject
-    from repro.core.media_types import media_type_registry
-
-    media_type = media_type_registry.get("text")
-    descriptor = media_type.make_media_descriptor(charset="utf-8")
-    return StillMediaObject(media_type, descriptor, name, name=name)
-
-
-def _derivation_chain(db, length: int = 6) -> list[str]:
-    """Catalog a cut-of-a-cut derivation chain; returns names, root first."""
-    from repro.edit import MediaEditor
-    from repro.media import frames
-    from repro.media.objects import video_object
-
-    editor = MediaEditor()
-    clip = video_object(frames.scene(8, 8, 12, "pan"), "chain-root")
-    db.add_object(clip, genre="archive")
-    names = ["chain-root"]
-    current = clip
-    for i in range(length):
-        current = editor.cut(current, 0, max(2, 12 - i),
-                             name=f"chain-cut-{i}")
-        db.add_object(current, genre="archive")
-        names.append(current.name)
-    return names
-
-
 __all__ = [
     "TemporalIndex",
-    "demonstrate_correctness",
     "encode_attribute",
 ]

@@ -4,32 +4,24 @@ Queries in the style of "what is on screen while the narration plays":
 Allen-relation filters over a multimedia object's timeline (Definition 7
 plus the interval algebra of :mod:`repro.core.intervals`).
 
-Each scan-based predicate accepts an optional ``index=`` — a
-:class:`~repro.query.index.TemporalIndex` — and then answers from the
-indexed relations (candidate narrowing through the float B-tree, exact
-rational re-check) instead of walking the timeline. Results are
-identical on both paths; the linear scan is the oracle.
+Every predicate here walks the timeline: this is the linear backend.
+:class:`~repro.query.database.MediaDatabase` routes a query either here
+or, for a catalog built with ``index=True``, to the indexed relations
+of :class:`~repro.query.index.TemporalIndex`; both give the same
+answers in the same order.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from repro.core.composition import MultimediaObject
 from repro.core.intervals import Interval, IntervalRelation, relate
 from repro.core.rational import as_rational
 from repro.errors import QueryError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.query.index import TemporalIndex
 
-
-def components_overlapping(multimedia: MultimediaObject, label: str,
-                           index: "TemporalIndex | None" = None) -> list[str]:
+def components_overlapping(multimedia: MultimediaObject,
+                           label: str) -> list[str]:
     """Labels of components sharing any presentation time with ``label``."""
-    if index is not None:
-        index.ensure_multimedia(multimedia)
-        return index.components_overlapping(multimedia.name, label)
     target = _interval_of(multimedia, label)
     result = []
     for other_label, interval in multimedia.timeline():
@@ -40,12 +32,8 @@ def components_overlapping(multimedia: MultimediaObject, label: str,
     return result
 
 
-def components_during(multimedia: MultimediaObject, start, end,
-                      index: "TemporalIndex | None" = None) -> list[str]:
+def components_during(multimedia: MultimediaObject, start, end) -> list[str]:
     """Labels of components presented (at least partly) within [start, end)."""
-    if index is not None:
-        index.ensure_multimedia(multimedia)
-        return index.components_during(multimedia.name, start, end)
     window = Interval(as_rational(start), as_rational(end))
     return [
         label for label, interval in multimedia.timeline()

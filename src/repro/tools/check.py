@@ -33,11 +33,6 @@ any ERROR-level finding, so CI can gate on it:
   its owning shard mid-batch to an injected crash; the kill must be
   absorbed by checkpoint-backed failover with every displaced session
   accounted exactly once and the deadline-miss SLO still green;
-* ``--query`` runs the dual-backend agreement smoke: seeded randomized
-  catalogs are queried through both the relational temporal index and
-  the linear oracle, and every result set (selections, temporal
-  predicates, composition axes, lineage — including after
-  ``set_attribute`` mutations) must be byte-identical;
 * ``--telemetry`` runs the telemetry pipeline smoke: an overloaded
   single-shard serve with the clock-driven scraper attached must see a
   burn-rate alert fire *and* resolve before the serve returns, and two
@@ -192,32 +187,6 @@ def run_fleet() -> tuple[bool, str]:
     return passed, table_text(
         ("check", "result"), rows,
         title="fleet failover smoke (3 shards, mid-serve shard kill)",
-    )
-
-
-def run_query(seeds: tuple[int, ...] = (0, 1, 2)) -> tuple[bool, str]:
-    """The dual-backend agreement smoke; ``(passed, rendered summary)``.
-
-    Each seed builds a randomized catalog behind ``MediaDatabase(
-    index=True)`` and replays every dual-backend query through both the
-    indexed and linear paths; any disagreement fails the stage.
-    """
-    from repro.query.index import demonstrate_correctness
-
-    rows = []
-    passed = True
-    for seed in seeds:
-        report = demonstrate_correctness(seed=seed)
-        rows.append((
-            str(seed), str(report["checks"]),
-            str(len(report["disagreements"])),
-            "ok" if report["ok"] else "FAIL",
-        ))
-        if not report["ok"]:
-            passed = False
-    return passed, table_text(
-        ("seed", "checks", "disagreements", "result"), rows,
-        title="dual-backend agreement smoke (indexed vs linear oracle)",
     )
 
 
@@ -460,9 +429,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fleet", action="store_true",
                         help="run the fleet failover smoke: 3 shards, "
                              "mid-serve shard kill, SLO must stay green")
-    parser.add_argument("--query", action="store_true",
-                        help="run the dual-backend agreement smoke: "
-                             "indexed vs linear answers must match")
     parser.add_argument("--telemetry", action="store_true",
                         help="run the telemetry pipeline smoke: alert "
                              "fires and resolves mid-serve, dual-run "
@@ -490,11 +456,11 @@ def main(argv: list[str] | None = None) -> int:
 
     selected = {
         stage for stage in ("graph", "lint", "dataflow", "crash", "fleet",
-                            "query", "telemetry", "style", "types")
+                            "telemetry", "style", "types")
         if getattr(args, stage)
     }
     if args.all or (not selected and not args.bench_compare):
-        selected = {"graph", "lint", "dataflow", "crash", "fleet", "query",
+        selected = {"graph", "lint", "dataflow", "crash", "fleet",
                     "telemetry", "style", "types"}
     ignore = tuple(args.ignore)
 
@@ -564,13 +530,6 @@ def main(argv: list[str] | None = None) -> int:
         print()
         if not fleet_ok:
             failed.append("fleet")
-
-    if "query" in selected:
-        query_ok, query_text = run_query()
-        print(query_text)
-        print()
-        if not query_ok:
-            failed.append("query")
 
     if "telemetry" in selected:
         telemetry_ok, telemetry_text = run_telemetry()

@@ -1,8 +1,7 @@
-"""Tests for bit I/O, RLE, and varint primitives."""
+"""Tests for the RLE and varint primitives."""
 
 import pytest
 
-from repro.codecs.bits import BitReader, BitWriter
 from repro.codecs.rle import rle_decode, rle_encode, rle_ratio
 from repro.codecs.varint import (
     read_svarint,
@@ -13,50 +12,6 @@ from repro.codecs.varint import (
     zigzag_int,
 )
 from repro.errors import CodecError
-
-
-class TestBits:
-    def test_single_bits(self):
-        writer = BitWriter()
-        for bit in (1, 0, 1, 1, 0, 0, 0, 1):
-            writer.write_bit(bit)
-        assert writer.getvalue() == bytes([0b10110001])
-
-    def test_partial_byte_padded(self):
-        writer = BitWriter()
-        writer.write_bits(0b101, 3)
-        assert writer.getvalue() == bytes([0b10100000])
-
-    def test_bit_length(self):
-        writer = BitWriter()
-        writer.write_bits(0, 11)
-        assert writer.bit_length == 11
-
-    def test_roundtrip_bits(self):
-        writer = BitWriter()
-        values = [(5, 3), (0, 1), (1023, 10), (1, 1)]
-        for value, width in values:
-            writer.write_bits(value, width)
-        reader = BitReader(writer.getvalue())
-        for value, width in values:
-            assert reader.read_bits(width) == value
-
-    def test_unary(self):
-        writer = BitWriter()
-        writer.write_unary(4)
-        writer.write_unary(0)
-        reader = BitReader(writer.getvalue())
-        assert reader.read_unary() == 4
-        assert reader.read_unary() == 0
-
-    def test_exhaustion(self):
-        reader = BitReader(b"")
-        with pytest.raises(CodecError):
-            reader.read_bit()
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(CodecError):
-            BitWriter().write_bits(1, -1)
 
 
 class TestRle:

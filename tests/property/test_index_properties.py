@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from repro.core.media_object import StillMediaObject
 from repro.core.media_types import media_type_registry
 from repro.query.database import MediaDatabase
-from repro.query.index import demonstrate_correctness, encode_attribute
+from repro.query.index import encode_attribute
+from tests.query.correctness import demonstrate_correctness
 
 #: Values with canonical encodings, deliberately aliasing under Python
 #: equality (True == 1 == 1.0 == Fraction(1)).
@@ -71,8 +72,9 @@ class TestBackendAgreement:
     @given(st.integers(0, 2**20))
     @settings(max_examples=8, deadline=None)
     def test_randomized_catalogs_agree(self, seed):
-        """The full harness: selections, temporal predicates, axes and
-        lineage through both backends on a seeded random catalog."""
+        """The full harness: selections, temporal predicates and
+        composition axes through both backends on a seeded random
+        catalog."""
         report = demonstrate_correctness(
             seed=seed, objects=24, components=20, windows=8, mutations=6,
         )

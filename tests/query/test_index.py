@@ -14,6 +14,7 @@ from repro.media.objects import video_object
 from repro.obs import Observability
 from repro.query.database import MediaDatabase
 from repro.query.index import TemporalIndex, encode_attribute
+from tests.query.correctness import demonstrate_correctness
 
 
 def still(name):
@@ -151,13 +152,6 @@ class TestTemporalPredicates:
                 timeline_db.components_overlapping("timeline", "ghost",
                                                    backend=backend)
 
-    def test_temporal_module_fast_path(self, timeline_db):
-        from repro.query.temporal import components_during
-
-        m = timeline_db.get_multimedia("timeline")
-        assert (components_during(m, 0, 3, index=timeline_db.index)
-                == components_during(m, 0, 3))
-
 
 class TestCompositionAxes:
     def test_occurrences_in_document_order(self, timeline_db):
@@ -220,23 +214,26 @@ class TestLineageAxes:
         return db
 
     def test_lineage_agrees(self, chain_db):
-        indexed = [o.name for o in chain_db.lineage("final",
-                                                    backend="index")]
-        linear = [o.name for o in chain_db.lineage("final",
-                                                   backend="linear")]
-        assert indexed == linear == ["cut", "clip"]
+        assert [o.name for o in chain_db.lineage("final")] == ["cut", "clip"]
 
     def test_derived_from_agrees(self, chain_db):
-        indexed = [o.name for o in chain_db.derived_from("clip",
-                                                         backend="index")]
-        linear = [o.name for o in chain_db.derived_from("clip",
-                                                        backend="linear")]
-        assert indexed == linear == ["cut", "final"]
+        assert ([o.name for o in chain_db.derived_from("clip")]
+                == ["cut", "final"])
 
     def test_underived_object_has_empty_axes(self, db):
         db.add_object(still("alone"))
-        assert db.lineage("alone", backend="index") == []
-        assert db.derived_from("alone", backend="index") == []
+        assert db.lineage("alone") == []
+        assert db.derived_from("alone") == []
+
+
+class TestDualBackendAgreement:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_catalog_agrees(self, seed):
+        """Selections, temporal predicates and composition axes through
+        both backends on a seeded random catalog, before and after
+        attribute mutations."""
+        report = demonstrate_correctness(seed=seed)
+        assert report["ok"], report["disagreements"]
 
 
 class TestRollups:

@@ -58,22 +58,6 @@ class TestCrashStage:
         assert "check passed" in out
 
 
-class TestQueryStage:
-    def test_query_stage_passes(self, capsys):
-        assert main(["--query"]) == 0
-        out = capsys.readouterr().out
-        assert "dual-backend agreement smoke" in out
-        assert "check passed" in out
-
-    def test_query_stage_reports_per_seed_rows(self, capsys):
-        from repro.tools.check import run_query
-
-        passed, text = run_query(seeds=(7,))
-        assert passed
-        assert "7" in text
-        assert "ok" in text
-
-
 class TestTelemetryStage:
     def test_telemetry_stage_passes(self, capsys):
         assert main(["--telemetry"]) == 0
