@@ -17,11 +17,11 @@ exact-rational clock arithmetic. The pipeline per function is
 * Checkers register with :func:`dataflow_rule`, mirroring the graph
   rules' decorator, so ``--list-rules`` and DESIGN.md render DF rules
   from the same registry.
-* Findings are silenced three ways, all reviewable: ``ignore=`` by
-  rule id, an inline ``# repro: suppress DF00x — reason`` comment on
-  the flagged line (or the line above), and a committed baseline file
-  that grandfathers pre-existing findings so the CI stage gates only
-  on regressions.
+* A finding is accepted only by a reasoned inline ``# repro:
+  suppress DF00x — reason`` comment on the flagged line (or the line
+  above), the grammar :mod:`repro.analysis.diagnostics` defines for
+  every source engine; ``ignore=`` drops a rule id for one run. Every
+  other finding gates.
 * :func:`sarif_report` renders a report as SARIF 2.1.0 for editor and
   code-host ingestion; :func:`validate_sarif` structurally checks the
   payload (the round-trip test in the check suite keeps it honest).
@@ -32,8 +32,6 @@ Pure ``ast`` + source text: analyzing the codebase never executes it.
 from __future__ import annotations
 
 import ast
-import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -42,6 +40,8 @@ from repro.analysis.cfg import CFG, build_cfg, function_defs
 from repro.analysis.diagnostics import (
     Diagnostic,
     DiagnosticReport,
+    is_suppressed,
+    parse_suppressions,
     rule_registry,
 )
 from repro.analysis.lattice import PowersetLattice
@@ -50,13 +50,6 @@ from repro.obs.events import Severity
 
 #: rule id -> checker ``(FunctionContext) -> list[Diagnostic]``.
 DATAFLOW_RULES: dict[str, Callable] = {}
-
-#: Inline suppression grammar. The reason is mandatory: a silenced
-#: finding with no recorded justification is just a hidden bug.
-SUPPRESS_PATTERN = re.compile(
-    r"#\s*repro:\s*suppress\s+(?P<rules>[A-Z]{2}\d{3}"
-    r"(?:\s*,\s*[A-Z]{2}\d{3})*)\s*(?:—|--|-)\s*(?P<reason>\S.*)"
-)
 
 
 def dataflow_rule(rule_id: str, title: str, severity: Severity,
@@ -254,107 +247,6 @@ def _collect_class_info(tree: ast.Module) -> dict[str, ClassInfo]:
         classes[node.name] = ClassInfo(
             node.name, frozenset(set_attrs), shard_owner)
     return classes
-
-
-# ---------------------------------------------------------------------------
-# suppressions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Suppression:
-    """One parsed ``# repro: suppress`` comment."""
-
-    line: int
-    rules: frozenset[str]
-    reason: str
-
-
-def parse_suppressions(source: str) -> list[Suppression]:
-    """All suppression comments in a source file, with their reasons.
-
-    A comment with no reason text after the dash is not a suppression
-    — the grammar requires the justification.
-    """
-    found = []
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = SUPPRESS_PATTERN.search(text)
-        if match:
-            rules = frozenset(
-                r.strip() for r in match.group("rules").split(","))
-            found.append(Suppression(lineno, rules,
-                                     match.group("reason").strip()))
-    return found
-
-
-def is_suppressed(diagnostic: Diagnostic,
-                  suppressions: Iterable[Suppression]) -> bool:
-    """Trailing comments cover their own line; standalone comments
-    cover the line below."""
-    line = diagnostic.line or 0
-    return any(
-        diagnostic.rule in s.rules and s.line in (line, line - 1)
-        for s in suppressions
-    )
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-def _fingerprint(diagnostic: Diagnostic) -> tuple[str, str, str]:
-    """Line-independent identity: survives unrelated edits above."""
-    return diagnostic.rule, diagnostic.location, diagnostic.message
-
-
-def load_baseline(path: Path | str) -> set[tuple[str, str, str]]:
-    """The committed grandfather list; empty when absent."""
-    path = Path(path)
-    if not path.is_file():
-        return set()
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return {
-        (row["rule"], row["location"], row["message"])
-        for row in payload.get("findings", [])
-    }
-
-
-def baseline_payload(report: DiagnosticReport) -> bytes:
-    """Deterministic JSON bytes for ``--update-baseline``."""
-    rows = sorted({_fingerprint(d) for d in report})
-    return json.dumps(
-        {
-            "comment": "Grandfathered dataflow findings; the check "
-                       "stage gates only on findings absent from this "
-                       "list. Regenerate with "
-                       "`python -m repro.tools.check --dataflow "
-                       "--update-baseline`.",
-            "version": 1,
-            "findings": [
-                {"rule": rule, "location": location, "message": message}
-                for rule, location, message in rows
-            ],
-        },
-        sort_keys=True, indent=2,
-    ).encode("utf-8") + b"\n"
-
-
-def split_baselined(report: DiagnosticReport,
-                    baseline: set[tuple[str, str, str]]
-                    ) -> tuple[DiagnosticReport, int]:
-    """(report of *new* findings, count grandfathered away)."""
-    fresh = DiagnosticReport(subject=report.subject)
-    grandfathered = 0
-    for diagnostic in report:
-        if _fingerprint(diagnostic) in baseline:
-            grandfathered += 1
-        else:
-            fresh.add(diagnostic)
-    return fresh, grandfathered
-
-
-#: Where the committed baseline ships (inside the package, so an
-#: installed tree still gates correctly).
-DEFAULT_BASELINE = Path(__file__).with_name("dataflow_baseline.json")
 
 
 # ---------------------------------------------------------------------------
@@ -562,20 +454,13 @@ __all__ = [
     "Analysis",
     "ClassInfo",
     "DATAFLOW_RULES",
-    "DEFAULT_BASELINE",
     "DataflowEngine",
     "FunctionContext",
-    "Suppression",
-    "baseline_payload",
     "check_paths",
     "check_repo",
     "dataflow_rule",
     "exit_states",
-    "is_suppressed",
-    "load_baseline",
-    "parse_suppressions",
     "sarif_report",
     "solve",
-    "split_baselined",
     "validate_sarif",
 ]

@@ -1,23 +1,29 @@
 """The shared diagnostic core of the static verification layer.
 
-Both analysis engines — the media-graph checker (:mod:`repro.analysis.graph`)
-and the codebase linter (:mod:`repro.analysis.lint`) — report through one
-vocabulary: a :class:`Diagnostic` carries a stable rule id, a severity from
-the same ladder the flight recorder uses, a location (an object path for
-graph findings, ``file:line`` for lint findings), a message and a fix
-hint. A :class:`DiagnosticReport` aggregates them and renders text or
-JSON deterministically, so same-input runs export byte-identically —
-the repo-wide determinism contract extends to its own tooling.
+Every analysis engine — the media-graph checker
+(:mod:`repro.analysis.graph`), the codebase linter
+(:mod:`repro.analysis.lint`) and the dataflow engine
+(:mod:`repro.analysis.dataflow`) — reports through one vocabulary: a
+:class:`Diagnostic` carries a stable rule id, a severity from the same
+ladder the flight recorder uses, a location (an object path for graph
+findings, ``file:line`` for source findings), a message and a fix hint.
+A :class:`DiagnosticReport` aggregates them and renders text or JSON
+deterministically, so same-input runs export byte-identically — the
+repo-wide determinism contract extends to its own tooling.
 
 Rule id convention: ``MG###`` for media-graph rules, ``LN###`` for lint
-rules. Suppression: every renderer prints the rule id, and both engines
-accept an ``ignore=`` set of rule ids, so a finding is silenced by id,
-never by editing the checker.
+rules, ``DF###`` for dataflow rules. Accepting a finding: the one
+committed way is an inline ``# repro: suppress RULE — reason`` comment
+on the flagged line (or the line above), parsed here and honoured by
+both source engines; the reason is mandatory. Every engine also takes
+an ``ignore=`` set of rule ids for a single run. A finding is never
+accepted by editing a checker.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -240,3 +246,48 @@ class RuleRegistry:
 
 #: Process-wide registry of analysis rules.
 rule_registry = RuleRegistry()
+
+
+#: Inline suppression grammar. The reason is mandatory: a silenced
+#: finding with no recorded justification is just a hidden bug.
+SUPPRESS_PATTERN = re.compile(
+    r"#\s*repro:\s*suppress\s+(?P<rules>[A-Z]{2}\d{3}"
+    r"(?:\s*,\s*[A-Z]{2}\d{3})*)\s*(?:—|--|-)\s*(?P<reason>\S.*)"
+)
+
+
+@dataclass(frozen=True)
+class Suppression:
+    """One parsed ``# repro: suppress`` comment."""
+
+    line: int
+    rules: frozenset[str]
+    reason: str
+
+
+def parse_suppressions(source: str) -> list[Suppression]:
+    """All suppression comments in a source file, with their reasons.
+
+    A comment with no reason text after the dash is not a suppression
+    — the grammar requires the justification.
+    """
+    found = []
+    for lineno, text in enumerate(source.splitlines(), start=1):
+        match = SUPPRESS_PATTERN.search(text)
+        if match:
+            rules = frozenset(
+                r.strip() for r in match.group("rules").split(","))
+            found.append(Suppression(lineno, rules,
+                                     match.group("reason").strip()))
+    return found
+
+
+def is_suppressed(diagnostic: Diagnostic,
+                  suppressions: Iterable[Suppression]) -> bool:
+    """Trailing comments cover their own line; standalone comments
+    cover the line below."""
+    line = diagnostic.line or 0
+    return any(
+        diagnostic.rule in s.rules and s.line in (line, line - 1)
+        for s in suppressions
+    )

@@ -47,17 +47,6 @@ class MediaElement:
         if self.size < 0:
             raise StreamError(f"element size must be non-negative, got {self.size}")
 
-    def with_payload(self, payload: Any, size: int | None = None) -> "MediaElement":
-        """Return a copy carrying ``payload`` (e.g. after decoding)."""
-        return MediaElement(
-            payload=payload,
-            size=self.size if size is None else size,
-            descriptor=self.descriptor,
-        )
-
-    def with_descriptor(self, descriptor: ElementDescriptor | None) -> "MediaElement":
-        return MediaElement(payload=self.payload, size=self.size, descriptor=descriptor)
-
     def __repr__(self) -> str:
         desc = f", descriptor={self.descriptor!r}" if self.descriptor else ""
         payload = "…" if self.payload is not None else "None"

@@ -154,12 +154,6 @@ class InterpretedMediaObject(MediaObject):
             self.sequence_name, decode=self.decode
         )
 
-    def stream_lazy(self) -> TimedStream:
-        """Stream with placement-only elements (payloads not read)."""
-        return self.interpretation.materialize(
-            self.sequence_name, read_payloads=False
-        )
-
 
 class DerivedMediaObject(MediaObject, Instrumented):
     """A derived media object (§4.2): content computed on demand.

@@ -14,8 +14,6 @@ diagram, programmatically).
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.core.media_object import DerivedMediaObject, MediaObject
 from repro.errors import MediaModelError
 
@@ -45,10 +43,6 @@ class ProvenanceGraph:
         else:
             self._inputs[obj.object_id] = ()
         return obj
-
-    def register_all(self, objects: Iterable[MediaObject]) -> None:
-        for obj in objects:
-            self.register(obj)
 
     # -- access ------------------------------------------------------------------
 

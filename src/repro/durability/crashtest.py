@@ -445,8 +445,10 @@ class CheckpointCrashScenario:
 def default_scenarios(small: bool = False) -> list:
     """The built-in crash scenarios, smallest-first.
 
-    ``small`` shrinks the workloads for the smoke run in
-    ``repro.tools.check --crash``."""
+    ``small`` shrinks the workloads for the quick runs:
+    ``TestHarness.test_smoke_scenarios_pass`` in
+    ``tests/durability/test_crashtest.py`` and
+    ``examples/crash_recovery.py``."""
     if small:
         return [
             ContainerCrashScenario(elements=2),

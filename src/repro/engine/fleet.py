@@ -345,6 +345,19 @@ class Fleet:
     def _checkpoint_path(self, name: str) -> str:
         return f"{self.checkpoint_dir}/{name}.ckpt"
 
+    def _drop_checkpoint(self, name: str) -> None:
+        """Durably delete the checkpoint an earlier batch left for ``name``.
+
+        A checkpoint describes the batch in flight. Left in place, a
+        crash before the next batch's first durable checkpoint would
+        resume the finished batch — its sessions counted as recovered
+        again, the new batch's never served.
+        """
+        path = self._checkpoint_path(name)
+        if self.checkpoint_fs.exists(path):
+            self.checkpoint_fs.remove(path)
+            self.checkpoint_fs.fsync_dir(self.checkpoint_dir)
+
     def serve(self, requests,
               options: ServeOptions | None = None) -> ServerReport:
         """Serve a batch across the fleet; returns one merged report.
@@ -391,6 +404,7 @@ class Fleet:
             shard = self._shards[name]
             shard_opts = opts.replace(enforce_admission=False)
             if self.checkpoint_fs is not None:
+                self._drop_checkpoint(name)
                 shard_opts = shard_opts.replace(
                     checkpoint_to=self._checkpoint_path(name),
                     checkpoint_fs=self.checkpoint_fs,
@@ -417,9 +431,12 @@ class Fleet:
         re-serve as ``resumed``. A crash before the first durable
         checkpoint means nothing was acknowledged: the whole group
         re-serves. The survivor is rendezvous-chosen, so failover
-        placement is as deterministic as routing.
+        placement is as deterministic as routing. The dead shard's
+        batch never reached its telemetry drain, so its alerts are
+        cooled here (:meth:`VodServer.cool_alerts`).
         """
         self._mark_dead(dead)
+        self._shards[dead].cool_alerts()
         if not self._live:
             raise EngineError(
                 f"shard {dead!r} died and no live shards remain"

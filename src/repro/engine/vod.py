@@ -828,6 +828,19 @@ class VodServer:
         when it is a fleet shard, else ``"server"``."""
         return getattr(self.obs, "scope", None) or "server"
 
+    def cool_alerts(self) -> None:
+        """Scrape this server's idle registry until its alerts cool.
+
+        A server killed mid-batch never reaches that batch's drain, so
+        the fleet calls this when it marks the server dead: the scrapes
+        run on the server's own clock from the instant it died, and its
+        alerts resolve instead of staying active for the fleet's
+        lifetime. A no-op without a live telemetry pipeline.
+        """
+        if self.telemetry is not None and self.obs.enabled:
+            self.telemetry.drain(EventLoop(self._clock), self.obs,
+                                 self._telemetry_source())
+
     def _serve_one(self, request: SessionRequest, player: Player,
                    opts: ServeOptions, share: int,
                    failed: list[tuple[str, str, str]],

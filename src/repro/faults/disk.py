@@ -326,9 +326,6 @@ class SimulatedMedium(Instrumented):
     def paths(self) -> list[str]:
         return sorted(self._files)
 
-    def volatile_bytes(self, path: str | os.PathLike) -> bytes:
-        return bytes(self._files[_norm(path)].volatile)
-
     def durable_bytes(self, path: str | os.PathLike) -> bytes:
         """The bytes ``path`` would hold after a crash right now (content
         only — whether the *name* survives depends on fsync_dir)."""

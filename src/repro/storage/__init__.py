@@ -10,7 +10,7 @@ stream.)"
 This package provides those seven index structures
 (:mod:`repro.storage.indexes`), the physical layout policies that
 produce interleaved and padded BLOBs (:mod:`repro.storage.layout`,
-:mod:`repro.storage.interleave`), and a serializable container format
+which also holds the interleaving), and a serializable container format
 bundling a BLOB with its interpretation (:mod:`repro.storage.container`).
 """
 

@@ -5,7 +5,10 @@ Usage::
     python -m repro.tools.check --all
 
 Runs the static verification layer end to end and exits non-zero on
-any ERROR-level finding, so CI can gate on it:
+any ERROR-level finding, so CI can gate on it. Nothing here serves a
+title or replays a crash: the dynamic checks (crash matrices, fleet
+failover, the telemetry pipeline, the seeded whole-system simulation)
+live in the test suite.
 
 * ``--graph`` checks exemplar media graphs (the Figure 2 capture, the
   Figure 4 production and the §1.2 multilingual movie, rebuilt at
@@ -18,34 +21,21 @@ any ERROR-level finding, so CI can gate on it:
   range: typestate protocols for pins, WAL transactions and resource
   handles; wall-clock/float taint into exact-rational arithmetic;
   set-iteration order hazards; swallowed exceptions and absorbed
-  simulated crashes) over the library's own sources. Findings listed
-  in the committed baseline (``analysis/dataflow_baseline.json``) are
-  reported but do not gate; only regressions fail the stage.
-  ``--sarif PATH`` additionally writes the dataflow report as SARIF
-  2.1.0; ``--update-baseline`` regenerates the baseline from the
-  current findings instead of gating; ``--dataflow-root PATH`` points
-  the engine at another tree (the baseline then does not apply);
-* ``--crash`` runs a reduced crash matrix (the ``small`` scenario set
-  over the simulated medium): every injected crash point is exercised
-  and recovery invariants are asserted — a fast smoke of the full
-  matrix the ``crash``-marked tests run;
-* ``--fleet`` runs the fleet failover smoke: a three-shard fleet loses
-  its owning shard mid-batch to an injected crash; the kill must be
-  absorbed by checkpoint-backed failover with every displaced session
-  accounted exactly once and the deadline-miss SLO still green;
-* ``--telemetry`` runs the telemetry pipeline smoke: an overloaded
-  single-shard serve with the clock-driven scraper attached must see a
-  burn-rate alert fire *and* resolve before the serve returns, and two
-  same-seed runs must produce byte-identical telemetry-store dumps and
-  alert timelines;
+  simulated crashes) over the library's own sources. Every finding
+  gates. ``--sarif PATH`` additionally writes the dataflow report as
+  SARIF 2.1.0; ``--dataflow-root PATH`` points the engine at another
+  tree;
 * ``--style`` and ``--types`` invoke ``ruff`` and ``mypy`` when they
   are installed, and are skipped (without failing) when they are not —
   the in-tree engines above carry the gate either way.
 
 ``--all`` selects every stage and is the default when no stage flag is
 given. ``--list-rules`` prints the rule table; ``--json`` switches the
-graph/lint output to the deterministic JSON reporters; ``--ignore
-RULE`` (repeatable) suppresses a rule id in both engines.
+graph/lint/dataflow output to the deterministic JSON reporters;
+``--ignore RULE`` (repeatable) drops a rule id for this run. The one
+committed way to accept a finding is a reasoned inline ``# repro:
+suppress RULE — reason`` comment, which the lint and dataflow engines
+both honour.
 
 ``--bench-compare BASELINE.json`` (not part of ``--all``) compares the
 machine-readable benchmark metrics under ``results/`` against a saved
@@ -55,6 +45,7 @@ baseline and fails on any >25% throughput regression.
 from __future__ import annotations
 
 import argparse
+import json
 import shutil
 import subprocess
 import sys
@@ -109,160 +100,6 @@ def run_graph(ignore: tuple[str, ...] = ()) -> DiagnosticReport:
     return merged
 
 
-def run_crash() -> tuple[bool, str]:
-    """The reduced crash matrix; ``(passed, rendered summary)``."""
-    from repro.durability import CrashMatrix, default_scenarios
-
-    lines = []
-    passed = True
-    for scenario in default_scenarios(small=True):
-        report = CrashMatrix(scenario).run()
-        lines.append(report.summary())
-        if not report.passed:
-            passed = False
-            for outcome in report.failures:
-                lines.append(f"  FAIL {outcome.site}: {outcome.detail}")
-    return passed, "\n".join(lines)
-
-
-def run_fleet() -> tuple[bool, str]:
-    """The fleet failover smoke; ``(passed, rendered summary)``.
-
-    Three shards serve a small synthetic title; the owning shard is
-    killed mid-batch by an injected crash. The smoke passes when the
-    failover is absorbed (no crash propagates), every displaced session
-    is accounted exactly once, and the deadline-miss SLO stays green.
-    """
-    from repro.blob.blob import MemoryBlob
-    from repro.codecs.jpeg_like import JpegLikeCodec
-    from repro.engine.fleet import Fleet
-    from repro.engine.recorder import Recorder
-    from repro.engine.vod import SessionRequest
-    from repro.faults.crash import CrashInjector, CrashSite
-    from repro.faults.disk import SimulatedMedium
-    from repro.media import frames
-    from repro.media.objects import video_object
-    from repro.obs import Observability
-
-    video = video_object(frames.scene(48, 36, 20, "orbit"), "feature")
-    movie = Recorder(MemoryBlob()).record(
-        [video], encoders={"feature": JpegLikeCodec(quality=40).encode},
-    )
-
-    def build(**kwargs) -> Fleet:
-        fleet = Fleet(bandwidth=2_000_000, shards=3, **kwargs)
-        fleet.publish("feature", movie)
-        return fleet
-
-    owner = build().route("feature")
-    clients = 5
-    fleet = build(
-        obs=Observability(),
-        checkpoint_fs=SimulatedMedium(),
-        crash={owner: CrashInjector(CrashSite("vod.serve.session", 2))},
-    )
-    report = fleet.serve([
-        SessionRequest(client=f"client-{i}", title="feature")
-        for i in range(clients)
-    ])
-    health = fleet.health()
-
-    checks = [
-        ("shard marked dead", owner in fleet.dead_shards),
-        ("exactly-once accounting",
-         report.recovered + report.admitted_count
-         + len(report.failed) == clients),
-        ("no failed sessions", not report.failed),
-        ("deadline-miss SLO green", any(
-            v.slo == "deadline-miss-rate" and v.ok for v in health.slo
-        )),
-    ]
-    passed = all(ok for _, ok in checks)
-    rows = [(name, "ok" if ok else "FAIL") for name, ok in checks]
-    rows.append(("dead shard", owner))
-    rows.append(("recovered / resumed / failed",
-                 f"{report.recovered} / {report.admitted_count} / "
-                 f"{len(report.failed)}"))
-    rows.append(("fleet status", health.status))
-    return passed, table_text(
-        ("check", "result"), rows,
-        title="fleet failover smoke (3 shards, mid-serve shard kill)",
-    )
-
-
-def run_telemetry() -> tuple[bool, str]:
-    """The telemetry pipeline smoke; ``(passed, rendered summary)``.
-
-    An overloaded single-shard serve (six staggered sessions against a
-    bandwidth sized for two) runs with the clock-driven scraper
-    attached. The smoke passes when a burn-rate alert fires *and*
-    resolves before the serve returns, the firing state is visible in
-    ``health()`` mid-serve, and a second same-seed run produces a
-    byte-identical store dump and alert timeline.
-    """
-    from repro.blob.blob import MemoryBlob
-    from repro.codecs.jpeg_like import JpegLikeCodec
-    from repro.core.rational import Rational
-    from repro.engine.recorder import Recorder
-    from repro.engine.vod import ServeOptions, SessionRequest, VodServer
-    from repro.media import frames
-    from repro.media.objects import video_object
-    from repro.obs import Observability
-    from repro.obs.telemetry import Telemetry
-
-    video = video_object(frames.scene(48, 36, 20, "orbit"), "feature")
-    movie = Recorder(MemoryBlob()).record(
-        [video], encoders={"feature": JpegLikeCodec(quality=40).encode},
-    )
-
-    def run() -> tuple[Telemetry, list[str]]:
-        telemetry = Telemetry()
-        server = VodServer(21_000, obs=Observability(),
-                           telemetry=telemetry)
-        server.publish("feature", movie)
-        seen_mid_serve: list[tuple[str, str, bool]] = []
-
-        def observe(alert, at) -> None:
-            health = server.health()
-            seen_mid_serve.append((
-                alert.state, health.status,
-                bool(health.firing_alerts),
-            ))
-
-        telemetry.alerts.on_transition = observe
-        server.serve(
-            [SessionRequest(client=f"client-{i}", title="feature",
-                            arrival_time=Rational(i, 8))
-             for i in range(6)],
-            ServeOptions(enforce_admission=False),
-        )
-        return telemetry, seen_mid_serve
-
-    first, mid_states = run()
-    second, _ = run()
-    states = {row["state"] for row in first.store.alert_rows()}
-    checks = [
-        ("alert fired during serve",
-         any(state == "firing" for state, _, _ in mid_states)),
-        ("firing visible in health() mid-serve",
-         any(state == "firing" and status != "ok" and visible
-             for state, status, visible in mid_states)),
-        ("alert resolved before serve returned", "resolved" in states),
-        ("store dump byte-identical",
-         first.store.dump() == second.store.dump()),
-        ("alert timeline identical",
-         first.store.alert_rows() == second.store.alert_rows()),
-    ]
-    passed = all(ok for _, ok in checks)
-    rows = [(name, "ok" if ok else "FAIL") for name, ok in checks]
-    rows.append(("scrapes", first.store.scrape_count))
-    rows.append(("alert transitions", len(first.store.alert_rows())))
-    return passed, table_text(
-        ("check", "result"), rows,
-        title="telemetry pipeline smoke (overloaded serve, dual run)",
-    )
-
-
 def run_bench_compare(baseline_path: str,
                       results_dir: str | Path | None = None
                       ) -> tuple[bool, str]:
@@ -275,8 +112,6 @@ def run_bench_compare(baseline_path: str,
     the current value drops below 75% of the baseline; other metrics
     are reported but never gate.
     """
-    import json
-
     baseline_file = Path(baseline_path)
     if not baseline_file.is_file():
         return False, f"bench-compare: no baseline at {baseline_path}"
@@ -346,29 +181,14 @@ def run_external(tool: str, arguments: list[str]) -> tuple[str, str]:
 
 
 def run_dataflow(ignore: tuple[str, ...] = (),
-                 root: str | None = None,
-                 baseline: Path | None = None,
-                 ) -> tuple[DiagnosticReport, int]:
-    """Run the dataflow engine; ``(fresh report, grandfathered count)``.
-
-    Over the default root (the installed ``repro`` package) the
-    committed baseline applies: findings whose fingerprints it lists
-    are split out and only fresh ones gate. A custom ``root`` gets no
-    baseline — everything it finds is fresh.
-    """
-    from repro.analysis.dataflow import (
-        DEFAULT_BASELINE,
-        check_paths,
-        check_repo,
-        load_baseline,
-        split_baselined,
-    )
+                 root: str | None = None) -> DiagnosticReport:
+    """Run the dataflow engine over the installed ``repro`` package, or
+    over ``root`` when given."""
+    from repro.analysis.dataflow import check_paths, check_repo
 
     if root is not None:
-        return check_paths([Path(root)], ignore=ignore), 0
-    report = check_repo(ignore=ignore)
-    known = load_baseline(DEFAULT_BASELINE if baseline is None else baseline)
-    return split_baselined(report, known)
+        return check_paths([Path(root)], ignore=ignore)
+    return check_repo(ignore=ignore)
 
 
 def rule_ranges() -> str:
@@ -414,25 +234,10 @@ def main(argv: list[str] | None = None) -> int:
                              "rules) over the library's own sources")
     parser.add_argument("--dataflow-root", metavar="PATH",
                         help="analyze this tree instead of the "
-                             "installed repro package (the committed "
-                             "baseline then does not apply)")
+                             "installed repro package")
     parser.add_argument("--sarif", metavar="PATH",
                         help="also write the dataflow report as SARIF "
                              "2.1.0 to PATH")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="regenerate the committed dataflow "
-                             "baseline from the current findings "
-                             "instead of gating on them")
-    parser.add_argument("--crash", action="store_true",
-                        help="run the reduced crash matrix over the "
-                             "simulated medium")
-    parser.add_argument("--fleet", action="store_true",
-                        help="run the fleet failover smoke: 3 shards, "
-                             "mid-serve shard kill, SLO must stay green")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="run the telemetry pipeline smoke: alert "
-                             "fires and resolves mid-serve, dual-run "
-                             "store dumps byte-identical")
     parser.add_argument("--bench-compare", metavar="BASELINE.json",
                         help="compare results/BENCH_*.json against a "
                              "saved baseline; >25%% throughput "
@@ -444,24 +249,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rule table and exit")
     parser.add_argument("--json", action="store_true",
-                        help="emit graph/lint reports as JSON")
+                        help="emit graph/lint/dataflow reports as JSON")
     parser.add_argument("--ignore", action="append", default=[],
                         metavar="RULE",
-                        help="suppress a rule id (repeatable)")
+                        help="drop a rule id for this run (repeatable)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
         print(list_rules_text())
         return 0
 
-    selected = {
-        stage for stage in ("graph", "lint", "dataflow", "crash", "fleet",
-                            "telemetry", "style", "types")
-        if getattr(args, stage)
-    }
+    stages = ("graph", "lint", "dataflow", "style", "types")
+    selected = {stage for stage in stages if getattr(args, stage)}
     if args.all or (not selected and not args.bench_compare):
-        selected = {"graph", "lint", "dataflow", "crash", "fleet",
-                    "telemetry", "style", "types"}
+        selected = set(stages)
     ignore = tuple(args.ignore)
 
     failed = []
@@ -475,68 +276,19 @@ def main(argv: list[str] | None = None) -> int:
             failed.append(stage)
 
     if "dataflow" in selected:
-        from repro.analysis.dataflow import (
-            DEFAULT_BASELINE,
-            baseline_payload,
-            sarif_report,
-        )
-        from repro.durability.atomic import atomic_write_bytes
+        report = run_dataflow(ignore, root=args.dataflow_root)
+        print(report.to_json() if args.json else report.render_text())
+        if not report.ok:
+            failed.append("dataflow")
+        if args.sarif:
+            from repro.analysis.dataflow import sarif_report
+            from repro.durability.atomic import atomic_write_bytes
 
-        if args.update_baseline:
-            if args.dataflow_root is not None:
-                print("dataflow: --update-baseline only applies to the "
-                      "default root")
-                failed.append("dataflow")
-                report = None
-            else:
-                from repro.analysis.dataflow import check_repo
-
-                # The baseline must carry every current finding, not
-                # just the ones the previous baseline missed.
-                report = check_repo(ignore=ignore)
-                atomic_write_bytes(
-                    str(DEFAULT_BASELINE), baseline_payload(report))
-                print(f"dataflow: baseline rewritten with "
-                      f"{len(report.diagnostics)} finding(s) at "
-                      f"{DEFAULT_BASELINE}")
-        else:
-            report, grandfathered = run_dataflow(
-                ignore, root=args.dataflow_root)
-            print(report.to_json() if args.json else report.render_text())
-            if grandfathered:
-                print(f"({grandfathered} baselined finding(s) not shown; "
-                      "--update-baseline regenerates)")
-            if not report.ok:
-                failed.append("dataflow")
-        if args.sarif and report is not None:
-            import json as _json
-
-            atomic_write_bytes(args.sarif, _json.dumps(
+            atomic_write_bytes(args.sarif, json.dumps(
                 sarif_report(report), indent=2, sort_keys=True,
             ).encode("utf-8") + b"\n")
             print(f"dataflow: SARIF written to {args.sarif}")
         print()
-
-    if "crash" in selected:
-        crash_ok, crash_text = run_crash()
-        print(crash_text)
-        print()
-        if not crash_ok:
-            failed.append("crash")
-
-    if "fleet" in selected:
-        fleet_ok, fleet_text = run_fleet()
-        print(fleet_text)
-        print()
-        if not fleet_ok:
-            failed.append("fleet")
-
-    if "telemetry" in selected:
-        telemetry_ok, telemetry_text = run_telemetry()
-        print(telemetry_text)
-        print()
-        if not telemetry_ok:
-            failed.append("telemetry")
 
     if args.bench_compare:
         bench_ok, bench_text = run_bench_compare(args.bench_compare)

@@ -1,5 +1,5 @@
-"""Tests for the dataflow engine: solver, DF rules, suppressions,
-baseline and SARIF.
+"""Tests for the dataflow engine: solver, DF rules, suppressions and
+SARIF.
 
 Every DF rule gets a *firing* fixture asserting the exact line and a
 *silent* fixture showing the compliant form of the same code — the
@@ -15,17 +15,13 @@ import pytest
 from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import (
     Analysis,
-    baseline_payload,
     check_paths,
     exit_states,
-    is_suppressed,
-    load_baseline,
-    parse_suppressions,
     sarif_report,
     solve,
-    split_baselined,
     validate_sarif,
 )
+from repro.analysis.diagnostics import is_suppressed, parse_suppressions
 from repro.analysis.lattice import MapLattice, PowersetLattice
 from repro.errors import AnalysisError
 
@@ -583,7 +579,7 @@ class TestSuppressions:
 
 
 # ---------------------------------------------------------------------------
-# ignore= and baseline
+# ignore=
 # ---------------------------------------------------------------------------
 
 class TestIgnoreAndBaseline:
@@ -596,40 +592,6 @@ class TestIgnoreAndBaseline:
     def test_ignore_drops_a_rule_id(self, tmp_path):
         assert fired(df(tmp_path, self.SOURCE, ignore=("DF001",)),
                      "DF001") == []
-
-    def test_baseline_grandfathers_known_findings(self, tmp_path):
-        report = df(tmp_path, self.SOURCE)
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_bytes(baseline_payload(report))
-        fresh, grandfathered = split_baselined(
-            report, load_baseline(baseline_file))
-        assert grandfathered == 1
-        assert fresh.diagnostics == []
-
-    def test_baseline_survives_line_shifts(self, tmp_path):
-        baseline = load_baseline_bytes(
-            baseline_payload(df(tmp_path, self.SOURCE)))
-        moved = df(tmp_path, "# pushed down two lines\n\n"
-                   + textwrap.dedent(self.SOURCE))
-        fresh, grandfathered = split_baselined(moved, baseline)
-        assert grandfathered == 1
-        assert fresh.diagnostics == []
-
-    def test_new_findings_stay_fresh(self, tmp_path):
-        report = df(tmp_path, self.SOURCE)
-        fresh, grandfathered = split_baselined(report, set())
-        assert grandfathered == 0
-        assert len(fresh.diagnostics) == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == set()
-
-
-def load_baseline_bytes(payload: bytes):
-    return {
-        (row["rule"], row["location"], row["message"])
-        for row in json.loads(payload)["findings"]
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,7 @@ class TestFailover:
         assert report.recovered == 2
         assert report.recovered + report.admitted_count \
             + len(report.failed) == 5
+        assert report.failed == []
         assert all(s.resumed for s in report.admitted)
 
     def test_failover_health_rollup(self, movie, short):
@@ -203,6 +204,25 @@ class TestFailover:
         assert report.recovered == 0
         assert report.admitted_count + len(report.failed) == 5
         assert owner in fleet.dead_shards
+
+    def test_later_batch_never_resumes_an_earlier_batchs_checkpoint(
+            self, movie, short):
+        # The owner finishes one batch, then dies at the first session
+        # of the next, before that batch wrote any checkpoint: the next
+        # batch re-serves whole instead of resuming the finished one.
+        owner = build_fleet(movie, short).route("feature")
+        fleet = build_fleet(
+            movie, short, checkpoint_fs=SimulatedMedium(),
+            crash={owner: CrashInjector(CrashSite("vod.serve.session", 1))},
+        )
+        fleet.serve(requests(1))
+        late = [SessionRequest(client=f"late-{i}", title="feature")
+                for i in range(2)]
+        report = fleet.serve(late)
+        assert fleet.dead_shards == [owner]
+        assert report.recovered == 0
+        assert sorted(s.identity for s in report.admitted) == \
+            [r.key for r in late]
 
 
 class TestFleetHealth:
@@ -278,3 +298,38 @@ class TestFleetTelemetry:
         second = self.overloaded_serve(movie, short)[1]
         assert first.store.dump() == second.store.dump()
         assert first.store.alert_rows() == second.store.alert_rows()
+
+    def test_dead_shards_alerts_cool_after_failover(self):
+        # The owner dies mid-batch while its burn-rate alerts are hot;
+        # its batch never reaches its own drain, so failover must cool
+        # them or they stay active for the fleet's lifetime.
+        from repro.core.rational import Rational
+        from repro.obs.telemetry import Telemetry
+
+        movie = make_title("feature", frame_count=20)
+
+        def build(**kwargs):
+            fleet = Fleet(bandwidth=21_000, shards=3, **kwargs)
+            fleet.publish("feature", movie)
+            return fleet
+
+        owner = build().route("feature")
+        telemetry = Telemetry()
+        fleet = build(
+            obs=Observability(), telemetry=telemetry,
+            checkpoint_fs=SimulatedMedium(),
+            crash={owner: CrashInjector(CrashSite("vod.serve.session", 10))},
+        )
+        fleet.serve(
+            [SessionRequest(client=f"client-{i}", title="feature",
+                            arrival_time=Rational(i, 4))
+             for i in range(16)],
+            ServeOptions(enforce_admission=False),
+        )
+        assert fleet.dead_shards == [owner]
+        fired = {(row["alert"], row["source"])
+                 for row in telemetry.store.alert_rows()
+                 if row["state"] == "firing"}
+        assert ("deadline-miss-burn", owner) in fired
+        assert telemetry.alerts.active() == []
+        assert fleet.health().firing_alerts == ()

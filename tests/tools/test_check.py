@@ -30,6 +30,14 @@ class TestCheckCli:
         out = capsys.readouterr().out
         assert "graph:exemplars" in out
 
+    def test_no_stage_flag_runs_every_static_stage(self, capsys):
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        for stage in ("graph:exemplars", "lint:repro", "dataflow:repro",
+                      "style (ruff)", "types (mypy)"):
+            assert stage in out
+        assert "check passed" in out
+
     def test_missing_external_tools_skip_not_fail(self, capsys):
         status, detail = run_external("definitely-not-a-tool", [])
         assert status == "skipped"
@@ -46,36 +54,6 @@ class TestGraphStage:
 
     def test_rule_table_text_is_deterministic(self):
         assert list_rules_text() == list_rules_text()
-
-
-class TestCrashStage:
-    def test_crash_stage_passes(self, capsys):
-        assert main(["--crash"]) == 0
-        out = capsys.readouterr().out
-        assert "crash matrix [container]" in out
-        assert "crash matrix [page-store]" in out
-        assert "0 failures" in out
-        assert "check passed" in out
-
-
-class TestTelemetryStage:
-    def test_telemetry_stage_passes(self, capsys):
-        assert main(["--telemetry"]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry pipeline smoke" in out
-        assert "alert fired during serve" in out
-        assert "check passed" in out
-
-    def test_smoke_reports_full_alert_lifecycle(self):
-        from repro.tools.check import run_telemetry
-
-        passed, text = run_telemetry()
-        assert passed
-        for check in ("firing visible in health() mid-serve",
-                      "alert resolved before serve returned",
-                      "store dump byte-identical",
-                      "alert timeline identical"):
-            assert check in text
 
 
 class TestBenchCompare:
@@ -190,36 +168,3 @@ class TestDataflowStage:
         assert payload["runs"][0]["results"][0]["ruleId"] == "DF001"
         assert "SARIF written" in capsys.readouterr().out
 
-    def test_committed_baseline_is_current(self):
-        # the shipped baseline must describe the tree as committed: a
-        # regeneration produces byte-identical content (and today the
-        # tree is clean, so the baseline is empty)
-        from repro.analysis.dataflow import (
-            DEFAULT_BASELINE,
-            baseline_payload,
-            check_repo,
-        )
-
-        assert DEFAULT_BASELINE.is_file()
-        assert baseline_payload(check_repo()) == \
-            DEFAULT_BASELINE.read_bytes()
-
-    def test_update_baseline_refuses_custom_roots(self, tmp_path, capsys):
-        assert main(["--dataflow", "--dataflow-root", str(tmp_path),
-                     "--update-baseline"]) == 1
-        assert "only applies to the default root" in \
-            capsys.readouterr().out
-
-    def test_update_baseline_writes_deterministic_payload(
-            self, tmp_path, monkeypatch, capsys):
-        # redirect the committed baseline into tmp and regenerate twice
-        import repro.tools.check as check_mod
-        from repro.analysis import dataflow
-
-        target = tmp_path / "dataflow_baseline.json"
-        monkeypatch.setattr(dataflow, "DEFAULT_BASELINE", target)
-        assert check_mod.main(["--dataflow", "--update-baseline"]) == 0
-        first = target.read_bytes()
-        assert check_mod.main(["--dataflow", "--update-baseline"]) == 0
-        assert target.read_bytes() == first
-        assert "baseline rewritten" in capsys.readouterr().out
