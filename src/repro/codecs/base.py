@@ -9,9 +9,12 @@ interface is deliberately tiny.
 
 from __future__ import annotations
 
+import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
+
+from repro.errors import CodecError
 
 
 class Codec(ABC):
@@ -63,3 +66,21 @@ class EncodedFrame:
     @property
     def is_key(self) -> bool:
         return self.kind == "I"
+
+
+def read_header(layout: struct.Struct, magic: bytes, data: bytes) -> tuple:
+    """The fields after ``magic`` of the ``layout`` header opening ``data``."""
+    if len(data) < layout.size:
+        raise CodecError("frame too short for header")
+    fields = layout.unpack_from(data)
+    if fields[0] != magic:
+        raise CodecError(f"bad magic {fields[0]!r}")
+    return fields[1:]
+
+
+def read_part(data: bytes, offset: int) -> tuple[bytes, int]:
+    """The u32-length-prefixed part at ``offset``, and the offset past it."""
+    end = offset + 4 + int.from_bytes(data[offset:offset + 4], "big")
+    if end > len(data):
+        raise CodecError("frame truncated inside a part")
+    return data[offset + 4:end], end

@@ -27,7 +27,7 @@ import struct
 
 import numpy as np
 
-from repro.codecs.base import Codec
+from repro.codecs.base import Codec, read_header
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.errors import CodecError
 
@@ -84,11 +84,7 @@ class DviLikeCodec(Codec):
 
     def decode(self, data: bytes) -> np.ndarray:
         """Decode either format to the original geometry."""
-        if len(data) < _WRAPPER.size:
-            raise CodecError("DVI-like frame too short")
-        magic, format_code, w, h = _WRAPPER.unpack_from(data)
-        if magic != _MAGIC:
-            raise CodecError(f"bad DVI-like magic {magic!r}")
+        format_code, w, h = read_header(_WRAPPER, _MAGIC, data)
         inner = data[_WRAPPER.size:]
         if format_code == _FORMAT_PLV:
             return self._plv.decode(inner)
@@ -101,11 +97,7 @@ class DviLikeCodec(Codec):
     @staticmethod
     def format_of(data: bytes) -> str:
         """Which format a frame was encoded in (for descriptors)."""
-        if len(data) < _WRAPPER.size:
-            raise CodecError("DVI-like frame too short")
-        magic, format_code, _, _ = _WRAPPER.unpack_from(data)
-        if magic != _MAGIC:
-            raise CodecError(f"bad DVI-like magic {magic!r}")
+        format_code = read_header(_WRAPPER, _MAGIC, data)[0]
         return "PLV" if format_code == _FORMAT_PLV else "RTV"
 
     def reduce_frame_rate(self, frames: list[np.ndarray],

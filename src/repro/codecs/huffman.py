@@ -14,10 +14,15 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from functools import cached_property
+
+import numpy as np
 
 from repro.errors import CodecError
 
 MAX_CODE_LENGTH = 15
+#: Bit offsets within a byte, for the windows that start in it.
+_BIT_OFFSETS = np.arange(8)
 
 
 def code_lengths(data: bytes) -> list[int]:
@@ -55,21 +60,26 @@ def code_lengths(data: bytes) -> list[int]:
 
 
 def _huffman_lengths(frequencies: dict[int, int]) -> dict[int, int]:
-    """Standard Huffman tree construction returning code lengths."""
-    heap: list[tuple[int, int, list[int]]] = [
-        (freq, symbol, [symbol]) for symbol, freq in frequencies.items()
-    ]
+    """Standard Huffman tree construction returning code lengths.
+
+    A leaf's id is its symbol and a merged node's is 256 plus its merge
+    number; equal frequencies pop the smaller id first.
+    """
+    heap = [(freq, symbol) for symbol, freq in frequencies.items()]
     heapq.heapify(heap)
-    lengths = {symbol: 0 for symbol in frequencies}
-    counter = 256  # tie-break id beyond symbol range
+    merges: list[tuple[int, int]] = []
     while len(heap) > 1:
-        fa, _, symbols_a = heapq.heappop(heap)
-        fb, _, symbols_b = heapq.heappop(heap)
-        for s in symbols_a + symbols_b:
-            lengths[s] += 1
-        heapq.heappush(heap, (fa + fb, counter, symbols_a + symbols_b))
-        counter += 1
-    return lengths
+        fa, a = heapq.heappop(heap)
+        fb, b = heapq.heappop(heap)
+        heapq.heappush(heap, (fa + fb, 256 + len(merges)))
+        merges.append((a, b))
+    # From the root (the last merge) down, each child is one level deeper.
+    depths: dict[int, int] = {}
+    for node in range(len(merges) - 1, -1, -1):
+        depth = depths.get(256 + node, 0) + 1
+        for child in merges[node]:
+            depths[child] = depth
+    return {node: depth for node, depth in depths.items() if node < 256}
 
 
 def canonical_codes(lengths: list[int]) -> dict[int, tuple[int, int]]:
@@ -93,78 +103,106 @@ def canonical_codes(lengths: list[int]) -> dict[int, tuple[int, int]]:
 
 
 class HuffmanCodec:
-    """Encode/decode byte strings with a canonical Huffman code."""
+    """Encode/decode byte strings with a canonical Huffman code.
+
+    Each side builds its own table on first use: the encoder a bit
+    string per symbol, the decoder a table over every ``width``-bit
+    window, ``width`` being the longest code length.
+    """
 
     def __init__(self, lengths: list[int]):
         if len(lengths) != 256:
             raise CodecError(f"need 256 code lengths, got {len(lengths)}")
+        if min(lengths) < 0 or max(lengths) > MAX_CODE_LENGTH:
+            raise CodecError(f"code lengths must be in 0..{MAX_CODE_LENGTH}")
+        # Kraft: prefix-free codes of these lengths exist iff the sum of
+        # 2**-l is at most 1; in units of 2**-MAX_CODE_LENGTH:
+        full = 1 << MAX_CODE_LENGTH
+        if sum(map(full.__rshift__, filter(None, lengths))) > full:
+            raise CodecError("code lengths over-subscribe the code space")
         self.lengths = list(lengths)
-        self.codes = canonical_codes(self.lengths)
-        # Decoding table: (length, code) -> symbol.
-        self._decode_table = {
-            (length, code): symbol
-            for symbol, (code, length) in self.codes.items()
-        }
 
     @classmethod
     def for_data(cls, data: bytes) -> "HuffmanCodec":
         return cls(code_lengths(data))
 
+    @cached_property
+    def _bit_strings(self) -> list[str | None]:
+        strings: list[str | None] = [None] * 256
+        for symbol, (code, length) in canonical_codes(self.lengths).items():
+            strings[symbol] = format(code, f"0{length}b")
+        return strings
+
     def encode(self, data: bytes) -> bytes:
         """Encode; the result is framed with the original length.
 
-        Bits are accumulated in a Python int and flushed a byte at a
-        time — roughly an order of magnitude faster than per-bit calls,
-        which matters because every video frame passes through here.
+        The codes are joined as one string of ``0``/``1`` and converted
+        to bytes in one call.
         """
-        codes = self.codes
-        out = bytearray()
-        accumulator = 0
-        bit_count = 0
+        strings = self._bit_strings
         try:
-            for byte in data:
-                code, length = codes[byte]
-                accumulator = (accumulator << length) | code
-                bit_count += length
-                while bit_count >= 8:
-                    bit_count -= 8
-                    out.append((accumulator >> bit_count) & 0xFF)
-                accumulator &= (1 << bit_count) - 1
-        except KeyError:
-            raise CodecError(f"symbol {byte} not in codebook") from None
-        if bit_count:
-            out.append((accumulator << (8 - bit_count)) & 0xFF)
-        return len(data).to_bytes(4, "big") + bytes(out)
+            bits = "".join(map(strings.__getitem__, data))
+        except TypeError:
+            symbol = next(byte for byte in data if strings[byte] is None)
+            raise CodecError(f"symbol {symbol} not in codebook") from None
+        bits += "0" * (-len(bits) % 8)
+        payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+        return len(data).to_bytes(4, "big") + payload
+
+    @cached_property
+    def _window_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """``(width, length_of, symbol_of)`` over every ``width``-bit window.
+
+        In canonical order, each code of length ``l`` owns the next
+        ``2**(width - l)`` windows; windows past the last code start
+        none and get length 0.
+        """
+        codes = canonical_codes(self.lengths)
+        width = max(self.lengths)
+        lengths = [length for _, length in codes.values()]
+        spans = [1 << (width - length) for length in lengths]
+        length_of = np.zeros(1 << width, dtype=np.intp)
+        symbol_of = np.zeros(1 << width, dtype=np.uint8)
+        length_of[:sum(spans)] = np.repeat(lengths, spans)
+        symbol_of[:sum(spans)] = np.repeat(list(codes), spans)
+        return width, length_of, symbol_of
 
     def decode(self, data: bytes) -> bytes:
+        """Invert :meth:`encode` with one table lookup per symbol.
+
+        NumPy forms the window that starts at every bit position and
+        looks up the code it starts; a walk from bit 0 then hops from
+        each code to the next. Positions past the end lead to one sink,
+        windows that start no code to another.
+        """
         if len(data) < 4:
             raise CodecError("huffman frame too short")
         count = int.from_bytes(data[:4], "big")
-        payload = data[4:]
-        table = self._decode_table
-        out = bytearray()
-        max_length = max(self.lengths) if any(self.lengths) else 0
-        total_bits = len(payload) * 8
-        bit_position = 0
-        get = table.get
-        for _ in range(count):
-            code = 0
-            length = 0
-            while True:
-                if bit_position >= total_bits:
-                    raise CodecError("bit stream exhausted")
-                bit = (payload[bit_position >> 3]
-                       >> (7 - (bit_position & 7))) & 1
-                bit_position += 1
-                code = (code << 1) | bit
-                length += 1
-                symbol = get((length, code))
-                if symbol is not None:
-                    out.append(symbol)
-                    break
-                if length > max_length:
-                    raise CodecError("invalid huffman bit stream")
-        return bytes(out)
+        if not count:
+            return b""
+        total = (len(data) - 4) * 8
+        if count > total:  # every code is at least one bit long
+            raise CodecError("bit stream exhausted")
+        width, length_of, symbol_of = self._window_tables
+        padded = np.frombuffer(data[4:] + b"\0\0", dtype=np.uint8).astype(np.intp)
+        words = (padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]
+        windows = ((words[:, None] >> (24 - width - _BIT_OFFSETS))
+                   & ((1 << width) - 1)).ravel()
+        lengths = length_of[windows]
+        exhausted = total + width
+        invalid = exhausted + 1
+        step = np.full(invalid + 1, exhausted, dtype=np.intp)
+        step[:total] = np.where(lengths, np.arange(total) + lengths, invalid)
+        step[invalid] = invalid
+        hop = memoryview(step)
+        position = 0
+        path = [0] + [position := hop[position] for _ in range(count)]
+        if position == invalid:
+            raise CodecError("invalid huffman bit stream")
+        if position > total:
+            raise CodecError("bit stream exhausted")
+        starts = np.fromiter(path, dtype=np.intp, count=count)
+        return symbol_of[windows[starts]].tobytes()
 
     def header(self) -> bytes:
         """The 256-byte code-length header."""

@@ -32,7 +32,7 @@ import struct
 import numpy as np
 
 from repro.codecs import dct
-from repro.codecs.base import Codec
+from repro.codecs.base import Codec, read_header, read_part
 from repro.codecs.color import (
     SUBSAMPLING,
     rgb_to_yuv,
@@ -41,7 +41,6 @@ from repro.codecs.color import (
     yuv_to_rgb,
 )
 from repro.codecs.huffman import huffman_compress, huffman_decompress
-from repro.codecs.varint import read_svarint, write_svarint
 from repro.errors import CodecError
 
 _MAGIC = b"RJ1\x00"
@@ -58,60 +57,81 @@ def encode_plane_coefficients(quantized: np.ndarray) -> bytes:
 
     Per block: signed varint of the DC delta (vs the previous block's
     DC), then (run, level) pairs over the 63 AC coefficients in zigzag
-    order, terminated by an end-of-block byte.
+    order, terminated by an end-of-block byte. A signed varint is the
+    LEB128 varint of the folded value: ``v`` maps to ``2v`` and ``-v``
+    to ``2v - 1``.
     """
-    vectors = dct.zigzag_scan(quantized)
-    block_count = vectors.shape[0]
-    # Vectorize the sparse structure once: DC deltas and the global
-    # (block, position, value) triplets of nonzero AC coefficients.
-    dc = vectors[:, 0].astype(np.int64)
-    dc_delta = np.diff(dc, prepend=0)
-    block_index, position = np.nonzero(vectors[:, 1:])
-    values = vectors[:, 1:][block_index, position]
-    block_index = block_index.tolist()
-    position = position.tolist()
-    values = values.tolist()
-    dc_delta = dc_delta.tolist()
+    vectors = dct.zigzag_scan(quantized).astype(np.int64)
+    dc = vectors[:, 0].copy()
+    vectors[1:, 0] -= dc[:-1]
+    # Every DC delta and every nonzero AC level, in stream order; each is
+    # written after the byte that precedes it: an end-of-block byte
+    # before a DC delta (the first one is dropped), a run before a level.
+    present = vectors != 0
+    present[:, 0] = True
+    flat = np.flatnonzero(present)
+    position = flat & 63
+    values = vectors.ravel()[flat]
+    values = np.where(values < 0, (-values << 1) - 1, values << 1)
+    prefixes = position - 1
+    prefixes[1:] -= position[:-1]
+    prefixes[position == 0] = _EOB
 
     out = bytearray()
-    pointer = 0
-    total = len(block_index)
-    for block in range(block_count):
-        write_svarint(out, dc_delta[block])
-        previous = -1
-        while pointer < total and block_index[pointer] == block:
-            pos = position[pointer]
-            out.append(pos - previous - 1)
-            previous = pos
-            write_svarint(out, values[pointer])
-            pointer += 1
-        out.append(_EOB)
-    return bytes(out)
+    append = out.append
+    for prefix, value in zip(prefixes.tolist(), values.tolist()):
+        append(prefix)
+        while value > 0x7F:
+            append(value & 0x7F | 0x80)
+            value >>= 7
+        append(value)
+    append(_EOB)
+    return bytes(out[1:])
 
 
 def decode_plane_coefficients(data: bytes, block_count: int) -> np.ndarray:
     """Invert :func:`encode_plane_coefficients`."""
-    vectors = np.zeros((block_count, 64), dtype=np.int16)
+    if 2 * block_count > len(data):  # a block takes a DC byte and an EOB
+        raise CodecError("coefficient stream exhausted mid-block")
+    vectors = np.zeros(block_count * 64, dtype=np.int16)
+    coefficients = memoryview(vectors)
     offset = 0
-    previous_dc = 0
-    for index in range(block_count):
-        delta, offset = read_svarint(data, offset)
-        previous_dc += delta
-        vectors[index, 0] = previous_dc
-        position = 0
-        while True:
-            if offset >= len(data):
-                raise CodecError("coefficient stream exhausted mid-block")
-            run = data[offset]
-            offset += 1
-            if run == _EOB:
-                break
-            position += run + 1
-            if position > 63:
-                raise CodecError(f"AC position {position} out of range")
-            level, offset = read_svarint(data, offset)
-            vectors[index, position] = level
-    return dct.zigzag_unscan(vectors)
+    dc = 0
+    try:
+        for base in range(0, block_count * 64, 64):
+            index = base
+            while True:  # one varint per coefficient, the DC delta first
+                value = data[offset]
+                offset += 1
+                if value > 0x7F:
+                    value &= 0x7F
+                    shift = 7
+                    while True:
+                        byte = data[offset]
+                        offset += 1
+                        value |= (byte & 0x7F) << shift
+                        if byte < 0x80:
+                            break
+                        shift += 7
+                        if shift > 63:
+                            raise CodecError("varint too long")
+                level = -(value >> 1) - 1 if value & 1 else value >> 1
+                if index == base:
+                    dc += level
+                    level = dc
+                coefficients[index] = level
+                run = data[offset]
+                offset += 1
+                if run == _EOB:
+                    break
+                index += run + 1
+                if index - base > 63:
+                    raise CodecError(f"AC position {index - base} out of range")
+    except IndexError:
+        raise CodecError("coefficient stream exhausted mid-block") from None
+    except ValueError:  # the memoryview takes int16 values only
+        raise CodecError("coefficient outside the int16 range") from None
+    return dct.zigzag_unscan(vectors.reshape(block_count, 64))
 
 
 def _encode_plane(plane: np.ndarray, table: np.ndarray) -> bytes:
@@ -176,11 +196,7 @@ class JpegLikeCodec(Codec):
 
     def decode(self, data: bytes) -> np.ndarray:
         """Decode back to a uint8 RGB frame."""
-        if len(data) < _HEADER.size:
-            raise CodecError("frame too short for header")
-        magic, w, h, quality, scheme_code = _HEADER.unpack_from(data)
-        if magic != _MAGIC:
-            raise CodecError(f"bad magic {magic!r}")
+        w, h, quality, scheme_code = read_header(_HEADER, _MAGIC, data)
         if scheme_code >= len(_SCHEMES):
             raise CodecError(f"bad subsampling code {scheme_code}")
         scheme = _SCHEMES[scheme_code]
@@ -193,10 +209,8 @@ class JpegLikeCodec(Codec):
         for shape, table in (((h, w), luma_table),
                              (chroma_shape, chroma_table),
                              (chroma_shape, chroma_table)):
-            (length,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            planes.append(_decode_plane(data[offset:offset + length], shape, table))
-            offset += length
+            part, offset = read_part(data, offset)
+            planes.append(_decode_plane(part, shape, table))
         y, u, v = upsample_yuv(*planes, scheme)
         return yuv_to_rgb(y, u, v)
 

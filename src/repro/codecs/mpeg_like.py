@@ -32,7 +32,7 @@ import struct
 import numpy as np
 
 from repro.codecs import dct
-from repro.codecs.base import EncodedFrame
+from repro.codecs.base import EncodedFrame, read_header, read_part
 from repro.codecs.color import (
     rgb_to_yuv,
     subsample_yuv,
@@ -140,9 +140,7 @@ class MpegLikeCodec:
     def _decode_predicted(self, data: bytes,
                           prediction: np.ndarray) -> np.ndarray:
         """Invert :meth:`_encode_predicted` given the same prediction."""
-        magic, w, h, quality = _RESIDUAL_HEADER.unpack_from(data)
-        if magic != _RESIDUAL_MAGIC:
-            raise CodecError(f"bad residual magic {magic!r}")
+        quality = read_header(_RESIDUAL_HEADER, _RESIDUAL_MAGIC, data)[2]
         luma_table = dct.scale_quant_table(dct.LUMA_QUANT, quality)
         chroma_table = dct.scale_quant_table(dct.CHROMA_QUANT, quality)
         predicted_planes = self._planes(prediction)
@@ -153,10 +151,8 @@ class MpegLikeCodec:
             ph, pw = predicted.shape
             rows = (ph + dct.BLOCK - 1) // dct.BLOCK
             cols = (pw + dct.BLOCK - 1) // dct.BLOCK
-            (length,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            symbols = huffman_decompress(data[offset:offset + length])
-            offset += length
+            part, offset = read_part(data, offset)
+            symbols = huffman_decompress(part)
             quantized = decode_plane_coefficients(symbols, rows * cols)
             blocks = dct.inverse_dct(dct.dequantize(quantized, table))
             planes.append(predicted + dct.from_blocks(blocks, (ph, pw)))
@@ -225,6 +221,8 @@ class MpegLikeCodec:
         following = [r for r in references if r > index and r in reconstructed]
         if following:
             nxt = min(following)
+            if reconstructed[nxt].shape != reconstructed[previous].shape:
+                raise CodecError(f"the references of frame {index} differ in shape")
             average = (
                 reconstructed[previous].astype(np.float32)
                 + reconstructed[nxt].astype(np.float32)

@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from repro.codecs import dct
-from repro.codecs.base import Codec
+from repro.codecs.base import Codec, read_header, read_part
 from repro.codecs.huffman import huffman_compress, huffman_decompress
 from repro.codecs.jpeg_like import (
     JpegLikeCodec,
@@ -127,10 +127,8 @@ class ScalableVideoCodec(Codec):
         offset = 0
         channels = []
         for _ in range(3):
-            (length,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            symbols = huffman_decompress(data[offset:offset + length])
-            offset += length
+            part, offset = read_part(data, offset)
+            symbols = huffman_decompress(part)
             quantized = decode_plane_coefficients(symbols, rows * cols)
             blocks = dct.inverse_dct(dct.dequantize(quantized, self._residual_table))
             channels.append(dct.from_blocks(blocks, (h, w)))
@@ -148,43 +146,33 @@ class ScalableVideoCodec(Codec):
         Lower levels return lower-resolution frames and *read fewer
         bytes* — the storage-unit-skipping behaviour the paper describes.
         """
-        magic, w, h, levels = _HEADER.unpack_from(data)
-        if magic != _MAGIC:
-            raise CodecError(f"bad magic {magic!r}")
+        w, h, levels = read_header(_HEADER, _MAGIC, data)
         if level is None:
             level = levels - 1
         if not 0 <= level < levels:
             raise CodecError(f"level must be in [0, {levels}), got {level}")
 
         shapes = self.layer_shapes((h, w), levels)
-        offset = _HEADER.size
-        (length,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        reconstruction = self._intra.decode(
-            data[offset:offset + length]
-        ).astype(np.float32)
-        offset += length
+        base, offset = read_part(data, _HEADER.size)
+        reconstruction = self._intra.decode(base).astype(np.float32)
+        if reconstruction.shape[:2] != shapes[0]:
+            raise CodecError("base layer shape disagrees with the header")
         for current in range(1, level + 1):
-            (length,) = struct.unpack_from(">I", data, offset)
-            offset += 4
+            part, offset = read_part(data, offset)
             th, tw = shapes[current]
             predicted = _upsample2(reconstruction, th, tw)
-            residual = self._decode_residual(data[offset:offset + length], (th, tw))
-            offset += length
+            residual = self._decode_residual(part, (th, tw))
             reconstruction = np.clip(predicted + residual, 0, 255)
         return np.clip(np.rint(reconstruction), 0, 255).astype(np.uint8)
 
     def bytes_at_level(self, data: bytes, level: int | None = None) -> int:
         """Bytes a decoder must read to reach ``level`` (bandwidth saved)."""
-        magic, w, h, levels = _HEADER.unpack_from(data)
-        if magic != _MAGIC:
-            raise CodecError(f"bad magic {magic!r}")
+        levels = read_header(_HEADER, _MAGIC, data)[2]
         if level is None:
             level = levels - 1
         offset = _HEADER.size
-        for current in range(level + 1):
-            (length,) = struct.unpack_from(">I", data, offset)
-            offset += 4 + length
+        for _ in range(level + 1):
+            offset = read_part(data, offset)[1]
         return offset
 
     @staticmethod

@@ -1,22 +1,12 @@
-"""Variable-length integer coding (LEB128 + zigzag sign folding).
+"""Unsigned LEB128 varints, for the MIDI delta-time encoder.
 
-Shared by the JPEG-like and MPEG-like coefficient serializers and the
-MIDI delta-time encoder.
+The coefficient coders of :mod:`repro.codecs.jpeg_like` write and parse
+their signed varints inline.
 """
 
 from __future__ import annotations
 
 from repro.errors import CodecError
-
-
-def zigzag_int(value: int) -> int:
-    """Fold a signed int to unsigned: 0,-1,1,-2,2 -> 0,1,2,3,4."""
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
-
-
-def unzigzag_int(value: int) -> int:
-    """Invert :func:`zigzag_int`."""
-    return (value >> 1) if value % 2 == 0 else -((value + 1) >> 1)
 
 
 def write_uvarint(out: bytearray, value: int) -> None:
@@ -48,14 +38,3 @@ def read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
         if shift > 63:
             raise CodecError("varint too long")
-
-
-def write_svarint(out: bytearray, value: int) -> None:
-    """Append a signed (zigzag-folded) varint."""
-    write_uvarint(out, zigzag_int(value))
-
-
-def read_svarint(data: bytes, offset: int) -> tuple[int, int]:
-    """Read a signed (zigzag-folded) varint."""
-    value, offset = read_uvarint(data, offset)
-    return unzigzag_int(value), offset

@@ -1,0 +1,139 @@
+"""Reference coders: the slow, obviously-correct oracles for the codec kernels.
+
+The library decodes Huffman codes through a window table and writes and
+parses the coefficient varints inline. These are the per-bit decoder and
+the per-call varint coders that it replaced; property tests hold the
+library to them byte for byte.
+
+One fix against the originals: the sign fold is ``v << 1`` for ``v >= 0``
+and ``(-v << 1) - 1`` below zero. The C idiom ``(v << 1) ^ (v >> 63)``
+is wrong for Python ints of 2**63 and above (2**63 came back as
+``-(2**63 + 1)``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.codecs import dct
+from repro.codecs.huffman import canonical_codes
+from repro.codecs.varint import read_uvarint, write_uvarint
+from repro.errors import CodecError
+
+EOB = 255
+
+
+def zigzag_int(value: int) -> int:
+    """Fold a signed int to unsigned: 0,-1,1,-2,2 -> 0,1,2,3,4."""
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
+
+
+def unzigzag_int(value: int) -> int:
+    """Invert :func:`zigzag_int`."""
+    return (value >> 1) if value % 2 == 0 else -((value + 1) >> 1)
+
+
+def write_svarint(out: bytearray, value: int) -> None:
+    """Append a signed (zigzag-folded) varint."""
+    write_uvarint(out, zigzag_int(value))
+
+
+def read_svarint(data: bytes, offset: int) -> tuple[int, int]:
+    """Read a signed (zigzag-folded) varint."""
+    value, offset = read_uvarint(data, offset)
+    return unzigzag_int(value), offset
+
+
+def huffman_encode(lengths: list[int], data: bytes) -> bytes:
+    """Canonical Huffman encode, framed with the symbol count."""
+    codes = canonical_codes(lengths)
+    accumulator = 0
+    bit_count = 0
+    for byte in data:
+        if byte not in codes:
+            raise CodecError(f"symbol {byte} not in codebook")
+        code, length = codes[byte]
+        accumulator = (accumulator << length) | code
+        bit_count += length
+    accumulator <<= -bit_count % 8
+    payload = accumulator.to_bytes((bit_count + 7) // 8, "big")
+    return len(data).to_bytes(4, "big") + payload
+
+
+def huffman_decode(lengths: list[int], data: bytes) -> bytes:
+    """Canonical Huffman decode, one bit and one dict lookup at a time."""
+    if len(data) < 4:
+        raise CodecError("huffman frame too short")
+    count = int.from_bytes(data[:4], "big")
+    payload = data[4:]
+    table = {(length, code): symbol
+             for symbol, (code, length) in canonical_codes(lengths).items()}
+    max_length = max(lengths)
+    total_bits = len(payload) * 8
+    bit_position = 0
+    out = bytearray()
+    for _ in range(count):
+        code = 0
+        length = 0
+        while True:
+            if bit_position >= total_bits:
+                raise CodecError("bit stream exhausted")
+            bit = (payload[bit_position >> 3] >> (7 - (bit_position & 7))) & 1
+            bit_position += 1
+            code = (code << 1) | bit
+            length += 1
+            symbol = table.get((length, code))
+            if symbol is not None:
+                out.append(symbol)
+                break
+            if length > max_length:
+                raise CodecError("invalid huffman bit stream")
+    return bytes(out)
+
+
+def encode_plane_coefficients(quantized: np.ndarray) -> bytes:
+    """DC delta, then (run, level) pairs and an end-of-block byte per block."""
+    out = bytearray()
+    previous_dc = 0
+    for vector in dct.zigzag_scan(quantized).tolist():
+        write_svarint(out, vector[0] - previous_dc)
+        previous_dc = vector[0]
+        previous = 0
+        for position in range(1, 64):
+            if vector[position]:
+                out.append(position - previous - 1)
+                previous = position
+                write_svarint(out, vector[position])
+        out.append(EOB)
+    return bytes(out)
+
+
+def decode_plane_coefficients(data: bytes, block_count: int) -> np.ndarray:
+    """Invert :func:`encode_plane_coefficients`, one varint call at a time."""
+    vectors = np.zeros((block_count, 64), dtype=np.int16)
+    offset = 0
+    previous_dc = 0
+    for index in range(block_count):
+        delta, offset = read_svarint(data, offset)
+        previous_dc += delta
+        vectors[index, 0] = _int16(previous_dc)
+        position = 0
+        while True:
+            if offset >= len(data):
+                raise CodecError("coefficient stream exhausted mid-block")
+            run = data[offset]
+            offset += 1
+            if run == EOB:
+                break
+            position += run + 1
+            if position > 63:
+                raise CodecError(f"AC position {position} out of range")
+            level, offset = read_svarint(data, offset)
+            vectors[index, position] = _int16(level)
+    return dct.zigzag_unscan(vectors)
+
+
+def _int16(value: int) -> int:
+    if not -32768 <= value <= 32767:
+        raise CodecError("coefficient outside the int16 range")
+    return value

@@ -1,17 +1,22 @@
-"""Tests for the RLE and varint primitives."""
+"""Tests for the RLE and varint primitives.
+
+The signed varint coders and the sign fold live in the test oracle,
+:mod:`tests.codecs.reference`; the library writes them inline in the
+coefficient coders, which the properties in
+``tests/property/test_codec_kernels.py`` check against the oracle.
+"""
 
 import pytest
 
 from repro.codecs.rle import rle_decode, rle_encode, rle_ratio
-from repro.codecs.varint import (
+from repro.codecs.varint import read_uvarint, write_uvarint
+from repro.errors import CodecError
+from tests.codecs.reference import (
     read_svarint,
-    read_uvarint,
     unzigzag_int,
     write_svarint,
-    write_uvarint,
     zigzag_int,
 )
-from repro.errors import CodecError
 
 
 class TestRle:
@@ -54,6 +59,13 @@ class TestZigzag:
     def test_roundtrip_range(self):
         for value in range(-1000, 1000, 7):
             assert unzigzag_int(zigzag_int(value)) == value
+
+    @pytest.mark.parametrize("value", [2**63 - 1, 2**63, -2**63, 2**70 + 3])
+    def test_fold_beyond_63_bits(self, value):
+        # ``(v << 1) ^ (v >> 63)`` folded 2**63 to a value that came back
+        # as -(2**63 + 1).
+        assert zigzag_int(value) >= 0
+        assert unzigzag_int(zigzag_int(value)) == value
 
 
 class TestVarint:

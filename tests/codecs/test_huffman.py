@@ -11,6 +11,7 @@ from repro.codecs.huffman import (
     huffman_compress,
     huffman_decompress,
 )
+from repro.codecs.rle import rle_encode
 from repro.errors import CodecError
 
 
@@ -115,3 +116,91 @@ class TestCodec:
         codec = HuffmanCodec.for_data(b"ab")
         with pytest.raises(CodecError):
             codec.decode(b"\x00")
+
+
+def _framed(count: int, payload: bytes) -> bytes:
+    return count.to_bytes(4, "big") + payload
+
+
+class TestDecodeErrors:
+    """How the decoder treats a frame its codebook cannot account for."""
+
+    def test_count_beyond_payload_exhausts(self):
+        data = b"abracadabra"
+        codec = HuffmanCodec.for_data(data)
+        payload = codec.encode(data)[4:]
+        for count in (len(data) + 20, len(payload) * 8 + 1):
+            with pytest.raises(CodecError, match="bit stream exhausted"):
+                codec.decode(_framed(count, payload))
+
+    def test_code_running_one_bit_past_the_end_exhausts(self):
+        lengths = [0] * 256
+        lengths[ord("a")], lengths[ord("b")], lengths[ord("c")] = 1, 2, 2
+        codec = HuffmanCodec(lengths)  # a = 0, b = 10, c = 11
+        assert codec.decode(_framed(7, b"\x01")) == b"aaaaaaa"
+        # The eighth code starts with the last bit and needs one more.
+        with pytest.raises(CodecError, match="bit stream exhausted"):
+            codec.decode(_framed(8, b"\x01"))
+
+    def test_empty_payload_exhausts(self):
+        codec = HuffmanCodec.for_data(b"ab")
+        with pytest.raises(CodecError, match="bit stream exhausted"):
+            codec.decode(_framed(1, b""))
+
+    def test_one_bit_against_single_symbol_code_is_invalid(self):
+        codec = HuffmanCodec.for_data(b"xxxx")  # 'x' is the code 0
+        assert codec.decode(_framed(2, b"\x00")) == b"xx"
+        with pytest.raises(CodecError, match="invalid huffman bit stream"):
+            codec.decode(_framed(1, b"\x80"))
+
+    def test_empty_codebook_with_symbols_is_invalid(self):
+        codec = HuffmanCodec([0] * 256)
+        with pytest.raises(CodecError, match="invalid huffman bit stream"):
+            codec.decode(_framed(1, b"\x00"))
+
+    def test_zero_count_returns_nothing(self):
+        codec = HuffmanCodec.for_data(b"ab")
+        assert codec.decode(_framed(0, b"\xff\xff")) == b""
+        assert HuffmanCodec([0] * 256).decode(_framed(0, b"\x12")) == b""
+
+    def test_trailing_padding_bits_ignored(self):
+        data = b"abracadabra"
+        codec = HuffmanCodec.for_data(data)
+        encoded = codec.encode(data)
+        bits = sum(codec.lengths[symbol] for symbol in data)
+        assert bits % 8  # the last byte carries padding
+        ones = encoded[:-1] + bytes([encoded[-1] | (0xFF >> (bits % 8))])
+        assert codec.decode(ones) == data
+        assert codec.decode(encoded + b"\xff\x00 trailing") == data
+
+
+class TestHeaderValidation:
+    """A code-length header must describe a prefix code of at most 15 bits."""
+
+    def test_length_beyond_the_cap_rejected(self):
+        lengths = [0] * 256
+        lengths[ord("a")] = 200
+        with pytest.raises(CodecError, match="code lengths must be in 0..15"):
+            HuffmanCodec(lengths)
+        # The container path: a 200-bit code for 'a' once decoded quietly.
+        header = rle_encode(bytes(lengths))
+        container = (bytes([1]) + len(header).to_bytes(2, "big") + header
+                     + _framed(1, bytes(25)))
+        with pytest.raises(CodecError, match="code lengths must be in 0..15"):
+            huffman_decompress(container)
+
+    def test_oversubscribed_lengths_rejected(self):
+        lengths = [0] * 256
+        lengths[0] = lengths[1] = lengths[2] = 1  # three 1-bit codes
+        with pytest.raises(CodecError, match="over-subscribe"):
+            HuffmanCodec(lengths)
+        with pytest.raises(CodecError, match="over-subscribe"):
+            HuffmanCodec.from_header(bytes(lengths))
+
+    def test_complete_and_partial_codes_accepted(self):
+        # Lengths 1, 2, ..., 15, 15 have a Kraft sum of exactly 1.
+        lengths = [*range(1, MAX_CODE_LENGTH + 1), MAX_CODE_LENGTH]
+        for used in (len(lengths), len(lengths) - 1):
+            codec = HuffmanCodec(lengths[:used] + [0] * (256 - used))
+            data = bytes(range(used)) * 3
+            assert codec.decode(codec.encode(data)) == data

@@ -48,6 +48,33 @@ class TestCoefficientCoding:
             decode_plane_coefficients(encoded[:-1], 2)
 
 
+class TestCoefficientErrors:
+    """How the coefficient parser treats a malformed symbol stream."""
+
+    def test_stream_ending_mid_block(self):
+        encoded = encode_plane_coefficients(np.zeros((2, 8, 8), dtype=np.int16))
+        with pytest.raises(CodecError,
+                           match="coefficient stream exhausted mid-block"):
+            decode_plane_coefficients(encoded[:-1], 2)
+
+    def test_ac_position_past_63_rejected(self):
+        # DC 0, a level at position 63 (run 62), then one more run.
+        stream = bytes([0, 62, 2, 0, 2, 255])
+        with pytest.raises(CodecError, match="AC position 64 out of range"):
+            decode_plane_coefficients(stream, 1)
+        assert decode_plane_coefficients(stream[:3] + b"\xff", 1)[0, 7, 7] == 1
+
+    def test_varint_longer_than_ten_bytes(self):
+        with pytest.raises(CodecError, match="varint too long"):
+            decode_plane_coefficients(b"\x80" * 10 + b"\x01\xff", 1)
+
+    def test_bytes_after_last_block_ignored(self, rng):
+        quantized = rng.integers(-300, 300, (3, 8, 8)).astype(np.int16)
+        encoded = encode_plane_coefficients(quantized)
+        decoded = decode_plane_coefficients(encoded + b"\x05\x80 tail", 3)
+        assert np.array_equal(decoded, quantized)
+
+
 class TestCodec:
     def test_roundtrip_shape_dtype(self, frame):
         codec = JpegLikeCodec(quality=75)

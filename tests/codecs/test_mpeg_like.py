@@ -114,3 +114,14 @@ class TestFidelity:
         i_size = encoded[0].size
         for p in encoded[1:]:
             assert p.size < i_size / 3
+
+
+def test_b_frame_between_references_of_different_sizes_rejected():
+    # I P B I: the B frame interpolates P1 and I3.
+    codec = MpegLikeCodec(quality=50, gop_pattern="IPB")
+    frames_ = codec.encode_sequence(frames.scene(48, 36, 4, "orbit"))
+    smaller = codec.encode_sequence(frames.scene(32, 24, 4, "orbit"))
+    assert [f.display_index for f in frames_] == [0, 1, 3, 2]
+    frames_[2] = smaller[2]  # the second I frame, at another size
+    with pytest.raises(CodecError, match="differ in shape"):
+        codec.decode_sequence(frames_)

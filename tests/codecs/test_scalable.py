@@ -94,3 +94,15 @@ class TestBandwidthSaving:
             up = np.repeat(np.repeat(decoded, factor, axis=0), factor, axis=1)
             upsampled.append(psnr(frame, up[:56, :80]))
         assert upsampled[2] > upsampled[0]
+
+
+def test_base_layer_of_another_size_rejected():
+    codec = ScalableVideoCodec(levels=2, quality=60)
+    data = codec.encode(frames.texture_frame(48, 36, seed=1))
+    other = codec.encode(frames.texture_frame(32, 24, seed=1))
+    header = 9  # magic, width, height and levels
+    base_end = header + 4 + int.from_bytes(data[header:header + 4], "big")
+    other_end = header + 4 + int.from_bytes(other[header:header + 4], "big")
+    spliced = data[:header] + other[header:other_end] + data[base_end:]
+    with pytest.raises(CodecError, match="base layer shape"):
+        codec.decode(spliced)
