@@ -49,7 +49,6 @@ from repro.analysis.dataflow import (
     check_repo,
     sarif_report,
     solve,
-    validate_sarif,
 )
 from repro.analysis import checkers  # noqa: F401  (DF rule registration)
 from repro.analysis.lint import LintEngine, lint_paths, lint_repo
@@ -74,7 +73,6 @@ __all__ = [
     "check_repo",
     "sarif_report",
     "solve",
-    "validate_sarif",
     "PLAN_POLICIES",
     "Placement",
     "RuleInfo",

@@ -8,8 +8,7 @@ payload is read. Durations come from descriptors and placement tables,
 sizes from :func:`static_bytes`, and the §4.2 real-time feasibility
 question ("if expansion can be done in real time then the derived object
 is all that needs be stored") is answered from the
-:class:`~repro.engine.player.CostModel` budget instead of a measured run
-(the dynamic counterpart lives in :mod:`repro.engine.resources`).
+:class:`~repro.engine.player.CostModel` budget instead of a measured run.
 
 The walker is cycle-safe where :meth:`MultimediaObject.flatten` is not: a
 multimedia object that (transitively) contains itself is reported as a

@@ -5,9 +5,7 @@ linter makes those promises checkable:
 
 * **LN001** — no wall-clock reads (``time.time``, ``perf_counter``,
   ``datetime.now`` …). Simulated clocks are the determinism contract;
-  a deliberate host-time measurement, such as
-  :mod:`repro.engine.resources` timing a real expansion, carries a
-  reasoned suppression.
+  host-time measurement belongs to the benchmarks, outside ``src``.
 * **LN002** — no unseeded randomness: the stateful global ``random``
   module and ``default_rng()`` / ``Random()`` without a seed argument
   are banned everywhere.

@@ -2,9 +2,10 @@
 
 "If the expansion can be done in real-time, then the derived object is
 all that needs be stored. Otherwise ... it may be necessary to store the
-expansion." The dynamic side of this decision lives in
-:mod:`repro.engine.resources`; these rules answer it *before* running
-anything, from the :class:`~repro.engine.player.CostModel` alone:
+expansion." These rules answer it *before* running anything, from the
+:class:`~repro.engine.player.CostModel` alone — the same
+:meth:`~repro.engine.player.CostModel.expansion_cost` the
+:class:`~repro.cache.derivations.DerivationCache` admits by:
 
 MG008 — a derived component whose worst-case expansion cost exceeds the
 time available before its first element is due: it must be materialized
@@ -43,12 +44,14 @@ class DerivationVerdict:
 def classify_derivations(context: GraphContext) -> list[DerivationVerdict]:
     """Classify every placed, unexpanded derived component.
 
-    The worst-case expansion cost is one non-contiguous pass over the
-    inputs' bytes plus the (conservatively equal) output bytes — the
-    same shape :meth:`Player._expand_cost_estimate` charges, but priced
-    from static sizes so nothing expands. The budget is the component's
-    start time on the composed timeline plus the checker's startup
-    budget: everything due later than that leaves time to expand.
+    The worst-case expansion cost is
+    :meth:`~repro.engine.player.CostModel.expansion_cost` with the
+    inputs' static bytes as both the input and the (conservatively
+    equal) output size — the price the player and the derivation cache
+    charge, but from static sizes so nothing expands. The budget is
+    the component's start time on the composed timeline plus the
+    checker's startup budget: everything due later than that leaves
+    time to expand.
     """
     cost_model = context.cost_model
     verdicts: list[DerivationVerdict] = []
@@ -58,8 +61,8 @@ def classify_derivations(context: GraphContext) -> list[DerivationVerdict]:
         obj = placement.obj
         if not obj.is_derived or obj.is_materialized:
             continue
-        input_bytes = static_bytes(obj)
-        cost = cost_model.element_cost(2 * input_bytes, contiguous=False)
+        static = static_bytes(obj)
+        cost = cost_model.expansion_cost(static, static)
         budget = context.startup_budget + placement.start
         verdicts.append(DerivationVerdict(
             path=placement.path,

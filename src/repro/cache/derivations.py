@@ -41,6 +41,7 @@ from repro.core.media_object import (
     InterpretedMediaObject,
     MediaObject,
 )
+from repro.core.rational import Rational
 from repro.engine.player import CostModel
 from repro.errors import CacheError
 from repro.obs.events import Severity
@@ -74,6 +75,19 @@ def object_bytes(obj: MediaObject) -> int:
         return len(value)
     except TypeError:
         return len(repr(value))
+
+
+def expansion_seconds(derived: DerivedMediaObject, expanded_size: int,
+                      cost_model: CostModel) -> Rational:
+    """CostModel seconds to expand ``derived`` from scratch: its inputs'
+    :func:`object_bytes` in, ``expanded_size`` bytes out
+    (:meth:`~repro.engine.player.CostModel.expansion_cost`). The cache
+    prices an entry's benefit with it, and the player charges it to the
+    ``derivation_expand`` stage."""
+    input_bytes = sum(
+        object_bytes(obj) for obj in derived.derivation_object.inputs
+    )
+    return cost_model.expansion_cost(input_bytes, expanded_size)
 
 
 @dataclass
@@ -183,18 +197,6 @@ class DerivationCache(Instrumented):
             },
         }
 
-    # -- cost model ---------------------------------------------------------------
-
-    def benefit_seconds(self, derived: DerivedMediaObject,
-                        expanded_size: int) -> float:
-        """Estimated seconds to recompute ``derived`` from scratch."""
-        input_bytes = sum(
-            object_bytes(obj) for obj in derived.derivation_object.inputs
-        )
-        return float(self.cost_model.element_cost(
-            input_bytes + expanded_size, contiguous=False,
-        ))
-
     # -- cache operations ---------------------------------------------------------
 
     @staticmethod
@@ -236,7 +238,7 @@ class DerivationCache(Instrumented):
             existing.last_use = self._tick
             return True
         size = object_bytes(expanded)
-        benefit = self.benefit_seconds(derived, size)
+        benefit = float(expansion_seconds(derived, size, self.cost_model))
         if benefit < self.min_benefit_seconds:
             # Cheap to recompute in real time: store only the
             # derivation object (§4.2).

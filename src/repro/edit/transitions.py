@@ -12,9 +12,9 @@ the first video sequence is partially replaced with that of the second")
 is the two-input content-changing example of §4.2.
 
 In the paper these run on dedicated DVE hardware in real time; here they
-are numpy pixel arithmetic, and the resource model
-(:mod:`repro.engine.resources`) decides whether expansion is real-time
-feasible.
+are numpy pixel arithmetic, and whether expansion is real-time feasible
+is priced with the :class:`~repro.engine.player.CostModel`
+(:meth:`~repro.engine.player.CostModel.expansion_cost`).
 """
 
 from __future__ import annotations

@@ -5,9 +5,6 @@ subject to real-time constraints" (§2.2), and "playback 'jitter' can be
 removed by the application just prior to presentation" (§5). The engine
 makes these statements measurable without wall-clock dependence:
 
-* :mod:`repro.engine.clock` — a simulated media clock;
-* :mod:`repro.engine.scheduler` — deadline scheduling of presentation
-  events with lateness/jitter accounting;
 * :mod:`repro.engine.buffers` — prefetch buffering and underrun analysis;
 * :mod:`repro.engine.player` — plays multimedia objects against a
   storage/decode cost model;
@@ -18,14 +15,10 @@ makes these statements measurable without wall-clock dependence:
   with fleet-wide admission, failover and health rollup;
 * :mod:`repro.engine.recorder` — capture: encode + interleave + build
   the interpretation as the BLOB is written;
-* :mod:`repro.engine.sync` — inter-stream skew measurement;
-* :mod:`repro.engine.resources` — admission control for real-time
-  derivation expansion (§4.2's store-or-expand decision).
+* :mod:`repro.engine.sync` — inter-stream skew measurement.
 """
 
-from repro.engine.clock import MediaClock
-from repro.engine.scheduler import PresentationEvent, ScheduleReport, schedule_events
-from repro.engine.buffers import PrefetchReport, RingBuffer, simulate_prefetch
+from repro.engine.buffers import PrefetchReport, simulate_prefetch
 from repro.engine.player import (
     AdaptationPolicy,
     CostModel,
@@ -35,7 +28,6 @@ from repro.engine.player import (
 )
 from repro.engine.recorder import Recorder
 from repro.engine.sync import SyncReport, measure_sync
-from repro.engine.resources import ExpansionDecision, ResourceModel
 from repro.engine.kernel import (
     BandwidthLedger,
     EventLoop,
@@ -54,12 +46,7 @@ from repro.engine.fleet import Fleet, FleetHealth, place
 from repro.engine.activities import ActivityGraph, Consumer, Producer, Transform, pipeline
 
 __all__ = [
-    "MediaClock",
-    "PresentationEvent",
-    "ScheduleReport",
-    "schedule_events",
     "PrefetchReport",
-    "RingBuffer",
     "simulate_prefetch",
     "AdaptationPolicy",
     "CostModel",
@@ -69,8 +56,6 @@ __all__ = [
     "Recorder",
     "SyncReport",
     "measure_sync",
-    "ExpansionDecision",
-    "ResourceModel",
     "BandwidthLedger",
     "EventLoop",
     "SessionMachine",

@@ -1,4 +1,4 @@
-"""Buffering: ring buffers and prefetch underrun analysis.
+"""Buffering: prefetch underrun analysis.
 
 "Playback 'jitter' can be removed by the application just prior to
 presentation" (§5) — by buffering. :func:`simulate_prefetch` quantifies
@@ -9,53 +9,10 @@ depth; benchmark E7 sweeps the depth.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.rational import ZERO, Rational, as_rational
 from repro.errors import EngineError
-
-
-class RingBuffer:
-    """A bounded FIFO of elements between producer and consumer."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise EngineError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: deque = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    def push(self, item) -> None:
-        if self.is_full:
-            raise EngineError("ring buffer overflow")
-        self._items.append(item)
-
-    def pop(self):
-        if self.is_empty:
-            raise EngineError("ring buffer underflow")
-        return self._items.popleft()
-
-    def try_push(self, item) -> bool:
-        if self.is_full:
-            return False
-        self._items.append(item)
-        return True
-
-    def try_pop(self):
-        if self.is_empty:
-            return None
-        return self._items.popleft()
 
 
 @dataclass

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.rational import Rational, as_rational
+from repro.core.rational import Rational
 from repro.engine.vod import (
     ServeOptions,
     ServerHealth,
@@ -321,8 +321,9 @@ class Fleet:
     def admit(self, requests) -> tuple[list[SessionRequest],
                                        list[SessionRequest]]:
         """Fleet-wide greedy admission: each request routes to its
-        owning shard and must fit that shard's remaining budget.
-        Returns (admitted, rejected), like :meth:`VodServer.admit`."""
+        owning shard and must pass that shard's admission test against
+        the load already admitted there. Returns (admitted, rejected),
+        like :meth:`VodServer.admit`."""
         admitted: list[SessionRequest] = []
         rejected: list[SessionRequest] = []
         loads: dict[str, Rational] = {
@@ -332,10 +333,7 @@ class Fleet:
             name = self.route(request.title)
             shard = self._shards[name]
             rate = shard.required_rate(request.title)
-            projected = (
-                (loads[name] + rate) * as_rational(shard.admission_margin)
-            )
-            if projected <= Rational(shard.bandwidth):
+            if shard._admits(loads[name], rate):
                 admitted.append(request)
                 loads[name] += rate
             else:
@@ -488,8 +486,9 @@ class Fleet:
             "rejected": [],
             "completed": [],
             "failed": [],
-            "remaining": [list(r.key) for r in group],
+            "remaining": [r.to_payload() for r in group],
             "share": max(1, self._shards[dead].bandwidth // len(group)),
+            "at": "0",
         }
 
     def _merge(self, shard_reports: list[ServerReport],

@@ -112,6 +112,14 @@ class CostModel:
                   else ZERO)
         return read, decode
 
+    def expansion_cost(self, input_bytes: int,
+                       output_bytes: int) -> Rational:
+        """Seconds to expand a derivation (§4.2): one non-contiguous
+        read of its inputs' bytes plus the bytes it produces, decode
+        included when the model charges it."""
+        return self.element_cost(input_bytes + output_bytes,
+                                 contiguous=False)
+
     def replace(self, **overrides) -> "CostModel":
         """A copy with ``overrides`` applied (and re-validated)."""
         return dataclasses.replace(self, **overrides)
@@ -544,9 +552,11 @@ class Player:
                 # the component, charge zero simulated time.
                 stage_hist.observe(0.0, stage="compose")
                 if obj.is_derived:
-                    estimate = 0.0 if cached else self._expand_cost_estimate(
-                        obj, stream.total_size()
-                    )
+                    from repro.cache.derivations import expansion_seconds
+
+                    estimate = 0.0 if cached else float(expansion_seconds(
+                        obj, stream.total_size(), self.cost_model,
+                    ))
                     stage_hist.observe(estimate, stage="derivation_expand")
                     self.obs.tracer.event(
                         "engine.expand", component=label,
@@ -569,20 +579,6 @@ class Player:
     def _stage_histogram(self):
         """The shared per-stage attribution histogram (instrumented only)."""
         return self.obs.metrics.histogram(STAGE_METRIC, buckets=STAGE_BUCKETS)
-
-    def _expand_cost_estimate(self, obj, expanded_size: int) -> float:
-        """CostModel seconds to materialize a derived component: one
-        non-contiguous read of the inputs' bytes plus the expanded
-        bytes — the same estimate the derivation cache prices benefit
-        with."""
-        from repro.cache.derivations import object_bytes
-
-        input_bytes = sum(
-            object_bytes(inp) for inp in obj.derivation_object.inputs
-        )
-        return float(self.cost_model.element_cost(
-            input_bytes + expanded_size, contiguous=False,
-        ))
 
     # -- playback -------------------------------------------------------------
 

@@ -4,7 +4,7 @@
 video on-demand services and virtual environments stand to benefit from
 access to large databases of time-based material." This module simulates
 the serving side: a fixed outbound bandwidth shared by concurrent client
-sessions, utilization-based admission control, and per-client playback
+sessions, rate-based admission control, and per-client playback
 reports.
 
 The model is deliberately simple and exact: admitted clients share the
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.interpretation import Interpretation
-from repro.core.rational import Rational, as_rational
+from repro.core.rational import ZERO, Rational, as_rational
 from repro.engine.kernel import (
     BandwidthLedger,
     EventLoop,
@@ -58,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.telemetry import Telemetry
 
 #: Checkpoint payload format version; bump on incompatible changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Kernel drive modes a batch may request.
 _GRANULARITIES = ("auto", "read")
@@ -93,6 +93,57 @@ class SessionRequest:
 
     def replace(self, **changes: Any) -> "SessionRequest":
         return dataclasses.replace(self, **changes)
+
+    def to_payload(self) -> dict:
+        """The whole request, JSON-safe, for a checkpoint batch: both
+        policies as None or their fields, exact rationals as ``num/den``
+        strings."""
+        return {
+            "client": self.client,
+            "title": self.title,
+            "arrival_time": str(self.arrival_time),
+            "retry_policy": _policy_payload(self.retry_policy),
+            "adaptation": _policy_payload(self.adaptation),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict,
+                     elapsed: Rational) -> "SessionRequest":
+        """The request :meth:`to_payload` stored, resumed ``elapsed``
+        seconds into its batch: one that had already arrived restarts
+        at once, one that had not waits out the rest of its offset."""
+        retry_policy = payload["retry_policy"]
+        adaptation = payload["adaptation"]
+        return cls(
+            client=payload["client"],
+            title=payload["title"],
+            arrival_time=max(
+                ZERO, Rational(payload["arrival_time"]) - elapsed),
+            retry_policy=(None if retry_policy is None
+                          else RetryPolicy(**retry_policy)),
+            adaptation=(None if adaptation is None
+                        else AdaptationPolicy(**adaptation)),
+        )
+
+
+def _policy_payload(policy: RetryPolicy | AdaptationPolicy | None,
+                    ) -> dict | None:
+    """A policy's fields, JSON-safe: exact rationals as ``num/den``
+    strings and a name set sorted. The policy's own constructor reads
+    them back."""
+    if policy is None:
+        return None
+    payload: dict[str, Any] = {}
+    for spec in dataclasses.fields(policy):
+        value = getattr(policy, spec.name)
+        if isinstance(value, Rational):
+            value = str(value)
+        elif isinstance(value, tuple):
+            value = [str(item) for item in value]
+        elif isinstance(value, frozenset):
+            value = sorted(value)
+        payload[spec.name] = value
+    return payload
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -543,6 +594,12 @@ class VodServer:
 
     # -- admission + serving ------------------------------------------------------
 
+    def _admits(self, load: Rational, rate: Rational) -> bool:
+        """The admission test: a session needing ``rate`` fits beside
+        ``load`` when their sum, with margin, fits the bandwidth."""
+        return ((load + rate) * as_rational(self.admission_margin)
+                <= Rational(self.bandwidth))
+
     def admit(self, requests) -> tuple[list[SessionRequest],
                                        list[SessionRequest]]:
         """Greedy admission: accept requests while aggregate required
@@ -551,11 +608,9 @@ class VodServer:
         admitted: list[SessionRequest] = []
         rejected: list[SessionRequest] = []
         load = Rational(0)
-        budget = Rational(self.bandwidth)
         for request in normalize_requests(requests):
             rate = self.required_rate(request.title)
-            projected = (load + rate) * as_rational(self.admission_margin)
-            if projected <= budget:
+            if self._admits(load, rate):
                 admitted.append(request)
                 load += rate
             else:
@@ -658,7 +713,9 @@ class VodServer:
 
     @staticmethod
     def _progress_payload(admitted, rejected, sessions, failed,
-                          remaining, share: int) -> dict:
+                          remaining, share: int, at: Rational) -> dict:
+        """The batch in flight; ``at`` is the simulated time since the
+        batch started."""
         return {
             "requests": [list(r.key) for r in admitted],
             "rejected": [list(r.key) for r in rejected],
@@ -666,8 +723,9 @@ class VodServer:
                 VodServer._session_summary(s) for s in sessions
             ],
             "failed": [list(f) for f in failed],
-            "remaining": [list(r.key) for r in remaining],
+            "remaining": [r.to_payload() for r in remaining],
             "share": share,
+            "at": str(at),
         }
 
     def _run_batch(self, admitted: list[SessionRequest],
@@ -713,6 +771,7 @@ class VodServer:
             self._batch_progress = self._progress_payload(
                 admitted, rejected, sessions, failed,
                 [r for i, r in enumerate(admitted) if not done[i]], share,
+                self._clock.now() - origin,
             )
             self.checkpoint_to(opts.checkpoint_to, fs=opts.checkpoint_fs)
 
@@ -1075,7 +1134,7 @@ class VodServer:
             raise CheckpointError("batch must be a checkpoint batch dict")
         missing = [
             key for key in
-            ("remaining", "rejected", "completed", "failed", "share")
+            ("remaining", "rejected", "completed", "failed", "share", "at")
             if key not in batch
         ]
         if missing:
@@ -1089,7 +1148,9 @@ class VodServer:
 
         Sessions completed before the crash are *not* re-served: they
         arrive as ``ServerReport.recovered``. The remaining requests
-        play at the original bandwidth share, each marked
+        keep their own policies and play at the original bandwidth
+        share; one that had not yet arrived when the checkpoint was
+        taken waits out the rest of its arrival offset. Each is marked
         ``Session.resumed`` — which the report accounts as degraded
         service (the failover itself is a quality event), feeding
         :meth:`health` and its SLO verdicts."""
@@ -1102,9 +1163,10 @@ class VodServer:
         batch = self._pending_batch
         self._pending_batch = None
         try:
+            elapsed = Rational(batch["at"])
             remaining = [
-                SessionRequest(client=c, title=t)
-                for c, t in batch["remaining"]
+                SessionRequest.from_payload(payload, elapsed)
+                for payload in batch["remaining"]
             ]
             rejected = [
                 SessionRequest(client=c, title=t)

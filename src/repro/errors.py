@@ -100,16 +100,12 @@ class EngineError(MediaModelError):
     """Playback/recording engine failure."""
 
 
-class SchedulingError(EngineError):
-    """The scheduler was given an infeasible or malformed task set."""
-
-
 class PlaybackAbortError(EngineError):
     """Playback gave up: faults exceeded the retry policy's tolerance."""
 
 
 class ResourceError(EngineError):
-    """Admission control rejected a real-time task set."""
+    """A title lacks the data rate that admission control prices."""
 
 
 class PlanRejectedError(EngineError):

@@ -23,7 +23,7 @@ Naming scheme: dotted ``subsystem.noun.event`` (``blob.page.reads``,
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import ObservabilityError
 
@@ -148,6 +148,39 @@ class Gauge(Metric):
         return self._series.get(_label_key(labels), default)
 
 
+def bucket_quantile(bounds: tuple[float, ...], counts: Sequence[int],
+                    q: float) -> float:
+    """The ``q``-quantile of bucketed counts, estimated by linear
+    interpolation within the bucket containing the target rank.
+
+    ``counts`` has one entry per boundary in ``bounds`` plus the
+    overflow bucket. Deterministic: a pure function of the counts and
+    the boundaries. The lower edge of the first bucket is taken as 0.0
+    (or the boundary itself when it is negative); a rank landing in the
+    overflow bucket returns the last boundary — the histogram cannot
+    see past it. No observations give 0.0.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ObservabilityError(f"quantile must be in [0, 1], got {q}")
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    target = q * total
+    cumulative = 0
+    for index, count in enumerate(counts):
+        if count == 0:
+            continue
+        if cumulative + count >= target:
+            if index >= len(bounds):
+                return bounds[-1]
+            hi = bounds[index]
+            lo = bounds[index - 1] if index > 0 else min(0.0, hi)
+            fraction = (target - cumulative) / count
+            return lo + fraction * (hi - lo)
+        cumulative += count
+    return bounds[-1]
+
+
 class Histogram(Metric):
     """Counts of observations falling into fixed, pre-declared buckets.
 
@@ -218,37 +251,12 @@ class Histogram(Metric):
         return series["counts"][-1] if series else 0
 
     def quantile(self, q: float, **labels: Any) -> float:
-        """The ``q``-quantile estimated by linear interpolation within
-        the bucket containing the target rank.
-
-        Deterministic: a pure function of the bucket counts and the
-        declared boundaries. The lower edge of the first bucket is
-        taken as 0.0 (or the boundary itself when it is negative); a
-        rank landing in the overflow bucket returns the last boundary —
-        the histogram cannot see past it. An unobserved series is 0.0.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ObservabilityError(
-                f"quantile must be in [0, 1], got {q}"
-            )
+        """The ``q``-quantile of one labeled series, by
+        :func:`bucket_quantile` over its bucket counts. An unobserved
+        series is 0.0."""
         series = self._series.get(_label_key(labels))
-        if series is None or series["count"] == 0:
-            return 0.0
-        target = q * series["count"]
-        cumulative = 0
-        for index, count in enumerate(series["counts"]):
-            if count == 0:
-                cumulative += count
-                continue
-            if cumulative + count >= target:
-                if index >= len(self.buckets):
-                    return self.buckets[-1]
-                hi = self.buckets[index]
-                lo = self.buckets[index - 1] if index > 0 else min(0.0, hi)
-                fraction = (target - cumulative) / count
-                return lo + fraction * (hi - lo)
-            cumulative += count
-        return self.buckets[-1]
+        return bucket_quantile(self.buckets,
+                               series["counts"] if series else (), q)
 
     def _export_value(self, key: LabelKey) -> Any:
         series = self._series[key]

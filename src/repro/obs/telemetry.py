@@ -44,6 +44,7 @@ from typing import Any, Callable
 from repro.core.rational import Rational, as_rational
 from repro.errors import ObservabilityError
 from repro.obs.events import Severity
+from repro.obs.metrics import bucket_quantile
 from repro.obs.slo import Slo, SloPolicy, default_slo_policy
 
 __all__ = [
@@ -256,16 +257,14 @@ class TelemetryStore:
 
         Merges the elementwise bucket-count *deltas* over the window
         across every matching series, then interpolates within the
-        merged counts exactly as
+        merged counts by :func:`~repro.obs.metrics.bucket_quantile`, as
         :meth:`~repro.obs.metrics.Histogram.quantile` does (overflow
         ranks clamp to the last finite boundary). 0.0 when the window
         saw no observations.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ObservabilityError(f"quantile must be in [0, 1], got {q}")
         span = self._window(window, at)
         if span is None:
-            return 0.0
+            return bucket_quantile((), (), q)
         merged: list[int] = []
         bounds: tuple[float, ...] | None = None
         for (_, name, _), samples in self._matching(metric, source):
@@ -286,23 +285,7 @@ class TelemetryStore:
                 merged = [0] * len(last_counts)
             for i, (lo, hi_c) in enumerate(zip(base_counts, last_counts)):
                 merged[i] += hi_c - lo
-        count = sum(merged)
-        if not merged or count == 0 or bounds is None:
-            return 0.0
-        target = q * count
-        cumulative = 0
-        for index, bucket_count in enumerate(merged):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= target:
-                if index >= len(bounds):
-                    return bounds[-1]
-                hi = bounds[index]
-                lo = bounds[index - 1] if index > 0 else min(0.0, hi)
-                fraction = (target - cumulative) / bucket_count
-                return lo + fraction * (hi - lo)
-            cumulative += bucket_count
-        return bounds[-1]
+        return bucket_quantile(bounds or (), merged, q)
 
     def series(self, metric: str, source: str | None = None,
                field: str = "value") -> dict[tuple, list[tuple]]:

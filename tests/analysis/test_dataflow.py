@@ -19,11 +19,11 @@ from repro.analysis.dataflow import (
     exit_states,
     sarif_report,
     solve,
-    validate_sarif,
 )
 from repro.analysis.diagnostics import is_suppressed, parse_suppressions
 from repro.analysis.lattice import MapLattice, PowersetLattice
 from repro.errors import AnalysisError
+from tests.analysis.sarif import validate_sarif
 
 
 def df(tmp_path, source, name="fixture.py", ignore=()):

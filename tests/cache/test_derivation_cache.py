@@ -10,6 +10,7 @@ from repro.core.derivation import Derivation, DerivationCategory
 from repro.core.elements import MediaElement
 from repro.core.media_object import StreamMediaObject
 from repro.core.media_types import MediaKind, media_type_registry
+from repro.core.rational import Rational
 from repro.core.streams import TimedStream
 from repro.engine.player import CostModel, Player
 from repro.engine.vod import VodServer
@@ -17,6 +18,7 @@ from repro.errors import CacheError
 from repro.media import frames
 from repro.media.objects import video_object
 from repro.obs import Observability
+from repro.obs.profile import STAGE_BUCKETS, STAGE_METRIC
 
 
 VIDEO_TYPE = media_type_registry.get("pal-video")
@@ -251,6 +253,32 @@ class TestEngineWiring:
         player.plan_multimedia(multimedia)
         assert calls == [1]
         assert cache.hits == 1
+
+    def test_one_expansion_price(self):
+        """§4.2 has one price: the cache's benefit, the player's
+        ``derivation_expand`` observation and ``CostModel.expansion_cost``
+        agree for the same derived object and cost model."""
+        model = CostModel(bandwidth=2_000_000, seek_time=Rational(1, 100),
+                          decode_rate=3_000_000)
+        source = clip(2000)
+        result = video_object(frames.scene(8, 8, 4, "pan"), "cut")
+        derived = derive([source], result)
+        multimedia = MultimediaObject("mm")
+        multimedia.add_temporal(derived, at=0, label="d",
+                                duration=result.stream().duration_seconds())
+        obs = Observability()
+        cache = DerivationCache(budget_bytes=1 << 20, cost_model=model)
+        Player(model, derivation_cache=cache, obs=obs).plan_multimedia(
+            multimedia)
+        price = model.expansion_cost(object_bytes(source),
+                                     result.stream().total_size())
+        assert price == model.element_cost(
+            2000 + result.stream().total_size(), contiguous=False)
+        [entry] = cache.manifest()["entries"]
+        assert entry["benefit_seconds"] == float(price)
+        stages = obs.metrics.histogram(STAGE_METRIC, buckets=STAGE_BUCKETS)
+        assert stages.count(stage="derivation_expand") == 1
+        assert stages.sum(stage="derivation_expand") == float(price)
 
     def test_vod_prefetch_warms_page_pool(self):
         from repro.cache import BufferPool

@@ -1,4 +1,4 @@
-"""Tests for ring buffers and prefetch simulation."""
+"""Tests for prefetch simulation."""
 
 from itertools import accumulate
 
@@ -7,42 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rational import Rational
-from repro.engine.buffers import RingBuffer, simulate_prefetch
+from repro.engine.buffers import simulate_prefetch
 from repro.errors import EngineError
-
-
-class TestRingBuffer:
-    def test_fifo(self):
-        buffer = RingBuffer(3)
-        buffer.push(1)
-        buffer.push(2)
-        assert buffer.pop() == 1
-        assert buffer.pop() == 2
-
-    def test_overflow(self):
-        buffer = RingBuffer(1)
-        buffer.push(1)
-        with pytest.raises(EngineError, match="overflow"):
-            buffer.push(2)
-        assert not buffer.try_push(2)
-
-    def test_underflow(self):
-        buffer = RingBuffer(1)
-        with pytest.raises(EngineError, match="underflow"):
-            buffer.pop()
-        assert buffer.try_pop() is None
-
-    def test_capacity_validation(self):
-        with pytest.raises(EngineError):
-            RingBuffer(0)
-
-    def test_state_flags(self):
-        buffer = RingBuffer(2)
-        assert buffer.is_empty
-        buffer.push(1)
-        buffer.push(2)
-        assert buffer.is_full
-        assert len(buffer) == 2
 
 
 def rationals(values):

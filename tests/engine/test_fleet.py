@@ -5,11 +5,13 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.fleet import Fleet, place
+from repro.engine.player import RetryPolicy
 from repro.engine.recorder import Recorder
 from repro.engine.vod import ServeOptions, SessionRequest
 from repro.errors import EngineError, SimulatedCrash
 from repro.faults.crash import CrashInjector, CrashSite
 from repro.faults.disk import SimulatedMedium
+from repro.faults.plan import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
 from repro.obs import Observability
@@ -223,6 +225,40 @@ class TestFailover:
         assert report.recovered == 0
         assert sorted(s.identity for s in report.admitted) == \
             [r.key for r in late]
+
+
+    def test_failover_keeps_each_requests_policy_and_arrival(
+            self, movie, short):
+        # Four staggered sessions that forbid retries, under transient
+        # faults; the owner dies as the second one starts. The resumed
+        # sessions keep their own retry policy and wait out the rest of
+        # their arrival offsets instead of all starting at once.
+        owner = build_fleet(movie, short).route("feature")
+        fleet = build_fleet(
+            movie, short, checkpoint_fs=SimulatedMedium(),
+            crash={owner: CrashInjector(CrashSite("vod.serve.session", 1))},
+        )
+        no_retries = RetryPolicy(max_retries=0)
+        report = fleet.serve(
+            [SessionRequest(client=f"c{i}", title="feature",
+                            arrival_time=i, retry_policy=no_retries)
+             for i in range(4)],
+            ServeOptions(fault_plan=FaultPlan(seed=3, transient_rate=0.3),
+                         granularity="read"),
+        )
+        assert fleet.dead_shards == [owner]
+        assert report.recovered == 1
+        resumed = sorted(report.admitted, key=lambda s: s.client)
+        assert [s.client for s in resumed] == ["c1", "c2", "c3"]
+        assert all(s.resumed for s in resumed)
+        for session in resumed:
+            assert session.request.retry_policy == no_retries
+            assert session.report.retries == 0
+            assert session.report.skipped_elements > 0
+        arrivals = [s.request.arrival_time for s in resumed]
+        assert 0 < arrivals[0] < 1
+        assert arrivals[1] - arrivals[0] == 1
+        assert arrivals[2] - arrivals[1] == 1
 
 
 class TestFleetHealth:

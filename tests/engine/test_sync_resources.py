@@ -1,15 +1,10 @@
-"""Tests for sync measurement and the resource model."""
+"""Tests for inter-stream sync measurement."""
 
 import pytest
 
 from repro.core.rational import Rational
-from repro.engine.resources import ExpansionDecision, ResourceModel
-from repro.engine.scheduler import PresentationEvent
 from repro.engine.sync import measure_sync
-from repro.errors import EngineError, ResourceError
-from repro.media import frames
-from repro.media.objects import video_object
-from repro.edit import MediaEditor
+from repro.errors import EngineError
 
 
 def rl(values):
@@ -48,55 +43,3 @@ class TestMeasureSync:
     def test_empty(self):
         report = measure_sync([], [], [], [])
         assert report.samples == 0
-
-
-@pytest.fixture
-def derived_clip():
-    video = video_object(frames.scene(24, 16, 10, "pan"), "v")
-    return MediaEditor().cut(video, 0, 5, name="clip")
-
-
-class TestResourceModel:
-    def test_fast_machine_stores_derivation(self, derived_clip):
-        model = ResourceModel(speed_factor=10_000.0)
-        decision = model.assess_expansion(derived_clip)
-        assert decision.real_time
-        assert decision.recommendation == "store derivation object"
-        assert decision.margin > 1
-
-    def test_slow_machine_materializes(self, derived_clip):
-        model = ResourceModel(speed_factor=0.0)
-        decision = model.assess_expansion(derived_clip)
-        assert not decision.real_time
-        assert decision.recommendation == "materialize"
-
-    def test_choose_storage_follows_rule(self, derived_clip):
-        fast = ResourceModel(speed_factor=10_000.0)
-        assert fast.choose_storage(derived_clip) is derived_clip
-        slow = ResourceModel(speed_factor=0.0)
-        stored = slow.choose_storage(derived_clip)
-        assert stored is not derived_clip
-        assert derived_clip.is_materialized
-
-    def test_needs_duration(self, derived_clip):
-        bare = MediaEditor().cut(
-            video_object(frames.scene(24, 16, 4, "pan"), "w"), 0, 2,
-        )
-        bare.descriptor = bare.descriptor.without("duration")
-        with pytest.raises(ResourceError, match="duration"):
-            ResourceModel().assess_expansion(bare)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ResourceError):
-            ResourceModel(speed_factor=-1)
-        with pytest.raises(ResourceError):
-            ResourceModel(safety_margin=0.5)
-
-    def test_admission_control(self):
-        light = [PresentationEvent(f"e{i}", Rational(0), Rational(1, 100),
-                                   Rational(i + 1)) for i in range(5)]
-        heavy = [PresentationEvent(f"e{i}", Rational(0), Rational(2),
-                                   Rational(i + 1)) for i in range(5)]
-        model = ResourceModel(speed_factor=1.0)
-        assert model.admit(light)
-        assert not model.admit(heavy)

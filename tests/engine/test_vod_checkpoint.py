@@ -7,6 +7,8 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.cache import DerivationCache
 from repro.codecs.jpeg_like import JpegLikeCodec
+from repro.core.rational import Rational
+from repro.engine.player import AdaptationPolicy, RetryPolicy
 from repro.engine.recorder import Recorder
 from repro.engine.vod import (
     CHECKPOINT_VERSION,
@@ -56,6 +58,25 @@ class TestCheckpointPayload:
         second = json.dumps(server.checkpoint(), sort_keys=True)
         assert first == second
 
+    def test_request_round_trips_whole(self):
+        request = SessionRequest(
+            client="c", title="feature", arrival_time=Rational(5, 2),
+            retry_policy=RetryPolicy(max_retries=1, backoff=Rational(1, 300),
+                                     abort_skip_fraction=0.25),
+            adaptation=AdaptationPolicy(
+                levels=3, fractions=(Rational(1, 3), Rational(1, 2), 1),
+                sequences={"video1", "audio1"}, min_level=1),
+        )
+        payload = json.loads(json.dumps(request.to_payload()))
+        assert payload["arrival_time"] == "5/2"
+        assert SessionRequest.from_payload(payload, Rational(0)) == request
+        # Resumed one second into its batch, it has 3/2 s left to wait;
+        # resumed after it arrived, it starts at once.
+        assert SessionRequest.from_payload(
+            payload, Rational(1)).arrival_time == Rational(3, 2)
+        assert SessionRequest.from_payload(
+            payload, Rational(4)).arrival_time == 0
+
     def test_cache_manifest_rides_along(self, movie):
         cache = DerivationCache(budget_bytes=1 << 16)
         server = VodServer(bandwidth=BANDWIDTH, derivation_cache=cache)
@@ -83,6 +104,14 @@ class TestRestoreFromDict:
         payload = make_server(movie).checkpoint()
         payload["version"] = 99
         with pytest.raises(CheckpointError, match="version"):
+            VodServer.restore(payload)
+
+    def test_version_one_payload_rejected(self, movie):
+        # Version 1 kept remaining requests as bare (client, title)
+        # pairs; there is no reader for it.
+        payload = make_server(movie).checkpoint()
+        payload["version"] = 1
+        with pytest.raises(CheckpointError, match="version 1"):
             VodServer.restore(payload)
 
     def test_mangled_payload_is_typed_error(self, movie):
@@ -175,8 +204,10 @@ class TestFailover:
             "rejected": [],
             "completed": [],
             "failed": [],
-            "remaining": [["c", "ghost"]],
+            "remaining": [
+                SessionRequest(client="c", title="ghost").to_payload()],
             "share": 1.0,
+            "at": "0",
         }
         restored = VodServer.restore(payload)
         with pytest.raises(CheckpointError, match="unpublished"):

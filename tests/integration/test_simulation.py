@@ -3,8 +3,9 @@
 §1.1's motivating application, driven end to end in the manner of
 FoundationDB's simulation testing: hypothesis draws one scenario — a
 fleet size and per-shard bandwidth, one or two request batches over
-three short titles with zero or staggered arrivals, storage faults, a
-crash that kills the busiest title's shard mid-batch, catalog writes —
+three short titles with zero or staggered arrivals, some requests
+forbidding retries, storage faults, a crash that kills the busiest
+title's shard mid-batch, catalog writes —
 and the scenario is served through the one serving path with
 observability, telemetry and checkpoint-backed failover always on.
 After every scenario these invariants must hold:
@@ -12,7 +13,8 @@ After every scenario these invariants must hold:
 1. Exactly-once accounting per batch: outcomes + recovered + rejected
    is the number of requests, no identity is served twice, both served
    and rejected, or served unrequested, and ``fleet.health()``'s census
-   agrees.
+   agrees. A session whose request forbids retries reports none, also
+   when it resumed on a survivor after a failover.
 2. A crashed shard is dead; without a fault plan no session fails; at
    ample bandwidth without faults the deadline-miss SLO is green.
 3. Every transition to firing is visible in ``fleet.health()`` at that
@@ -45,6 +47,7 @@ from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.composition import MultimediaObject
 from repro.core.rational import Rational
 from repro.engine.fleet import Fleet, place
+from repro.engine.player import RetryPolicy
 from repro.engine.recorder import Recorder
 from repro.engine.vod import ServeOptions, SessionRequest
 from repro.faults.crash import CrashInjector, CrashSite
@@ -65,6 +68,9 @@ TITLES = {"news": 10, "drama": 12, "sport": 14}
 
 #: Requests draw titles with this skew, as VOD popularity does.
 POPULARITY = ("news", "news", "news", "drama", "drama", "sport")
+
+#: The policy a request may carry instead of the batch default.
+NO_RETRIES = RetryPolicy(max_retries=0)
 
 #: Per-shard bandwidth ladder, bytes/second: 12 kB/s is overloaded by
 #: one session of any title, 2 MB/s is ample for twenty.
@@ -97,9 +103,10 @@ def titles():
 
 @dataclass(frozen=True)
 class Batch:
-    """One ``serve`` call: ``(title, arrival ms)`` per request."""
+    """One ``serve`` call: ``(title, arrival ms, forbids retries)`` per
+    request."""
 
-    requests: tuple[tuple[str, int], ...]
+    requests: tuple[tuple[str, int, bool], ...]
     granularity: str
     admission: bool
 
@@ -121,9 +128,11 @@ class Scenario:
     writes: tuple[tuple[str, str, object], ...]
 
 
-#: A request: its title and the gap in ms since the previous arrival.
+#: A request: its title, the gap in ms since the previous arrival, and
+#: whether it forbids retries.
 REQUESTS = st.lists(
-    st.tuples(st.sampled_from(POPULARITY), st.integers(0, 500)),
+    st.tuples(st.sampled_from(POPULARITY), st.integers(0, 500),
+              st.booleans()),
     min_size=1, max_size=20,
 )
 #: A batch's options: staggered arrivals, granularity, admission.
@@ -143,10 +152,11 @@ WRITES = st.lists(st.tuples(
 ), max_size=6)
 
 
-def make_batch(pairs, staggered: bool, granularity: str,
+def make_batch(drawn, staggered: bool, granularity: str,
                admission: bool) -> Batch:
-    arrivals = accumulate(gap if staggered else 0 for _, gap in pairs)
-    return Batch(tuple(zip((title for title, _ in pairs), arrivals)),
+    arrivals = accumulate(gap if staggered else 0 for _, gap, _ in drawn)
+    return Batch(tuple((title, ms, strict) for (title, _, strict), ms
+                       in zip(drawn, arrivals)),
                  granularity, admission)
 
 
@@ -154,16 +164,16 @@ def make_batch(pairs, staggered: bool, granularity: str,
 def scenarios(draw) -> Scenario:
     shards = draw(st.integers(1, 4))
     # One to twenty requests, served in one batch or in two halves.
-    pairs = draw(REQUESTS)
-    parts = [pairs]
-    if len(pairs) > 1 and draw(st.booleans()):
-        parts = [pairs[:len(pairs) // 2], pairs[len(pairs) // 2:]]
+    drawn = draw(REQUESTS)
+    parts = [drawn]
+    if len(drawn) > 1 and draw(st.booleans()):
+        parts = [drawn[:len(drawn) // 2], drawn[len(drawn) // 2:]]
     served = tuple(make_batch(part, *draw(BATCH_OPTIONS)) for part in parts)
     # A failover needs a survivor, and a crash point the owner reaches
     # in the first batch (unless admission turns sessions away).
     crash_at = None
     if shards > 1:
-        busiest = Counter(title for title, _ in served[0].requests)
+        busiest = Counter(title for title, _, _ in served[0].requests)
         crash_at = draw(st.none() | st.integers(
             0, max(busiest.values()) - 1))
     return Scenario(
@@ -178,7 +188,7 @@ def scenarios(draw) -> Scenario:
 
 
 def busiest_title(batch: Batch) -> str:
-    counts = Counter(title for title, _ in batch.requests)
+    counts = Counter(title for title, _, _ in batch.requests)
     return max(TITLES, key=lambda title: counts[title])
 
 
@@ -236,8 +246,9 @@ def simulate(scenario: Scenario, titles) -> Run:
     for number, batch in enumerate(scenario.batches):
         requests = [
             SessionRequest(client=f"b{number}-c{i}", title=title,
-                           arrival_time=Rational(ms, 1000))
-            for i, (title, ms) in enumerate(batch.requests)
+                           arrival_time=Rational(ms, 1000),
+                           retry_policy=NO_RETRIES if strict else None)
+            for i, (title, ms, strict) in enumerate(batch.requests)
         ]
         run.requests.append(requests)
         run.reports.append(fleet.serve(requests, ServeOptions(
@@ -270,6 +281,11 @@ def check_accounting(run: Run) -> None:
             "served without being requested"
         assert (len(report.outcomes()) + report.recovered
                 + len(report.rejected)) == len(requests)
+        strict = {r.key for r in requests if r.retry_policy is not None}
+        for session in report.admitted:
+            if session.identity in strict:
+                assert session.report.retries == 0, \
+                    f"{session.identity} retried against its policy"
         outcomes.update(report.outcomes().values())
         recovered += report.recovered
         rejected_total += len(report.rejected)

@@ -24,7 +24,6 @@ class TestHierarchy:
         assert issubclass(errors.BlobBoundsError, errors.BlobError)
         assert issubclass(errors.StreamConstraintError, errors.StreamError)
         assert issubclass(errors.ContainerFormatError, errors.StorageError)
-        assert issubclass(errors.SchedulingError, errors.EngineError)
         assert issubclass(errors.ResourceError, errors.EngineError)
         assert issubclass(errors.CatalogError, errors.QueryError)
         assert issubclass(errors.TransientBlobError, errors.BlobError)
@@ -44,4 +43,4 @@ class TestHierarchy:
     def test_count_is_stable(self):
         """The hierarchy is part of the public API; additions are fine
         but should be deliberate (update this count when extending)."""
-        assert len(all_error_classes()) == 35
+        assert len(all_error_classes()) == 34

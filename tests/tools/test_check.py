@@ -157,7 +157,7 @@ class TestDataflowStage:
         assert "check passed" in capsys.readouterr().out
 
     def test_sarif_output_round_trips(self, tmp_path, capsys):
-        from repro.analysis.dataflow import validate_sarif
+        from tests.analysis.sarif import validate_sarif
 
         (tmp_path / "scratch.py").write_text(self.PIN_LEAK)
         sarif_path = tmp_path / "findings.sarif"
