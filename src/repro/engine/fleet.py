@@ -230,6 +230,9 @@ class Fleet:
                 telemetry=telemetry,
             )
         self._live: list[str] = list(self._shards)
+        # Each routed title's owner under the current live set; a shard
+        # death (the only change to that set) clears it.
+        self._owners: dict[str, str] = {}
         self._reports: list[ServerReport] = []
         if self.checkpoint_fs is not None:
             if not self.checkpoint_fs.exists(self.checkpoint_dir):
@@ -257,9 +260,12 @@ class Fleet:
 
     def route(self, title: str) -> str:
         """The live shard that owns ``title`` right now."""
-        if not self._live:
-            raise EngineError("no live shards: the whole fleet is dead")
-        return place(title, self._live)
+        owner = self._owners.get(title)
+        if owner is None:
+            if not self._live:
+                raise EngineError("no live shards: the whole fleet is dead")
+            owner = self._owners[title] = place(title, self._live)
+        return owner
 
     def kill_shard(self, name: str) -> None:
         """Administratively take a shard out of the routing set.
@@ -275,6 +281,7 @@ class Fleet:
 
     def _mark_dead(self, name: str) -> None:
         self._live.remove(name)
+        self._owners.clear()
         self.obs.metrics.counter("fleet.shard_deaths").inc()
         self.obs.events.record(
             Severity.ERROR, "fleet", "shard.died",

@@ -480,6 +480,9 @@ class VodServer:
         self.bandwidth = bandwidth
         self.prefetch_depth = prefetch_depth
         self.admission_margin = admission_margin
+        # The admission test's exact operands, converted once.
+        self._margin = as_rational(admission_margin)
+        self._budget = Rational(bandwidth)
         self.derivation_cache = derivation_cache
         self.obs = NULL_OBS if obs is None else obs
         self.plan_check = plan_check
@@ -597,8 +600,7 @@ class VodServer:
     def _admits(self, load: Rational, rate: Rational) -> bool:
         """The admission test: a session needing ``rate`` fits beside
         ``load`` when their sum, with margin, fits the bandwidth."""
-        return ((load + rate) * as_rational(self.admission_margin)
-                <= Rational(self.bandwidth))
+        return (load + rate) * self._margin <= self._budget
 
     def admit(self, requests) -> tuple[list[SessionRequest],
                                        list[SessionRequest]]:
@@ -1278,7 +1280,7 @@ class VodServer:
     def capacity(self, title: str) -> int:
         """How many concurrent sessions of ``title`` the admission test
         accepts — the server's nominal capacity for that title."""
-        rate = self.required_rate(title) * as_rational(self.admission_margin)
+        rate = self.required_rate(title) * self._margin
         if rate <= 0:
             raise ResourceError(f"{title!r} declares a zero data rate")
-        return int(Rational(self.bandwidth) / rate)
+        return int(self._budget / rate)

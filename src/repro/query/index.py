@@ -24,7 +24,11 @@ style of the XPath-accelerator line of work:
 
 Derivation graphs are not encoded here: the catalog's in-memory
 :class:`~repro.core.provenance.ProvenanceGraph` answers lineage and
-derived-from queries faster than a relational copy of it can.
+derived-from queries faster than a relational copy of it can. Nor is
+the index's own bookkeeping: the planner's match count per attribute
+``(key, value)`` and each composition's indexed version and longest
+top-level duration are read on every query and never joined, so they
+are dicts on the :class:`TemporalIndex`, beside its opaque-key set.
 
 The index is a rebuildable cache over exact in-process state, so its
 connection (:func:`open_tuned`) turns durability pragmas off; crash
@@ -32,9 +36,10 @@ safety belongs to :mod:`repro.durability`, not to this sidecar.
 
 Write-through is the invariant: every catalog mutation
 (:meth:`~repro.query.database.MediaDatabase.add_object`,
-``set_attribute``, ``ingest_directory``) updates the relations in the
-same call, and mutable compositions carry a version counter the index
-snapshots, re-encoding a changed tree lazily before answering for it.
+``set_attribute``, ``ingest_directory``) updates the relations and the
+counts in the same call, and mutable compositions carry a version
+counter the index snapshots, re-encoding a changed tree lazily before
+answering for it.
 The linear scan stays as the backend of a catalog without an index,
 and the test suite holds every indexed answer to it: same result sets,
 same order.
@@ -99,27 +104,7 @@ CREATE INDEX IF NOT EXISTS idx_comp_window
     ON composition(mm, level, start_approx);
 CREATE INDEX IF NOT EXISTS idx_comp_obj ON composition(obj_name);
 CREATE INDEX IF NOT EXISTS idx_comp_path ON composition(mm, path);
-CREATE TABLE IF NOT EXISTS composition_meta (
-    mm          TEXT PRIMARY KEY,
-    version     INTEGER NOT NULL,
-    rows        INTEGER NOT NULL,
-    max_dur     REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS attr_stats (
-    key         TEXT NOT NULL,
-    value       TEXT NOT NULL,
-    n           INTEGER NOT NULL,
-    PRIMARY KEY (key, value)
-) WITHOUT ROWID;
 """
-
-
-#: Incremental upsert keeping ``attr_stats`` exact under write-through;
-#: the counts feed the query planner's choice of driving filter.
-_STATS_BUMP = (
-    "INSERT INTO attr_stats (key, value, n) VALUES (?, ?, 1)"
-    " ON CONFLICT (key, value) DO UPDATE SET n = n + 1"
-)
 
 
 def encode_attribute(value: Any) -> str | None:
@@ -131,19 +116,19 @@ def encode_attribute(value: Any) -> str | None:
     Fraction(1)`` all encode identically, so indexed equality agrees
     with ``dict.__eq__`` on the linear path.
     """
+    if isinstance(value, str):
+        return "str:" + value
+    if isinstance(value, int):
+        # ``int()`` gives a bool or an ``IntEnum`` member its number.
+        return f"num:{int(value)}/1"
     if value is None:
         return "none:"
-    if isinstance(value, bool):
-        value = int(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             return None
         value = Fraction(value)
-    if isinstance(value, (int, Fraction)):
-        value = Fraction(value)
+    if isinstance(value, Fraction):
         return f"num:{value.numerator}/{value.denominator}"
-    if isinstance(value, str):
-        return "str:" + value
     return None
 
 
@@ -206,6 +191,12 @@ class TemporalIndex(Instrumented):
         # Keys that ever carried a value with no canonical encoding;
         # equality filters on them must use the linear oracle.
         self._opaque_keys: set[str] = set()
+        # The planner's exact match count per (key, encoded value),
+        # kept under write-through; a missing pair counts 0.
+        self._attr_counts: dict[tuple[str, str], int] = {}
+        # Per indexed composition: the version its rows encode and the
+        # longest top-level duration, which bounds the window prefilter.
+        self._compositions: dict[str, tuple[int, float]] = {}
         self._write_seq = 0
         self.last_write: tuple[int, str, str] | None = None
         if obs is not None:
@@ -252,19 +243,18 @@ class TemporalIndex(Instrumented):
         )
         object_id = cursor.lastrowid
         if attributes:
-            rows = []
-            for key, value in attributes.items():
-                encoded = encode_attribute(value)
-                if encoded is None:
-                    self._opaque_keys.add(key)
-                rows.append((object_id, key, encoded))
+            rows = [(object_id, key, encode_attribute(value))
+                    for key, value in attributes.items()]
             self._conn.executemany(
                 "INSERT INTO attributes (object_id, key, value)"
                 " VALUES (?, ?, ?)", rows,
             )
-            self._conn.executemany(
-                _STATS_BUMP, [(k, v) for _, k, v in rows if v is not None],
-            )
+            counts = self._attr_counts
+            for _, key, encoded in rows:
+                if encoded is None:
+                    self._opaque_keys.add(key)
+                else:
+                    counts[key, encoded] = counts.get((key, encoded), 0) + 1
         self._wrote("object", obj.name, rows=1 + len(attributes))
 
     def set_attribute(self, name: str, key: str, value: Any) -> None:
@@ -283,18 +273,16 @@ class TemporalIndex(Instrumented):
             "SELECT value FROM attributes WHERE object_id = ? AND key = ?",
             (row[0], key),
         ).fetchone()
-        if old is not None and old[0] is not None:
-            self._conn.execute(
-                "UPDATE attr_stats SET n = n - 1 WHERE key = ? AND value = ?",
-                (key, old[0]),
-            )
-        if encoded is not None:
-            self._conn.execute(_STATS_BUMP, (key, encoded))
         self._conn.execute(
             "INSERT OR REPLACE INTO attributes (object_id, key, value)"
             " VALUES (?, ?, ?)",
             (row[0], key, encoded),
         )
+        counts = self._attr_counts
+        if old is not None and old[0] is not None:
+            counts[key, old[0]] -= 1
+        if encoded is not None:
+            counts[key, encoded] = counts.get((key, encoded), 0) + 1
         self._wrote("set_attribute", f"{name}.{key}")
 
     # -- composition write-through -------------------------------------------------
@@ -310,14 +298,11 @@ class TemporalIndex(Instrumented):
         :meth:`~repro.query.database.MediaDatabase.refresh_index` after
         editing a composition's interior.
         """
-        row = self._conn.execute(
-            "SELECT version FROM composition_meta WHERE mm = ?",
-            (multimedia.name,),
-        ).fetchone()
-        if row is not None and row[0] == multimedia.version:
+        meta = self._compositions.get(multimedia.name)
+        if meta is not None and meta[0] == multimedia.version:
             return
         self._index_multimedia(multimedia)
-        if row is not None:
+        if meta is not None:
             self._obs.metrics.counter("query.index.rebuilds").inc(
                 what="composition"
             )
@@ -350,18 +335,16 @@ class TemporalIndex(Instrumented):
             # on exit from one shared counter.
             duration = multimedia.duration()
             root_iv = Interval.of(Rational(0), duration)
-            root_frame = [multimedia, "", 0, root_iv, Rational(0), 0,
-                          counter, None]
+            root_frame = [multimedia, "", 0, root_iv, Rational(0),
+                          iter(multimedia.relationships), counter, None]
             counter += 1
             stack = [root_frame]
             seen_on_path = {id(multimedia)}
             while stack:
                 frame = stack[-1]
-                node, path, level, interval, offset, child_i, pre, _ = frame
-                relationships = node.relationships
-                if child_i < len(relationships):
-                    frame[5] += 1
-                    r = relationships[child_i]
+                node, path, level, interval, offset, children, pre, _ = frame
+                r = next(children, None)
+                if r is not None:
                     r_offset = (r.start_offset if r.is_temporal
                                 else Rational(0))
                     absolute = offset + r_offset
@@ -376,21 +359,21 @@ class TemporalIndex(Instrumented):
                             )
                         seen_on_path.add(id(component))
                         stack.append([component, child_path, level + 1,
-                                      child_iv, absolute, 0, counter,
-                                      r.label])
+                                      child_iv, absolute,
+                                      iter(component.relationships),
+                                      counter, r.label])
                         counter += 1
                     else:
                         pre_leaf = counter
                         counter += 2
-                        leaf_iv = Interval.of(absolute, r.duration())
                         rows.append(_composition_row(
                             name, pre_leaf, pre_leaf + 1, level + 1,
                             child_path, r.label, component.name, 1,
-                            leaf_iv,
+                            child_iv,
                         ))
                         if level == 0:
                             max_dur = max(
-                                max_dur, approx(leaf_iv.duration)
+                                max_dur, approx(child_iv.duration)
                             )
                     continue
                 post = counter
@@ -417,11 +400,7 @@ class TemporalIndex(Instrumented):
             )
             for begin in range(0, len(rows), 50_000):
                 self._conn.executemany(insert, rows[begin:begin + 50_000])
-            self._conn.execute(
-                "INSERT OR REPLACE INTO composition_meta"
-                " (mm, version, rows, max_dur) VALUES (?, ?, ?, ?)",
-                (name, multimedia.version, len(rows), max_dur),
-            )
+            self._compositions[name] = (multimedia.version, max_dur)
             self._wrote("composition", name, rows=len(rows))
 
     # -- object selection ----------------------------------------------------------
@@ -448,12 +427,8 @@ class TemporalIndex(Instrumented):
                 return None
             if value is not None:
                 # Defer: the planner below orders equality filters by
-                # their exact match count from ``attr_stats``.
-                row = self._conn.execute(
-                    "SELECT n FROM attr_stats WHERE key = ? AND value = ?",
-                    (key, encoded),
-                ).fetchone()
-                count = row[0] if row is not None else 0
+                # their exact match count.
+                count = self._attr_counts.get((key, encoded), 0)
                 if count <= 0:
                     # Nothing in the catalog carries this (key, value):
                     # the answer is empty without touching a row.
@@ -516,13 +491,11 @@ class TemporalIndex(Instrumented):
         by the conservative margin). Exactness comes from re-checking
         each candidate with the rational interval algebra.
         """
-        meta = self._conn.execute(
-            "SELECT max_dur FROM composition_meta WHERE mm = ?", (mm,)
-        ).fetchone()
+        meta = self._compositions.get(mm)
         if meta is None:
             raise QueryIndexError(f"multimedia {mm!r} is not indexed")
         ws, we = approx(window.start), approx(window.end)
-        lo = ws - meta[0]
+        lo = ws - meta[1]
         lo -= _margin(lo)
         hi = we + _margin(we)
         rows = self._conn.execute(
@@ -539,10 +512,16 @@ class TemporalIndex(Instrumented):
         return candidates
 
     def component_interval(self, mm: str, label: str) -> Interval:
-        """The exact top-level interval of one labelled component."""
+        """The exact top-level interval of one labelled component.
+
+        A point lookup on ``idx_comp_path``: a top-level row's path is
+        its label, and labels are unique within a composition. Labels
+        may contain ``/``, so ``level = 1`` is what tells a top-level
+        ``a/b`` from the nested path ``a/b``.
+        """
         row = self._conn.execute(
             "SELECT start_num, start_den, end_num, end_den"
-            " FROM composition WHERE mm = ? AND level = 1 AND label = ?",
+            " FROM composition WHERE mm = ? AND path = ? AND level = 1",
             (mm, label),
         ).fetchone()
         if row is None:
@@ -708,8 +687,7 @@ class TemporalIndex(Instrumented):
 
     def census(self) -> dict[str, Any]:
         """Row counts, relation/index inventory, size and write state."""
-        tables = ("objects", "attributes", "attr_stats", "composition",
-                  "composition_meta")
+        tables = ("objects", "attributes", "composition")
         counts = {
             table: self._conn.execute(
                 f"SELECT COUNT(*) FROM {table}"

@@ -48,6 +48,10 @@ def requests(n, title="feature"):
             for i in range(n)]
 
 
+#: Titles whose routes are checked against placement over the live set.
+ROUTED = ["feature", "short"] + [f"t{i}" for i in range(40)]
+
+
 class TestRouting:
     def test_deterministic(self):
         shards = ["shard0", "shard1", "shard2"]
@@ -81,6 +85,15 @@ class TestRouting:
         fleet.kill_shard(owner)
         assert fleet.route("feature") != owner
         assert fleet.route("feature") in fleet.live_shards
+
+    def test_memoized_route_follows_every_shard_death(self):
+        fleet = Fleet(bandwidth=2_000_000, shards=4)
+        # Each round of routing memoizes every owner before the next death.
+        for dead in (None, "shard2", "shard0", "shard3"):
+            if dead is not None:
+                fleet.kill_shard(dead)
+            assert {t: fleet.route(t) for t in ROUTED} == {
+                t: place(t, fleet.live_shards) for t in ROUTED}
 
     def test_whole_fleet_dead(self, movie, short):
         fleet = build_fleet(movie, short)
@@ -175,6 +188,12 @@ class TestFailover:
             + len(report.failed) == 5
         assert report.failed == []
         assert all(s.resumed for s in report.admitted)
+
+    def test_routes_follow_the_survivors_after_failover(self, movie, short):
+        fleet, _, owner, _ = self.run_failover(movie, short)
+        assert owner not in fleet.live_shards
+        assert {t: fleet.route(t) for t in ROUTED} == {
+            t: place(t, fleet.live_shards) for t in ROUTED}
 
     def test_failover_health_rollup(self, movie, short):
         fleet, _, owner, _ = self.run_failover(movie, short)

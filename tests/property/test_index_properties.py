@@ -5,6 +5,8 @@ builds, the indexed backend must return byte-identical result sets —
 same names, same order — including after ``set_attribute`` mutations.
 """
 
+import math
+from enum import IntEnum
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.media_object import StillMediaObject
 from repro.core.media_types import media_type_registry
+from repro.core.rational import Rational
 from repro.query.database import MediaDatabase
 from repro.query.index import encode_attribute
 from tests.query.correctness import demonstrate_correctness
@@ -22,6 +25,44 @@ indexable_values = st.sampled_from([
     None, True, False, 0, 1, -3, 1.0, 0.5, 2.5,
     Fraction(1), Fraction(1, 2), "a", "b", "1", "",
 ])
+
+
+#: Every kind of value a catalog stores, opaque objects included, over
+#: ranges small enough that aliases (``True == 1 == 1.0``) recur.
+stored_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.integers(-2, 2).map(float), st.sampled_from(["a", "b", "1", ""]),
+    st.builds(object),
+)
+
+
+class Level(IntEnum):
+    LOW = -7
+    HIGH = 2**70
+
+
+class Tag(str):
+    pass
+
+
+def _reference_encoding(value):
+    """``encode_attribute`` spelled the long way: every number, bools
+    included, through ``Fraction``. It must return exactly this."""
+    if value is None:
+        return "none:"
+    if isinstance(value, bool):
+        value = int(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return None
+        value = Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+        return f"num:{value.numerator}/{value.denominator}"
+    if isinstance(value, str):
+        return "str:" + value
+    return None
 
 
 def _still(name):
@@ -40,6 +81,46 @@ class TestEncodeAttribute:
         assert encode_attribute(float("nan")) is None
         assert encode_attribute(object()) is None
         assert encode_attribute([1, 2]) is None
+
+    @given(st.one_of(
+        st.integers(), st.integers(min_value=2**64),
+        st.integers(max_value=-2**64), st.booleans(),
+        st.sampled_from(Level), st.text(), st.text().map(Tag),
+        st.floats(), st.fractions(),
+        st.fractions().map(lambda f: Rational(f.numerator, f.denominator)),
+        st.none(), st.builds(object),
+    ))
+    def test_encoding_matches_the_fraction_reference(self, value):
+        assert encode_attribute(value) == _reference_encoding(value)
+
+
+class TestPlannerCounts:
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 15),
+                              st.sampled_from(["k", "v"]), stored_values),
+                    min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_a_recount_of_the_rows(self, operations):
+        """After any run of writes, the planner's count of each
+        ``(key, value)`` is the number of rows that carry it."""
+        db = MediaDatabase("counts", index=True)
+        names: list[str] = []
+        for add, pick, key, value in operations:
+            if add or not names:
+                names.append(f"o{len(names):02d}")
+                db.add_object(_still(names[-1]),
+                              **{key: value, "shelf": pick % 3})
+            else:
+                db.set_attribute(names[pick % len(names)], key, value)
+        index = db.index
+        recount = {
+            (key, value): n for key, value, n in index._conn.execute(
+                "SELECT key, value, COUNT(*) FROM attributes"
+                " WHERE value IS NOT NULL GROUP BY key, value")
+        }
+        planner = {pair: n for pair, n in index._attr_counts.items()
+                   if n > 0}
+        assert planner == recount
+        assert min(index._attr_counts.values()) >= 0
 
 
 class TestBackendAgreement:

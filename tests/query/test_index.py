@@ -153,6 +153,74 @@ class TestTemporalPredicates:
                                                    backend=backend)
 
 
+class TestPointLookup:
+    """The overlap query starts with a point lookup of its label."""
+
+    @staticmethod
+    def programme(size):
+        db = MediaDatabase(f"programme-{size}", index=True)
+        leaf = still("leaf")
+        db.add_object(leaf)
+        m = MultimediaObject("programme")
+        for i in range(size):
+            m.add_temporal(leaf, at=2 * i, duration=1 + i % 8,
+                           label=f"c{i:05d}")
+        db.add_multimedia(m)
+        return db
+
+    @staticmethod
+    def overlap_steps(db, label):
+        """SQLite VM steps of one indexed overlap query, and its answer."""
+        steps = 0
+
+        def count():
+            nonlocal steps
+            steps += 1
+            return 0
+
+        conn = db.index._conn
+        conn.set_progress_handler(count, 1)
+        try:
+            answer = db.components_overlapping("programme", label,
+                                               backend="index")
+        finally:
+            conn.set_progress_handler(None, 1)
+        return steps, answer
+
+    def test_overlap_cost_does_not_grow_with_the_programme(self):
+        small_steps, small = self.overlap_steps(self.programme(100), "c00050")
+        large_steps, large = self.overlap_steps(self.programme(10_000),
+                                                "c00050")
+        assert small == large == ["c00047", "c00051"]
+        assert 0 < large_steps <= 2 * small_steps
+
+    @pytest.mark.parametrize("top_level_first", [True, False])
+    def test_slash_label_is_not_the_nested_path(self, db, top_level_first):
+        """A top-level ``a/b`` and the nested path ``a/b`` share a path
+        string; the lookup must pick the top-level component."""
+        leaf = still("leaf")
+        inner = MultimediaObject("inner")
+        inner.add_temporal(leaf, at=0, duration=1, label="b")
+        m = MultimediaObject("slashes")
+        m.add_temporal(leaf, at=0, duration=1, label="early")
+        placements = [lambda: m.add_temporal(leaf, at=10, duration=2,
+                                             label="a/b"),
+                      lambda: m.add_temporal(inner, at=0, label="a")]
+        for place in placements if top_level_first else placements[::-1]:
+            place()
+        m.add_temporal(leaf, at=11, duration=3, label="late")
+        db.add_multimedia(m)
+        assert (db.index.component_interval("slashes", "a/b")
+                == Interval(Rational(10), Rational(12)))
+        for backend in ("index", "linear"):
+            assert db.components_overlapping("slashes", "a/b",
+                                             backend=backend) == ["late"]
+            assert db.components_during("slashes", 10, 11,
+                                        backend=backend) == ["a/b"]
+            assert db.components_during("slashes", 0, 1,
+                                        backend=backend) == ["a", "early"]
+
+
 class TestCompositionAxes:
     def test_occurrences_in_document_order(self, timeline_db):
         indexed = timeline_db.occurrences_of("leaf", backend="index")

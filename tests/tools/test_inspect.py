@@ -114,8 +114,16 @@ class TestIndexCensus:
         assert main([container_path, "--index"]) == 0
         out = capsys.readouterr().out
         assert "temporal index census" in out
-        assert "objects" in out
         assert "writes" in out
+        table = out[out.index("temporal index census"):].splitlines()
+        first_column = [line.split("|")[0].strip()
+                        for line in table if "|" in line]
+        assert [name for name in first_column[1:]
+                if not name.startswith("(")] == [
+            "attributes", "composition", "objects"]
+        assert [line for line in table if line.startswith("indexes:")] == [
+            "indexes: idx_attributes_kv, idx_comp_obj, idx_comp_path,"
+            " idx_comp_window"]
 
 
 class TestDashboard:
