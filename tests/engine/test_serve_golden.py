@@ -4,6 +4,11 @@ These serves are frozen under ``golden/``:
 
 * ``fleet_read.txt`` — a 40-session staggered :meth:`Fleet.serve` at
   ``granularity="read"`` with observability on;
+* ``fleet_read_faulted.txt`` — a 12-session staggered faulted
+  :meth:`Fleet.serve` at ``granularity="read"``: transient errors, bad
+  pages, degraded bandwidth and latency windows, retries with backoff,
+  adaptation, sessions that fall back, and telemetry scraping every
+  third of a second (its store dump follows the obs export);
 * ``vod_faulted.txt`` — a same-seed faulted :meth:`VodServer.serve`
   with an :class:`AdaptationPolicy`;
 * ``vod_*`` — uniform-arrival :meth:`VodServer.serve` batches over a
@@ -44,6 +49,7 @@ from repro.faults.plan import FaultPlan
 from repro.media import frames
 from repro.media.objects import video_object
 from repro.obs import Observability, to_json_lines
+from repro.obs.telemetry import Telemetry
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +103,48 @@ def fleet_read_serve() -> str:
     report = fleet.serve(requests, ServeOptions(enforce_admission=False,
                                                 granularity="read"))
     return render(report, obs)
+
+
+def fleet_read_faulted_run():
+    """12 staggered sessions on a 3-shard fleet at read granularity,
+    under faults that make sessions retry, glitch, adapt and fall back,
+    with scrapes on a 1/3 s interval. Returns the merged report, the
+    sink and the telemetry pipeline."""
+    titles = make_titles()
+    obs = Observability()
+    telemetry = Telemetry(interval=Rational(1, 3))
+    fleet = Fleet(bandwidth=120_000, shards=3, obs=obs, telemetry=telemetry)
+    for name, interpretation in titles.items():
+        fleet.publish(name, interpretation)
+    rng = random.Random(41)
+    names = list(titles)
+    arrival_ms = 0
+    requests = []
+    for n in range(12):
+        arrival_ms += rng.randrange(0, 120)
+        requests.append(SessionRequest(
+            client=f"c{n}", title=rng.choice(names),
+            arrival_time=Rational(arrival_ms, 1000),
+        ))
+    plan = FaultPlan(seed=15, page_size=512, transient_rate=0.15,
+                     bad_page_rate=0.05, degraded_fraction=0.5,
+                     degradation_span=6,
+                     degraded_bandwidth_factor=Rational(1, 4),
+                     degraded_latency=Rational(3, 1000))
+    report = fleet.serve(requests, ServeOptions(
+        enforce_admission=False, granularity="read", fault_plan=plan,
+        adaptation=AdaptationPolicy(levels=3),
+        retry_policy=RetryPolicy(max_retries=2, backoff=Rational(1, 250),
+                                 backoff_factor=Rational(3, 2),
+                                 abort_skip_fraction=0.1),
+    ))
+    return report, obs, telemetry
+
+
+def fleet_read_faulted_serve() -> str:
+    report, obs, telemetry = fleet_read_faulted_run()
+    return (render(report, obs) + "# telemetry\n"
+            + telemetry.store.dump())
 
 
 def vod_faulted_serve() -> str:
@@ -165,6 +213,7 @@ def vod_checkpoint_bytes() -> str:
 
 SERVES = {
     "fleet_read.txt": fleet_read_serve,
+    "fleet_read_faulted.txt": fleet_read_faulted_serve,
     "vod_faulted.txt": vod_faulted_serve,
     "vod_clean_mixed.txt": lambda: catalog_serve(
         catalog_requests(3) + catalog_requests(2, "short")),
@@ -196,6 +245,19 @@ def test_serve_matches_golden(name):
     # differs instead of diffing the whole file.
     assert actual.splitlines() == expected.splitlines()
     assert actual == expected
+
+
+def test_faulted_read_serve_exercises_every_recovery_path():
+    """The faulted read-granularity golden covers what the clean one
+    cannot: retries, glitches, adaptation and a fallback, all stepped
+    on the kernel."""
+    report, obs, _telemetry = fleet_read_faulted_run()
+    names = {event.name for event in obs.events.events()}
+    assert {"read.retry", "element.skipped", "quality.adapted",
+            "session.fallback"} <= names
+    spans = {span.name for span in obs.tracer.spans}
+    assert {"engine.retry", "engine.glitch", "engine.adaptation"} <= spans
+    assert any(session.degraded for session in report.admitted)
 
 
 if __name__ == "__main__":
