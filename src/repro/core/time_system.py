@@ -22,6 +22,20 @@ from repro.core.rational import Rational, as_rational
 from repro.errors import TimeSystemError
 
 
+def to_ticks(seconds, frequency) -> int:
+    """``seconds`` as whole ticks of ``frequency`` (an int or an exact
+    rational), the inverse of ``D_f``; a time off its grid raises
+    :class:`~repro.errors.TimeSystemError`."""
+    seconds = as_rational(seconds)
+    ticks, rest = divmod(seconds.numerator * frequency.numerator,
+                         seconds.denominator * frequency.denominator)
+    if rest:
+        raise TimeSystemError(
+            f"{seconds} s is not a whole tick at {frequency} per second; "
+            "use floor()/round() for inexact conversion")
+    return ticks
+
+
 @dataclass(frozen=True, slots=True)
 class DiscreteTimeSystem:
     """A mapping ``i -> i / frequency`` from ticks to seconds.
@@ -63,13 +77,7 @@ class DiscreteTimeSystem:
             If ``seconds`` does not fall exactly on a tick; use
             :meth:`floor` or :meth:`round` for inexact conversion.
         """
-        ticks = as_rational(seconds) * self.frequency
-        if ticks.denominator != 1:
-            raise TimeSystemError(
-                f"{seconds} s is not an integral tick in {self}; "
-                "use floor()/round() for inexact conversion"
-            )
-        return int(ticks)
+        return to_ticks(seconds, self.frequency)
 
     def floor(self, seconds) -> int:
         """Largest discrete time value not after ``seconds``."""

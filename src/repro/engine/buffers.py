@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.rational import ZERO, Rational, as_rational
+from repro.core.rational import Rational
 from repro.errors import EngineError
 
 
@@ -55,6 +55,8 @@ def simulate_prefetch(
     starts once ``depth`` elements (or all of them) are buffered. An
     underrun occurs when an element's production completes after its
     shifted deadline; the element is presented late rather than dropped.
+    Times are exact: ``Rational`` seconds, or int ticks of one frequency
+    (the player's), and the report's times are of the same kind.
     """
     if len(production_times) != len(deadlines):
         raise EngineError("production and deadline lists must align")
@@ -64,9 +66,10 @@ def simulate_prefetch(
     if depth < 1:
         raise EngineError("prefetch depth must be >= 1")
     fill = min(depth, count)
-    startup = as_rational(production_times[fill - 1])
+    startup = production_times[fill - 1]
+    zero = startup - startup
     underruns = 0
-    max_wait = ZERO
+    max_wait = zero
     lateness = []
     presentations = []
     # Buffer occupancy high-water: both production and presentation
@@ -77,19 +80,20 @@ def simulate_prefetch(
     presented_before = 0
     for index, (produced, deadline) in enumerate(
             zip(production_times, deadlines)):
-        produced = as_rational(produced)
         while (presented_before < index
                and presentations[presented_before] < produced):
             presented_before += 1
-        high_water = max(high_water, index + 1 - presented_before)
-        shifted_deadline = startup + as_rational(deadline)
+        if index - presented_before >= high_water:
+            high_water = index + 1 - presented_before
+        shifted_deadline = startup + deadline
         if produced > shifted_deadline:
             late = produced - shifted_deadline
             underruns += 1
-            max_wait = max(max_wait, late)
+            if late > max_wait:
+                max_wait = late
             presentations.append(produced)
         else:
-            late = ZERO
+            late = zero
             presentations.append(shifted_deadline)
         lateness.append(late)
     return PrefetchReport(

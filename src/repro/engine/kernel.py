@@ -7,8 +7,9 @@ sessions come and go. The streaming-server line of work ("Media Objects
 in Time") schedules media as *timed events* instead; this module is
 that kernel:
 
-* :class:`SimulatedClock` — one shared, monotonic, exact-rational
-  clock for a whole serving run (no wall time anywhere);
+* :class:`SimulatedClock` — one shared, monotonic clock for a whole
+  serving run (no wall time anywhere), counting whole ticks of one
+  frequency: Def. 2's ``D_f : i -> i/f`` as the serve's timebase;
 * :class:`EventLoop` — a binary-heap scheduler: events fire in
   ``(time, insertion order)`` order, callbacks may schedule more
   events, and a :class:`~repro.errors.SimulatedCrash` raised inside a
@@ -21,16 +22,19 @@ that kernel:
   player stepper one element per event, or a whole-session runner in
   one event when every session arrives at the same instant.
 
-Everything is deterministic: the heap tie-break is insertion order, the
-clock is rational, and no event ever consults the machine it runs on.
+Everything is deterministic and exact: the heap tie-break is insertion
+order, every time is an int of ticks or an exact ``Rational``, and no
+event ever consults the machine it runs on.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import gcd, lcm
 from typing import Any, Callable, Generator
 
 from repro.core.rational import Rational, as_rational
+from repro.core.time_system import to_ticks
 from repro.errors import EngineError, MediaModelError, SimulatedCrash
 
 __all__ = [
@@ -42,51 +46,59 @@ __all__ = [
 
 
 class SimulatedClock:
-    """A shared, forward-only simulated clock (exact rational seconds)."""
+    """A shared, forward-only simulated clock: ``ticks`` whole ticks of
+    ``frequency`` per second, read as an exact ``Rational`` (built again
+    only once the clock has moved)."""
 
     def __init__(self, start=0):
-        self._now = as_rational(start)
+        start = as_rational(start)
+        self.ticks, self.frequency = start.numerator, start.denominator
+        self._read = (self.ticks, self.frequency, start)
 
     def now(self) -> Rational:
-        return self._now
+        ticks, frequency, now = self._read
+        if ticks != self.ticks or frequency != self.frequency:
+            now = Rational(self.ticks, self.frequency)
+            self._read = (self.ticks, self.frequency, now)
+        return now
 
-    def advance_to(self, at) -> Rational:
-        """Move the clock forward to ``at``; never backwards."""
+    def advance_to(self, at, frequency: int | None = None) -> Rational:
+        """Move the clock forward to ``at``; never backwards. It counts
+        on in ticks of the least multiple of ``frequency`` (by default
+        its own) on which ``at`` is whole."""
         at = as_rational(at)
-        if at < self._now:
-            raise EngineError(
-                f"clock cannot run backwards: at {self._now}, asked "
-                f"for {at}"
-            )
-        self._now = at
-        return self._now
+        if at < self.now():
+            raise EngineError(f"clock cannot run backwards: at {self.now()}, "
+                              f"asked for {at}")
+        self.frequency = lcm(frequency or self.frequency, at.denominator)
+        self.ticks = at.numerator * (self.frequency // at.denominator)
+        return at
 
     def __repr__(self) -> str:
-        return f"SimulatedClock(t={self._now})"
+        return f"SimulatedClock(t={self.now()})"
 
 
 class EventLoop:
     """A deterministic heap-scheduled event loop on a simulated clock.
 
-    Events are ``(float(time), time, seq, callback, args)`` heap
-    entries; ``seq`` is the global insertion counter, so two events at
-    the same instant fire in the order they were scheduled — the
-    property the serving path relies on for reproducibility (and for
-    playing same-instant sessions in the order they were admitted).
+    Events are ``(ticks, seq, callback, args)`` heap entries: an int
+    instant on the clock's timebase, then the global insertion counter,
+    so two events at the same instant fire in the order they were
+    scheduled — the property the serving path relies on for
+    reproducibility (and for playing same-instant sessions in the order
+    they were admitted).
 
-    The leading float is a sort key only, there so that heap sifts
-    compare in C rather than through ``Rational``'s Python-level
-    operators. ``float()`` of a ``Rational`` is correctly rounded and
-    therefore monotone (``a < b`` implies ``float(a) <= float(b)``): a
-    differing float settles only pairs whose exact order it agrees
-    with, and pairs whose floats tie fall through to the exact time and
-    then to ``seq``. Pop order is exactly ``(time, seq)`` order, and the
-    float never reaches the clock.
+    A time off the timebase rescales the clock and every pending entry
+    by the least integer factor that puts it on, which keeps their
+    order. ``frequency`` re-bases the clock before the first event.
     """
 
-    def __init__(self, clock: SimulatedClock | None = None):
+    def __init__(self, clock: SimulatedClock | None = None,
+                 frequency: int | None = None):
         self.clock = clock if clock is not None else SimulatedClock()
-        self._heap: list[tuple[float, Rational, int, Callable, tuple]] = []
+        if frequency is not None:
+            self.clock.advance_to(self.clock.now(), frequency)
+        self._heap: list[tuple[int, int, Callable, tuple]] = []
         self._seq = 0
         self.events_processed = 0
         self.peak_pending = 0
@@ -95,24 +107,37 @@ class EventLoop:
     def pending(self) -> int:
         return len(self._heap)
 
+    def align(self, frequency: int) -> int:
+        """Rescale until a tick of ``frequency`` is whole ticks; how many."""
+        clock = self.clock
+        if clock.frequency % frequency:
+            factor = frequency // gcd(frequency, clock.frequency)
+            self._heap[:] = [(ticks * factor, *entry) for ticks, *entry in self._heap]
+            clock.ticks *= factor
+            clock.frequency *= factor
+        return clock.frequency // frequency
+
     def at(self, when, callback: Callable, *args) -> int:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
         when = as_rational(when)
-        if when < self.clock.now():
-            raise EngineError(
-                f"cannot schedule into the past: now {self.clock.now()}, "
-                f"asked for {when}"
-            )
-        seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, (float(when), when, seq, callback, args))
-        if len(self._heap) > self.peak_pending:
-            self.peak_pending = len(self._heap)
-        return seq
+        ticks = when.numerator * self.align(when.denominator)
+        return self.after_ticks(ticks - self.clock.ticks, callback, *args)
 
     def after(self, delay, callback: Callable, *args) -> int:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         return self.at(self.clock.now() + as_rational(delay), callback, *args)
+
+    def after_ticks(self, ticks: int, callback: Callable, *args) -> int:
+        """Schedule ``callback(*args)`` ``ticks`` (an int >= 0) ticks on."""
+        if ticks.__class__ is not int or ticks < 0:
+            raise EngineError(f"cannot schedule {ticks!r} ticks on: not an int or past")
+        seq = self._seq
+        self._seq = seq + 1
+        heap = self._heap
+        heapq.heappush(heap, (self.clock.ticks + ticks, seq, callback, args))
+        if len(heap) > self.peak_pending:
+            self.peak_pending = len(heap)
+        return seq
 
     def run(self, until=None) -> int:
         """Pop and fire events until the heap drains (or ``until``).
@@ -124,16 +149,20 @@ class EventLoop:
         remaining heap is the work it lost.
         """
         limit = None if until is None else as_rational(until)
+        heap, clock, pop = self._heap, self.clock, heapq.heappop
         fired = 0
-        while self._heap:
-            _key, when, _seq, callback, args = self._heap[0]
-            if limit is not None and when > limit:
-                break
-            heapq.heappop(self._heap)
-            self.clock.advance_to(when)
-            callback(*args)
-            fired += 1
-            self.events_processed += 1
+        try:
+            while heap:
+                ticks = heap[0][0]
+                if limit is not None and (ticks * limit.denominator
+                                          > limit.numerator * clock.frequency):
+                    break
+                _ticks, _seq, callback, args = pop(heap)
+                clock.ticks = ticks
+                callback(*args)
+                fired += 1
+        finally:
+            self.events_processed += fired
         return fired
 
     def stats(self) -> dict[str, Any]:
@@ -161,31 +190,41 @@ class BandwidthLedger:
     accounting: while only ``active`` of the ``planned`` sessions are
     concurrently streaming, each active one really sees
     ``total / active``, i.e. the nominal share scaled by
-    ``planned / active`` ≥ 1. Steppers ask :meth:`factor` before every
-    element read, so a session that outlives its neighbours speeds up
-    exactly when they leave. The factor changes only when a session
-    enters or leaves, so it is computed there, not on every read.
+    ``planned / active`` ≥ 1 (:meth:`factor`), so a session that
+    outlives its neighbours speeds up exactly when they leave. Given
+    the share's ``bandwidth`` and the steppers' tick ``frequency`` it
+    also keeps ``price``, the int ticks one byte takes at the current
+    share. Both change only when a session enters or leaves, so they
+    are computed there, not on every read.
     """
 
-    def __init__(self, planned: int):
+    def __init__(self, planned: int, bandwidth=None, frequency: int = 1):
         if planned < 1:
             raise EngineError("ledger needs at least one planned session")
         self.planned = planned
         self.active = 0
         self.peak_active = 0
-        self._factor = Rational(planned)
+        self.frequency = frequency
+        self._unit = (None if bandwidth is None
+                      else to_ticks(1 / (as_rational(bandwidth) * planned), frequency))
+        self._reprice()
+
+    def _reprice(self) -> None:
+        sharers = max(1, self.active)
+        self._factor = Rational(self.planned, sharers)
+        self.price = None if self._unit is None else self._unit * sharers
 
     def enter(self) -> None:
         self.active += 1
         if self.active > self.peak_active:
             self.peak_active = self.active
-        self._factor = Rational(self.planned, self.active)
+        self._reprice()
 
     def leave(self) -> None:
         if self.active <= 0:
             raise EngineError("ledger underflow: leave() without enter()")
         self.active -= 1
-        self._factor = Rational(self.planned, max(1, self.active))
+        self._reprice()
 
     def factor(self) -> Rational:
         """Bandwidth multiplier over the nominal equal share, >= 1."""
@@ -216,11 +255,12 @@ class SessionMachine:
       instant, events pop in insertion order, so sessions run serially
       in admitted order and so do their observability records.
     * ``stepper_factory`` — a zero-argument callable returning a player
-      stepper (a generator yielding per-element simulated durations and
-      returning the session's report). The machine consumes one element
-      per event, re-scheduling itself at ``now + dt``; this is the fine
-      granularity under which sessions genuinely interleave and the
-      :class:`BandwidthLedger` can re-price bandwidth per event.
+      stepper (a generator yielding per-element durations in int ticks
+      of ``frequency``, and returning the session's report). The machine
+      consumes one element per event, re-scheduling itself at
+      ``now + dt`` (it aligns the loop to ``frequency`` first); this is
+      the fine granularity under which sessions genuinely interleave and
+      the :class:`BandwidthLedger` can re-price bandwidth per event.
 
     ``on_error`` (fine granularity only) is called with a
     :class:`~repro.errors.MediaModelError` the stepper raised; it may
@@ -237,12 +277,11 @@ class SessionMachine:
                  on_start: Callable[["SessionMachine"], None] | None = None,
                  on_complete: Callable[["SessionMachine", Any], None] | None = None,
                  on_error: Callable[["SessionMachine", MediaModelError],
-                                    Generator | None] | None = None):
+                                    Generator | None] | None = None,
+                 frequency: int = 1):
         if (runner is None) == (stepper_factory is None):
-            raise EngineError(
-                "SessionMachine needs exactly one of runner= or "
-                "stepper_factory="
-            )
+            raise EngineError("SessionMachine needs exactly one of runner= or "
+                              "stepper_factory=")
         self.key = key
         self.loop = loop
         self.state = PENDING
@@ -258,6 +297,7 @@ class SessionMachine:
         self._on_start = on_start
         self._on_complete = on_complete
         self._on_error = on_error
+        self.frequency = frequency
 
     # -- scheduling ------------------------------------------------------------
 
@@ -283,10 +323,11 @@ class SessionMachine:
             self._finish(result)
             return
         self._stepper = self._stepper_factory()
+        self.loop.align(self.frequency)
         # Schedule the first element rather than stepping inline, so
         # every same-instant arrival enters the ledger before any of
         # them prices a read.
-        self.loop.after(0, self._advance)
+        self.loop.after_ticks(0, self._advance)
 
     def _advance(self) -> None:
         try:
@@ -299,18 +340,19 @@ class SessionMachine:
         except MediaModelError as exc:
             self._handle_error(exc)
             return
-        self.loop.after(dt, self._advance)
+        loop = self.loop
+        loop.after_ticks(dt * (loop.clock.frequency // self.frequency), self._advance)
 
     def _handle_error(self, exc: MediaModelError) -> None:
         replacement = None
         if self._on_error is not None:
             replacement = self._on_error(self, exc)
         if replacement is None:
-            self._fail()
+            self._finish(None)
             return
         self.restarts += 1
         self._stepper = replacement
-        self.loop.after(0, self._advance)
+        self.loop.after_ticks(0, self._advance)
 
     def _finish(self, result: Any) -> None:
         self.state = DONE if result is not None else FAILED
@@ -320,9 +362,6 @@ class SessionMachine:
             self._ledger.leave()
         if self._on_complete is not None:
             self._on_complete(self, result)
-
-    def _fail(self) -> None:
-        self._finish(None)
 
     def __repr__(self) -> str:
         return f"SessionMachine({self.key!r}, {self.state})"

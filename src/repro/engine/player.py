@@ -8,8 +8,8 @@ element read/decode costs from a :class:`CostModel`, and reports whether
 deadlines were met — startup delay, underruns, jitter, and the data rate
 the storage system must sustain.
 
-Everything is simulated with exact rational arithmetic; no wall-clock
-time is involved, so reports are reproducible to the bit.
+Everything is simulated exactly, on int ticks and rationals; no
+wall-clock time is involved, so reports are reproducible to the bit.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.composition import MultimediaObject
 from repro.core.interpretation import Interpretation
-from repro.core.rational import ZERO, Rational, as_rational
+from repro.core.rational import ONE, ZERO, Rational, as_rational
+from repro.core.time_system import to_ticks
 from repro.engine.buffers import simulate_prefetch
 from repro.errors import EngineError, PlaybackAbortError
 from repro.faults.plan import FaultPlan
@@ -75,42 +77,14 @@ class CostModel:
                 f"decode_rate must be positive, got {self.decode_rate}"
             )
 
-    def element_cost(self, size: int, contiguous: bool,
-                     bandwidth_factor: Rational | None = None) -> Rational:
-        """Seconds to read (and decode) ``size`` bytes.
-
-        ``bandwidth_factor`` scales only the transfer term — a degraded
-        link slows the bytes, not the head movement or the decoder.
-        """
-        bandwidth = self.bandwidth
-        if bandwidth_factor is not None and bandwidth_factor != 1:
-            bandwidth = bandwidth * bandwidth_factor
-        cost = Rational(size) / bandwidth
+    def element_cost(self, size: int, contiguous: bool) -> Rational:
+        """Seconds to read (and decode) ``size`` bytes."""
+        cost = Rational(size) / self.bandwidth
         if not contiguous:
             cost += self.seek_time
         if self.decode_rate:
             cost += Rational(size) / self.decode_rate
         return cost
-
-    def cost_breakdown(self, size: int, contiguous: bool,
-                       bandwidth_factor: Rational | None = None,
-                       ) -> tuple[Rational, Rational]:
-        """``element_cost`` split for stage attribution.
-
-        Returns ``(read_seconds, decode_seconds)`` where the read term
-        is seek + transfer; their sum equals :meth:`element_cost` for
-        the same arguments — the profiler never invents time the engine
-        didn't charge.
-        """
-        bandwidth = self.bandwidth
-        if bandwidth_factor is not None and bandwidth_factor != 1:
-            bandwidth = bandwidth * bandwidth_factor
-        read = Rational(size) / bandwidth
-        if not contiguous:
-            read += self.seek_time
-        decode = (Rational(size) / self.decode_rate if self.decode_rate
-                  else ZERO)
-        return read, decode
 
     def expansion_cost(self, input_bytes: int,
                        output_bytes: int) -> Rational:
@@ -358,19 +332,19 @@ class _PlannedRead:
     deadline: Rational
 
 
-def _relative_deadlines(reads: list[_PlannedRead], origin: Rational,
-                        rate: Rational) -> list[Rational]:
-    """Each read's deadline on reference time, relative to ``origin``.
+class _Deadlines(NamedTuple):
+    """A plan's deadlines relative to its first read at the player's
+    rate (media time d plays at d / rate), as exact ``times`` and as int
+    ``ticks`` of ``frequency``."""
 
-    At rate r, media time d is presented at reference time d / r. The
-    common zero origin and unit rate skip their identity arithmetic.
-    """
-    deadlines = [r.deadline for r in reads]
-    if origin != 0:
-        deadlines = [d - origin for d in deadlines]
-    if rate != 1:
-        deadlines = [d / rate for d in deadlines]
-    return deadlines
+    frequency: int
+    times: list[Rational]
+    ticks: list[int]
+
+    def at(self, frequency: int) -> "_Deadlines":
+        """The same in ticks of ``frequency``, a multiple of this one."""
+        scale = to_ticks(Rational(frequency, self.frequency), 1)
+        return self._replace(frequency=frequency, ticks=[t * scale for t in self.ticks])
 
 
 class Player:
@@ -580,6 +554,35 @@ class Player:
         """The shared per-stage attribution histogram (instrumented only)."""
         return self.obs.metrics.histogram(STAGE_METRIC, buckets=STAGE_BUCKETS)
 
+    def prices(self, planned: int = 1) -> list[Rational]:
+        """Every unit a read is charged in, ``planned`` sessions sharing the
+        bandwidth: a seek, a byte's transfer alone (k sharers take k of
+        these) and degraded, a byte's decode, the degraded latency and each
+        backoff."""
+        cost, plan, policy = self.cost_model, self.fault_plan, self.retry_policy
+        bandwidth = cost.bandwidth * planned
+        times = [cost.seek_time, 1 / bandwidth]
+        if cost.decode_rate is not None:
+            times.append(1 / cost.decode_rate)
+        if plan is not None:
+            times += [plan.degraded_latency,
+                      1 / (bandwidth * plan.degraded_bandwidth_factor),
+                      *map(policy.backoff_cost, range(policy.max_retries))]
+        return times
+
+    def deadlines(self, reads: list[_PlannedRead], planned: int = 1) -> _Deadlines:
+        """``reads``' deadlines in ticks of the least frequency on which
+        they and every one of :meth:`prices` are whole (the common zero
+        origin and unit rate skip their identity arithmetic)."""
+        first = reads[0].deadline
+        times = [r.deadline for r in reads]
+        if first != 0:
+            times = [d - first for d in times]
+        if self.rate != 1:
+            times = [d / self.rate for d in times]
+        frequency = math.lcm(*(t.denominator for t in times + self.prices(planned)))
+        return _Deadlines(frequency, times, [to_ticks(t, frequency) for t in times])
+
     # -- playback -------------------------------------------------------------
 
     def play(self, target, names: list[str] | None = None,
@@ -621,23 +624,26 @@ class Player:
             except StopIteration as stop:
                 return stop.value
 
-    def stepper(self, reads: list[_PlannedRead], share_factor=None):
+    def stepper(self, reads: list[_PlannedRead], ledger=None, context=None,
+                deadlines: _Deadlines | None = None):
         """The playback simulation as a resumable generator.
 
-        Yields the simulated seconds each element consumed (read +
-        decode + any retries and backoff) in presentation order, and
-        *returns* the finished :class:`PlaybackReport` — the event
-        kernel (:mod:`repro.engine.kernel`) drives one element per
-        scheduled event, while :meth:`play` drains the generator in one
-        loop. Both paths execute the same arithmetic in the same order,
-        so their reports are identical by construction.
+        Yields the simulated time each element consumed (read + decode +
+        any retries and backoff) in presentation order, and *returns*
+        the finished :class:`PlaybackReport` — the event kernel
+        (:mod:`repro.engine.kernel`) drives one element per scheduled
+        event, while :meth:`play` drains the generator in one loop. Both
+        paths execute the same arithmetic in the same order, so their
+        reports are identical by construction.
 
-        ``share_factor`` (optional) is a zero-argument callable sampled
-        before each element: a bandwidth multiplier over this player's
-        cost-model bandwidth, letting a shared
-        :class:`~repro.engine.kernel.BandwidthLedger` re-price reads as
-        concurrent sessions come and go. None (the default) keeps the
-        cost model's static bandwidth — the seed contract.
+        Time is int ticks of one frequency F, the ``ledger``'s when given
+        (a :class:`~repro.engine.kernel.BandwidthLedger`, whose per-byte
+        ``price`` re-prices reads as sessions come and go), else that of
+        ``deadlines`` (by default :meth:`deadlines`). Each of
+        :meth:`prices` is in ticks once, a read is int arithmetic, and a
+        time becomes ``Rational(ticks, F)`` only in the report, spans and
+        events. ``context`` (a :class:`~repro.obs.tracing.TraceContext`)
+        is pushed only around the spans and events the stepper records.
 
         Without a fault plan each element is one read. With one, every
         recovery action costs simulated time: a failed attempt charges
@@ -648,56 +654,80 @@ class Player:
         layer prefix that fits degraded bandwidth. The walk mirrors
         :class:`~repro.faults.pager.FaultyPager`'s bookkeeping — visits
         per page, global read index — so the same plan produces the
-        same storage behaviour at either enforcement point. The plan's
-        per-read bandwidth factor is scaled by ``share_factor``, so
-        dynamic processor sharing and injected degradation compose into
+        same storage behaviour at either enforcement point. A degraded
+        window's bandwidth factor composes with the ledger's share into
         one multiplier (adaptation sees the combined factor too: more
         bandwidth, higher layer).
         """
         if not reads:
             return PlaybackReport(
-                element_count=0, duration=Rational(0),
-                required_rate=Rational(0), startup_delay=Rational(0),
-                underruns=0, underrun_fraction=0.0,
-                max_lateness=Rational(0), jitter=Rational(0),
-                prefetch_depth=self.prefetch_depth, seeks=0,
-            )
+                element_count=0, duration=ZERO, required_rate=ZERO, startup_delay=ZERO,
+                underruns=0, underrun_fraction=0.0, max_lateness=ZERO, jitter=ZERO,
+                prefetch_depth=self.prefetch_depth, seeks=0)
         cost_model = self.cost_model
-        plan = self.fault_plan
-        policy = self.retry_policy
-        adaptation = self.adaptation
+        if deadlines is None:
+            deadlines = self.deadlines(reads, 1 if ledger is None else ledger.planned)
+        if ledger is not None:
+            deadlines = deadlines.at(ledger.frequency)
+        frequency = deadlines.frequency
+        price = to_ticks(1 / cost_model.bandwidth, frequency)
+        seek = to_ticks(cost_model.seek_time, frequency)
+        decode_price = (0 if cost_model.decode_rate is None
+                        else to_ticks(1 / cost_model.decode_rate, frequency))
+        plan, policy, adaptation = self.fault_plan, self.retry_policy, self.adaptation
+        if plan is not None:
+            slow = plan.degraded_bandwidth_factor
+            latency = to_ticks(plan.degraded_latency, frequency)
+            backoffs = [to_ticks(policy.backoff_cost(attempt), frequency)
+                        for attempt in range(policy.max_retries)]
         instrumented = self.obs.enabled
-        tracer = self.obs.tracer if instrumented else None
-        events = self.obs.events if instrumented else None
-        stage_hist = self._stage_histogram() if instrumented else None
-        decodes = cost_model.decode_rate is not None
-        clock = Rational(0)
+        tracer, events = self.obs.tracer, self.obs.events
+        if instrumented:
+            stages = self._stage_histogram()
+            page_read, decode, deliver = (
+                stages.recorder(stage=stage)
+                for stage in ("page_read", "decode", "deliver"))
+
+        def traced():
+            return nullcontext() if context is None else self.obs.trace(context)
+
+        def note(span, start, severity, name, fault=None, **attributes):
+            """A span from ``start`` to now and an event, in context."""
+            at = Rational(clock, frequency)
+            with traced():
+                tracer.record(span, Rational(start, frequency), at,
+                              element=read.label, **attributes)
+                if fault is not None:
+                    attributes["fault"] = fault
+                events.record(severity, "engine.player", name, at=at,
+                              element=read.label, **attributes)
+
+        clock = seeks = retries = skipped = glitches = adapted_reads = 0
+        total_bytes = 0
         cursor: int | None = None
-        seeks = 0
-        retries = 0
-        skipped = 0
-        glitches = 0
         in_glitch = False
         visits: Counter = Counter()
-        presented: list[_PlannedRead] = []
-        production: list[Rational] = []
+        presented: list[int] = []
+        production: list[int] = []
         quality_sum = Rational(0)
-        adapted_reads = 0
-        total_bytes = 0
 
         for index, read in enumerate(reads):
             size = read.size
-            if plan is None:
-                factor = share_factor() if share_factor is not None else None
-            else:
+            if ledger is not None:
+                price = ledger.price
+            byte_ticks = price
+            if plan is not None:
                 element_start = clock
                 delivered_share: Rational | None = None
-                factor = plan.bandwidth_factor(index)
-                if share_factor is not None:
-                    factor = factor * share_factor()
-                latency = plan.extra_latency(index)
+                degraded = plan.is_degraded(index)
+                wait = latency if degraded else 0
+                if degraded:  # slows the bytes, not the seek or the decoder
+                    byte_ticks = price * slow.denominator // slow.numerator
                 if (adaptation is not None and read.size > 0
                         and adaptation.applies_to(read.label)):
+                    factor = slow if degraded else Rational(1)
+                    if ledger is not None:
+                        factor = factor * ledger.factor()
                     adapted_reads += 1
                     level = adaptation.level_for(factor)
                     size = min(
@@ -707,28 +737,15 @@ class Player:
                     )
                     delivered_share = Rational(level + 1, adaptation.levels)
                     if instrumented and level < adaptation.levels - 1:
-                        tracer.event(
-                            "engine.adaptation", at=clock,
-                            element=read.label, level=level, bytes=size,
-                        )
-                        events.record(
-                            Severity.INFO, "engine.player",
-                            "quality.adapted", at=clock,
-                            element=read.label, level=level, bytes=size,
-                        )
+                        note("engine.adaptation", clock, Severity.INFO,
+                             "quality.adapted", level=level, bytes=size)
             contiguous = cursor is not None and read.offset == cursor
             if cursor is not None and not contiguous:
                 seeks += 1
             cursor = read.offset + size
-            if stage_hist is None:
-                cost = cost_model.element_cost(
-                    size, contiguous, bandwidth_factor=factor
-                )
-            else:
-                read_part, decode_part = cost_model.cost_breakdown(
-                    size, contiguous, bandwidth_factor=factor
-                )
-                cost = read_part + decode_part if decodes else read_part
+            read_ticks = size * byte_ticks if contiguous else size * byte_ticks + seek
+            decode_ticks = size * decode_price
+            cost = read_ticks + decode_ticks
 
             if plan is None:
                 # A clean element is one read: no page walk, no retries.
@@ -736,33 +753,22 @@ class Player:
                 elapsed = cost
             else:
                 # Injected latency delays every attempt's page read.
-                cost += latency
-                if stage_hist is not None:
-                    read_part += latency
+                cost += wait
+                read_ticks += wait
                 success = False
                 pages = plan.pages_of(read.offset, size)
                 if any(plan.is_bad_page(p) for p in pages):
                     # Permanently bad region: one probing attempt
                     # discovers it; retrying cannot help, so skip now.
-                    self.obs.metrics.counter("faults.injected").inc(
-                        kind="bad_page"
-                    )
+                    self.obs.metrics.counter("faults.injected").inc(kind="bad_page")
                     probe_start = clock
                     clock += cost
                     if instrumented:
-                        stage_hist.observe(float(cost), stage="deliver")
-                        tracer.record(
-                            "engine.glitch", probe_start, clock,
-                            element=read.label, reason="bad_page",
-                        )
-                        events.record(
-                            Severity.ERROR, "engine.player",
-                            "element.skipped", at=clock,
-                            element=read.label, reason="bad_page",
-                        )
+                        deliver(cost / frequency)
+                        note("engine.glitch", probe_start, Severity.ERROR,
+                             "element.skipped", reason="bad_page")
                 else:
                     for attempt in range(policy.max_retries + 1):
-                        failed = False
                         fault_kind = None
                         for page_no in pages:
                             visit = visits[page_no]
@@ -771,57 +777,32 @@ class Player:
                             # page; a corrupted visit completes but fails
                             # verification. Either way the whole element
                             # is re-read.
-                            if plan.is_transient(page_no, visit):
-                                self.obs.metrics.counter(
-                                    "faults.injected"
-                                ).inc(kind="transient")
-                                failed = True
-                                fault_kind = "transient"
-                                break
-                            if plan.is_corrupted(page_no, visit):
-                                self.obs.metrics.counter(
-                                    "faults.injected"
-                                ).inc(kind="corrupted")
-                                failed = True
-                                fault_kind = "corrupted"
+                            fault_kind = (
+                                "transient" if plan.is_transient(page_no, visit)
+                                else "corrupted" if plan.is_corrupted(page_no, visit)
+                                else None)
+                            if fault_kind is not None:
+                                self.obs.metrics.counter("faults.injected").inc(
+                                    kind=fault_kind)
                                 break
                         attempt_start = clock
                         clock += cost
-                        if not failed:
+                        if fault_kind is None:
                             success = True
                             break
                         if attempt < policy.max_retries:
-                            clock += policy.backoff_cost(attempt)
+                            clock += backoffs[attempt]
                             retries += 1
                             if instrumented:
-                                stage_hist.observe(
-                                    float(clock - attempt_start),
-                                    stage="deliver",
-                                )
-                                tracer.record(
-                                    "engine.retry", attempt_start, clock,
-                                    element=read.label, attempt=attempt,
-                                )
-                                events.record(
-                                    Severity.WARNING, "engine.player",
-                                    "read.retry", at=clock,
-                                    element=read.label, attempt=attempt,
-                                    fault=fault_kind,
-                                )
+                                deliver((clock - attempt_start) / frequency)
+                                note("engine.retry", attempt_start,
+                                     Severity.WARNING, "read.retry",
+                                     attempt=attempt, fault=fault_kind)
                         elif instrumented:
-                            stage_hist.observe(float(cost), stage="deliver")
-                            tracer.record(
-                                "engine.glitch", attempt_start, clock,
-                                element=read.label,
-                                reason="retries_exhausted",
-                            )
-                            events.record(
-                                Severity.ERROR, "engine.player",
-                                "element.skipped", at=clock,
-                                element=read.label,
-                                reason="retries_exhausted",
-                                fault=fault_kind,
-                            )
+                            deliver(cost / frequency)
+                            note("engine.glitch", attempt_start, Severity.ERROR,
+                                 "element.skipped", reason="retries_exhausted",
+                                 fault=fault_kind)
                 elapsed = clock - element_start
                 if not success:
                     skipped += 1
@@ -833,86 +814,81 @@ class Player:
                 if delivered_share is not None:
                     quality_sum += delivered_share
                 in_glitch = False
-            if stage_hist is not None:
-                stage_hist.observe(float(read_part), stage="page_read")
-                if decode_part:
-                    stage_hist.observe(float(decode_part), stage="decode")
-            presented.append(read)
+            if instrumented:
+                page_read(read_ticks / frequency)
+                if decode_ticks:
+                    decode(decode_ticks / frequency)
+            presented.append(index)
             production.append(clock)
             total_bytes += size
             yield elapsed
 
+        end = Rational(clock, frequency)
         if (policy.abort_skip_fraction is not None
                 and skipped > policy.abort_skip_fraction * len(reads)):
             self.obs.metrics.counter("engine.play.aborts").inc()
             if instrumented:
-                events.record(
-                    Severity.CRITICAL, "engine.player", "playback.aborted",
-                    at=clock, skipped=skipped, elements=len(reads),
-                )
+                with traced():
+                    events.record(Severity.CRITICAL, "engine.player",
+                                  "playback.aborted", at=end, skipped=skipped,
+                                  elements=len(reads))
             raise PlaybackAbortError(
                 f"skipped {skipped}/{len(reads)} elements, beyond the "
                 f"policy's tolerance of {policy.abort_skip_fraction:.0%}"
             )
 
-        first_deadline = reads[0].deadline
-        deadlines = _relative_deadlines(presented, first_deadline, self.rate)
-        prefetch = simulate_prefetch(production, deadlines, self.prefetch_depth)
+        times, ticks = deadlines.times, deadlines.ticks
         if skipped:
             # The timeline is the content's: skipping an element glitches
             # the presentation but does not shorten the programme.
-            duration = max(
-                _relative_deadlines(reads, first_deadline, self.rate)
-            )
-        else:
-            duration = max(deadlines)
-        required = (
-            Rational(total_bytes) / duration if duration > 0 else Rational(0)
-        )
-        lateness = prefetch.lateness
+            times = [times[i] for i in presented]
+            ticks = [ticks[i] for i in presented]
+        prefetch = simulate_prefetch(production, ticks, self.prefetch_depth)
+        late_ticks = prefetch.lateness
+        lateness = ([Rational(t, frequency) if t else ZERO for t in late_ticks]
+                    if prefetch.max_wait else [ZERO] * len(late_ticks))
         jitter = prefetch.max_wait
-        if lateness and prefetch.underruns == len(lateness):
+        if late_ticks and prefetch.underruns == len(late_ticks):
             # Lateness is never negative, so the earliest is zero unless
             # every element was late.
-            jitter -= min(lateness)
-        delivered_quality = (
-            quality_sum / adapted_reads if adapted_reads else Rational(1)
-        )
+            jitter -= min(late_ticks)
+        duration = Rational(max(deadlines.ticks), frequency)
+        required = Rational(total_bytes) / duration if duration > 0 else Rational(0)
+        delivered_quality = quality_sum / adapted_reads if adapted_reads else ONE
         report = PlaybackReport(
             element_count=len(presented),
             duration=duration,
             required_rate=required,
-            startup_delay=prefetch.startup_delay,
+            startup_delay=Rational(prefetch.startup_delay, frequency),
             underruns=prefetch.underruns,
             underrun_fraction=prefetch.underrun_fraction,
-            max_lateness=prefetch.max_wait,
-            jitter=jitter,
+            max_lateness=Rational(prefetch.max_wait, frequency),
+            jitter=Rational(jitter, frequency),
             prefetch_depth=self.prefetch_depth,
             seeks=seeks,
-            per_read=[
-                (read.label, deadline, late)
-                for read, deadline, late in zip(presented, deadlines, lateness)
-            ],
+            per_read=list(zip([reads[i].label for i in presented], times,
+                              lateness)),
             retries=retries,
             skipped_elements=skipped,
             glitches=glitches,
             delivered_quality=delivered_quality,
         )
-        self._evaluate_slo(report, at=clock)
-        if instrumented:
-            mode = "clean" if plan is None else "faulted"
-            counts = {} if plan is None else {"presented": len(presented)}
-            tracer.record(
-                "engine.play", Rational(0), clock, mode=mode,
-                elements=len(reads), bytes=total_bytes, **counts,
-            )
-            self._record_metrics(report, total_bytes, prefetch, mode)
+        with traced():
+            self._evaluate_slo(report, at=end)
+            if instrumented:
+                mode = "clean" if plan is None else "faulted"
+                counts = {} if plan is None else {"presented": len(presented)}
+                tracer.record("engine.play", ZERO, end, mode=mode,
+                              elements=len(reads), bytes=total_bytes, **counts)
+                self._record_metrics(report, total_bytes, mode, prefetch,
+                                     frequency)
         return report
 
     def _record_metrics(self, report: PlaybackReport, total_bytes: int,
-                        prefetch, mode: str) -> None:
+                        mode: str, prefetch, frequency: int) -> None:
         """Fold one run's outcome into the attached metrics registry and
-        embed the resulting snapshot in the report."""
+        embed the resulting snapshot in the report. ``prefetch`` is the
+        run's, in ticks of ``frequency``."""
         metrics = self.obs.metrics
         metrics.counter("engine.play.runs").inc(mode=mode)
         metrics.counter("engine.play.elements").inc(report.element_count)
@@ -925,22 +901,22 @@ class Player:
             metrics.counter("engine.play.skips").inc(report.skipped_elements)
         if report.glitches:
             metrics.counter("engine.play.glitches").inc(report.glitches)
-        metrics.gauge("engine.play.buffer_high_water").set_max(
-            prefetch.high_water
-        )
-        stage_hist = self._stage_histogram()
-        stage_hist.observe(float(prefetch.startup_delay), stage="deliver")
-        lateness = metrics.histogram(
-            "engine.play.lateness_seconds", buckets=LATENESS_BUCKETS
-        )
-        for label, deadline, late in report.per_read:
-            lateness.observe(float(late), sequence=label.split("[", 1)[0])
-            if late > 0:
+        metrics.gauge("engine.play.buffer_high_water").set_max(prefetch.high_water)
+        self._stage_histogram().observe(prefetch.startup_delay / frequency,
+                                        stage="deliver")
+        lateness = metrics.histogram("engine.play.lateness_seconds",
+                                     buckets=LATENESS_BUCKETS)
+        recorders: dict = {}
+        for (label, deadline, late), ticks in zip(report.per_read, prefetch.lateness):
+            sequence = label.split("[", 1)[0]
+            record = recorders.get(sequence) or recorders.setdefault(
+                sequence, lateness.recorder(sequence=sequence))
+            record(ticks / frequency)
+            if ticks:
                 self.obs.events.record(
                     Severity.WARNING, "engine.player", "deadline.miss",
-                    at=prefetch.startup_delay + deadline + late,
-                    element=label, late_seconds=float(late),
-                )
+                    at=report.startup_delay + deadline + late,
+                    element=label, late_seconds=ticks / frequency)
         report.metrics = metrics.snapshot()
 
     def _evaluate_slo(self, report: PlaybackReport, at: Rational) -> None:

@@ -20,6 +20,8 @@ import base64
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from math import lcm
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.interpretation import Interpretation
@@ -404,30 +406,6 @@ class ServerHealth:
         return "\n".join(lines)
 
 
-def _trace_steps(obs: Observability, context: TraceContext, stepper):
-    """Wrap a player stepper so each step runs under ``context``.
-
-    The kernel interleaves many sessions' steps on one loop; pushing
-    the context only around ``next(stepper)`` (never across a yield)
-    keeps each session's spans and events stamped with its own trace
-    id. ``StopIteration.value`` — the session report — passes through.
-    The push and pop are :meth:`Observability.trace`'s, inlined: this
-    runs once per element read.
-    """
-    tracer, events = obs.tracer, obs.events
-    while True:
-        tracer.push_context(context)
-        events.push_context(context)
-        try:
-            dt = next(stepper)
-        except StopIteration as stop:
-            return stop.value
-        finally:
-            events.pop_context()
-            tracer.pop_context()
-        yield dt
-
-
 class VodServer:
     """Serves cataloged titles under a shared bandwidth budget."""
 
@@ -490,7 +468,8 @@ class VodServer:
         self.telemetry = telemetry
         self._clock = SimulatedClock()
         self._titles: dict[str, Interpretation] = {}
-        self._plan_cache: dict[str, list] = {}
+        self._plan_cache: dict[str, tuple] = {}
+        self._rates: dict[str, Rational] = {}
         self._reports: list[ServerReport] = []
         # Kernel counters from the most recent batch (census/bench).
         self.last_loop_stats: dict | None = None
@@ -532,6 +511,7 @@ class VodServer:
         interpretation.validate()
         self._titles[title] = interpretation
         self._plan_cache.pop(title, None)
+        self._rates.pop(title, None)
 
     def _check_interpretation(self, interpretation: Interpretation):
         from repro.analysis.graph import GraphChecker
@@ -578,7 +558,11 @@ class VodServer:
         return warmed
 
     def required_rate(self, title: str) -> Rational:
-        """Mean data rate the title needs (from its descriptors)."""
+        """Mean data rate the title needs (from its descriptors), summed
+        once per published title."""
+        total = self._rates.get(title)
+        if total is not None:
+            return total
         try:
             interpretation = self._titles[title]
         except KeyError:
@@ -593,6 +577,7 @@ class VodServer:
                     "record it with the Recorder"
                 )
             total += as_rational(rate)
+        self._rates[title] = total
         return total
 
     # -- admission + serving ------------------------------------------------------
@@ -700,18 +685,19 @@ class VodServer:
             request.adaptation or opts.adaptation,
         )
 
-    def _plan_reads(self, player: Player, title: str) -> list:
-        """Planned reads for a title, cached per catalog entry.
+    def _plan_reads(self, player: Player, title: str) -> tuple:
+        """Planned reads for a title and their relative deadlines,
+        cached per catalog entry.
 
         Planning an :class:`Interpretation` is pure and observes
         nothing, so the plan is computed once per title and shared by
         every session that plays it, in either drive mode.
         """
-        reads = self._plan_cache.get(title)
-        if reads is None:
+        plan = self._plan_cache.get(title)
+        if plan is None:
             reads = player.plan_interpretation(self._titles[title])
-            self._plan_cache[title] = reads
-        return reads
+            plan = self._plan_cache[title] = (reads, player.deadlines(reads))
+        return plan
 
     @staticmethod
     def _progress_payload(admitted, rejected, sessions, failed,
@@ -740,14 +726,17 @@ class VodServer:
         One :class:`~repro.engine.kernel.SessionMachine` per request,
         all on one :class:`~repro.engine.kernel.EventLoop` over the
         server's clock; arrival times count from the instant the batch
-        starts. When every
-        request arrives at time zero under ``"auto"`` granularity, each
-        machine runs its whole session in a single event and the heap
-        pops machines in admitted order, so sessions play serially in
-        the order they were admitted. Otherwise machines advance one
-        element per event, genuinely interleaving on the shared clock,
-        with the :class:`~repro.engine.kernel.BandwidthLedger`
-        re-pricing each read by the sessions concurrently active.
+        starts. When every request arrives at time zero under ``"auto"``
+        granularity, each machine runs its whole session in a single
+        event and the heap pops machines in admitted order, so sessions
+        play serially in the order they were admitted. Otherwise
+        machines advance one element per event, genuinely interleaving
+        on the shared clock, with the
+        :class:`~repro.engine.kernel.BandwidthLedger` re-pricing each
+        read by the sessions concurrently active, on one timebase fixed
+        before the first event: the batch's start, every arrival,
+        deadline and scrape, and every unit any of its players (a
+        fallback's included) prices a read in are whole ticks of it.
 
         With observability disabled and no fault plan, identical
         requests are exact replays of the same pure simulation, so
@@ -759,12 +748,11 @@ class VodServer:
         if not admitted:
             return sessions, failed
         default_player = self._build_player(
-            share, opts.fault_plan, opts.retry_policy, opts.adaptation,
-        )
-        loop = EventLoop(self._clock)
+            share, opts.fault_plan, opts.retry_policy, opts.adaptation)
         origin = self._clock.now()
         done = [False] * len(admitted)
         checkpointing = opts.checkpoint_to is not None
+        scraping = self.telemetry is not None and self.obs.enabled
 
         def record_progress(index: int) -> None:
             done[index] = True
@@ -777,8 +765,8 @@ class VodServer:
             )
             self.checkpoint_to(opts.checkpoint_to, fs=opts.checkpoint_fs)
 
-        if opts.granularity == "auto" and all(
-                r.arrival_time == 0 for r in admitted):
+        if opts.granularity == "auto" and all(r.arrival_time == 0 for r in admitted):
+            loop = EventLoop(self._clock)
             # Whole-session replay memo: sound only when sessions are
             # pure functions of their title (no obs, no shared faults,
             # no per-request policy).
@@ -792,14 +780,11 @@ class VodServer:
                 if cacheable:
                     cached = memo.get(request.title)
                     if cached is not None:
-                        return Session(
-                            request.client, request.title, cached.report,
-                            degraded=cached.degraded, resumed=resumed,
-                            request=request,
-                        )
+                        return Session(request.client, request.title, cached.report,
+                                       degraded=cached.degraded, resumed=resumed,
+                                       request=request)
                 session = self._serve_one(
-                    request,
-                    self._player_for(request, default_player, share, opts),
+                    request, self._player_for(request, default_player, share, opts),
                     opts, share, failed, resumed,
                 )
                 if cacheable and session is not None:
@@ -813,69 +798,63 @@ class VodServer:
                     record_progress(index)
 
                 SessionMachine(
-                    request.key, loop,
-                    runner=lambda request=request: runner(request),
+                    request.key, loop, runner=lambda request=request: runner(request),
                     on_complete=complete,
                 ).start(origin)
         else:
-            ledger = BandwidthLedger(len(admitted))
+            players = [self._player_for(r, default_player, share, opts)
+                       for r in admitted]
+            plans = {r.title: self._plan_reads(p, r.title)
+                     for r, p in zip(admitted, players)}
+            times = [origin, *(r.arrival_time for r in admitted)]
+            times += [self.telemetry.interval] if scraping else []
+            for player in {id(p): p for p in players}.values():
+                times += player.prices(len(admitted))
+            frequency = lcm(*(t.denominator for t in times),
+                            *(deadlines.frequency for _, deadlines in plans.values()))
+            plans = {title: (reads, deadlines.at(frequency))
+                     for title, (reads, deadlines) in plans.items()}
+            loop = EventLoop(self._clock, frequency)
+            ledger = BandwidthLedger(len(admitted), share, frequency)
 
-            def steps(player: Player, reads: list, context: TraceContext):
-                stepper = player.stepper(reads, share_factor=ledger.factor)
-                if not self.obs.enabled:
-                    return stepper
-                return _trace_steps(self.obs, context, stepper)
-
-            for index, request in enumerate(admitted):
-                player = self._player_for(request, default_player, share, opts)
-                reads = self._plan_reads(player, request.title)
-                context = TraceContext.for_session(request.client,
-                                                   request.title)
+            for index, (request, player) in enumerate(zip(admitted, players)):
+                reads, deadlines = plans[request.title]
+                context = TraceContext.for_session(request.client, request.title)
 
                 def on_start(machine):
                     self.crash.point("vod.serve.session")
 
                 def on_error(machine, exc, request=request, reads=reads,
-                             context=context):
+                             deadlines=deadlines, context=context):
                     with self.obs.trace(context):
                         fallback = self._fall_back(
                             request, exc, opts, share, failed,
-                            fell_back=machine.restarts > 0,
-                            at=machine.loop.clock.now(),
-                        )
+                            fell_back=machine.restarts > 0, at=machine.loop.clock.now())
                     if fallback is None:
                         return None
-                    return steps(fallback, reads, context)
+                    return fallback.stepper(reads, ledger, context, deadlines)
 
                 def complete(machine, report, index=index, request=request,
                              context=context):
                     if report is not None:
                         with self.obs.trace(context):
                             self.obs.tracer.record(
-                                "vod.session", machine.started_at,
-                                machine.finished_at, client=request.client,
-                                title=request.title,
-                                outcome=("fallback" if machine.restarts
-                                         else "served"),
-                                underruns=report.underruns,
-                            )
+                                "vod.session", machine.started_at, machine.finished_at,
+                                client=request.client, title=request.title,
+                                outcome="fallback" if machine.restarts else "served",
+                                underruns=report.underruns)
                         sessions.append(Session(
-                            request.client, request.title, report,
-                            degraded=machine.restarts > 0, resumed=resumed,
-                            request=request,
-                        ))
+                            request.client, request.title, report, request=request,
+                            degraded=machine.restarts > 0, resumed=resumed))
                     record_progress(index)
 
                 SessionMachine(
                     request.key, loop,
-                    stepper_factory=(
-                        lambda player=player, reads=reads, context=context:
-                        steps(player, reads, context)
-                    ),
+                    stepper_factory=partial(player.stepper, reads, ledger, context,
+                                            deadlines),
                     ledger=ledger, on_start=on_start, on_error=on_error,
-                    on_complete=complete,
+                    on_complete=complete, frequency=frequency,
                 ).start(origin + request.arrival_time)
-        scraping = self.telemetry is not None and self.obs.enabled
         if scraping:
             self.telemetry.attach(loop, self.obs, self._telemetry_source())
         loop.run()
@@ -919,7 +898,7 @@ class VodServer:
             degraded = False
             while True:
                 try:
-                    report = player.play(self._plan_reads(player, title))
+                    report = player.play(self._plan_reads(player, title)[0])
                     break
                 except SimulatedCrash:
                     raise

@@ -207,18 +207,6 @@ class FaultPlan:
         window = read_index // self.degradation_span
         return self._unit("degrade", window) < self.degraded_fraction
 
-    def bandwidth_factor(self, read_index: int) -> Rational:
-        """Bandwidth multiplier for the ``read_index``-th read."""
-        if self.is_degraded(read_index):
-            return self.degraded_bandwidth_factor
-        return Rational(1)
-
-    def extra_latency(self, read_index: int) -> Rational:
-        """Extra latency charged to the ``read_index``-th read."""
-        if self.is_degraded(read_index):
-            return self.degraded_latency
-        return Rational(0)
-
     # -- geometry + derivation ---------------------------------------------------
 
     def pages_of(self, offset: int, size: int) -> range:

@@ -288,6 +288,9 @@ class _NullMetric:
     def observe(self, value: Any, **labels: Any) -> None:
         pass
 
+    def recorder(self, **labels: Any) -> Callable[[float], None]:
+        return self.observe
+
     def value(self, default: Any = None, **labels: Any) -> Any:
         return default
 

@@ -23,7 +23,8 @@ Naming scheme: dotted ``subsystem.noun.event`` (``blob.page.reads``,
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from bisect import bisect_left
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import ObservabilityError
 
@@ -71,19 +72,13 @@ class Metric:
     def labels_seen(self) -> list[LabelKey]:
         return sorted(self._series)
 
-    def _export_series(self, key: LabelKey, value: Any) -> dict[str, Any]:
-        entry: dict[str, Any] = {}
-        if key:
-            entry["labels"] = dict(key)
-        entry["value"] = value
-        return entry
-
     def export(self) -> dict[str, Any]:
         body: dict[str, Any] = {"type": self.kind}
         if self.help:
             body["help"] = self.help
         body["series"] = [
-            self._export_series(key, self._export_value(key))
+            {"labels": dict(key), "value": self._export_value(key)} if key
+            else {"value": self._export_value(key)}
             for key in self.labels_seen()
         ]
         return body
@@ -189,6 +184,10 @@ class Histogram(Metric):
     histogram keeps the bucket counts, the observation count and the
     running sum (accumulated in observation order, so it is
     reproducible for identical runs).
+
+    An observation is a float appended to its series' queue (the append
+    :meth:`recorder` returns). Every read folds the queues first, in
+    order: the first bound >= the value counts it, NaN overflows.
     """
 
     kind = "histogram"
@@ -204,30 +203,49 @@ class Histogram(Metric):
                 f"histogram {self.name!r} buckets must be strictly ascending"
             )
         self.buckets = bounds
+        self._queues: dict[LabelKey, list[float]] = {}
+
+    def recorder(self, **labels: Any) -> Callable[[float], None]:
+        """The append of one series' queue: record a float observation."""
+        key = _label_key(labels)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = []
+        return queue.append
 
     def observe(self, value: Any, **labels: Any) -> None:
-        key = _label_key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = {"counts": [0] * (len(self.buckets) + 1),
-                      "count": 0, "sum": 0.0}
-            self._series[key] = series
-        numeric = float(value)
-        slot = len(self.buckets)
-        for index, bound in enumerate(self.buckets):
-            if numeric <= bound:
-                slot = index
-                break
-        series["counts"][slot] += 1
-        series["count"] += 1
-        series["sum"] += numeric
+        self.recorder(**labels)(float(value))
+
+    def _fold(self) -> None:
+        overflow = len(self.buckets)
+        for key, queue in self._queues.items():
+            if not queue:
+                continue
+            series = self._series.setdefault(key, {
+                "counts": [0] * (overflow + 1), "count": 0, "sum": 0.0})
+            counts, total = series["counts"], series["sum"]
+            for value in queue:
+                counts[bisect_left(self.buckets, value)
+                       if value == value else overflow] += 1
+                total += value
+            series["count"] += len(queue)
+            series["sum"] = total
+            queue.clear()
+
+    def _read(self, labels: Mapping[str, Any]) -> dict | None:
+        self._fold()
+        return self._series.get(_label_key(labels))
+
+    def labels_seen(self) -> list[LabelKey]:
+        self._fold()
+        return super().labels_seen()
 
     def count(self, **labels: Any) -> int:
-        series = self._series.get(_label_key(labels))
+        series = self._read(labels)
         return series["count"] if series else 0
 
     def bucket_counts(self, **labels: Any) -> list[int]:
-        series = self._series.get(_label_key(labels))
+        series = self._read(labels)
         if series is None:
             return [0] * (len(self.buckets) + 1)
         return list(series["counts"])
@@ -235,7 +253,7 @@ class Histogram(Metric):
     def sum(self, **labels: Any) -> float:
         """Running sum of observations for one labeled series (0.0 when
         the series has never been observed)."""
-        series = self._series.get(_label_key(labels))
+        series = self._read(labels)
         return series["sum"] if series else 0.0
 
     def overflow_count(self, **labels: Any) -> int:
@@ -247,14 +265,14 @@ class Histogram(Metric):
         saturation visible; the telemetry scraper mirrors it into the
         ``telemetry.histogram.overflow`` counter.
         """
-        series = self._series.get(_label_key(labels))
+        series = self._read(labels)
         return series["counts"][-1] if series else 0
 
     def quantile(self, q: float, **labels: Any) -> float:
         """The ``q``-quantile of one labeled series, by
         :func:`bucket_quantile` over its bucket counts. An unobserved
         series is 0.0."""
-        series = self._series.get(_label_key(labels))
+        series = self._read(labels)
         return bucket_quantile(self.buckets,
                                series["counts"] if series else (), q)
 

@@ -196,10 +196,10 @@ def report_measurements(report) -> dict[str, float]:
 
     ``rebuffer_ratio`` is total per-element lateness over programme
     duration — the fraction of the presentation the viewer spent
-    waiting past a deadline.
+    waiting past a deadline (no sum when no read was late).
     """
     duration = report.duration
-    if duration > 0 and report.per_read:
+    if duration > 0 and report.per_read and report.max_lateness > 0:
         total_late = sum(late for _, _, late in report.per_read)
         rebuffer = float(total_late / duration)
     else:

@@ -38,7 +38,9 @@ runs produce byte-identical dumps and alert timelines.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.core.rational import Rational, as_rational
@@ -111,6 +113,10 @@ class TelemetryStore:
         self._series: dict[tuple[str, str, str], list[tuple]] = {}
         self._bounds: dict[str, tuple] = {}
         self._alerts: list[tuple] = []
+        # Memos: each (source, metric, label pairs)'s series, so a label
+        # set's JSON is built once; each query's matches until a new one.
+        self._slots: dict[tuple, list[tuple]] = {}
+        self._matches: dict[tuple, list] = {}
 
     # -- writes ---------------------------------------------------------------
 
@@ -137,17 +143,23 @@ class TelemetryStore:
             body = snapshot[metric]
             kind = body.get("type", "metric")
             for series in body.get("series", ()):
-                labels = json.dumps(series.get("labels", {}), sort_keys=True)
+                labels = series.get("labels", {})
+                slot = (source, metric, *labels.items())
+                samples = self._slots.get(slot)
+                if samples is None:
+                    samples = self._slots[slot] = self._series.setdefault(
+                        (source, metric, json.dumps(labels, sort_keys=True)), [])
+                    self._matches.clear()
                 value = series.get("value")
                 if kind == "histogram" and isinstance(value, dict):
-                    self._bounds.setdefault(metric, tuple(value["buckets"]))
+                    if metric not in self._bounds:
+                        self._bounds[metric] = tuple(value["buckets"])
                     sample = (when, None, value["count"], _real(value["sum"]),
                               tuple(value["counts"]), scrape_id, kind)
                 else:
-                    sample = (when, _real(value), None, None, None,
-                              scrape_id, kind)
-                self._series.setdefault((source, metric, labels),
-                                        []).append(sample)
+                    reading = float(value) if type(value) is int else _real(value)
+                    sample = (when, reading, None, None, None, scrape_id, kind)
+                samples.append(sample)
         return scrape_id
 
     def record_alert(self, alert: str, source: str, state: str, at,
@@ -179,16 +191,18 @@ class TelemetryStore:
                  in self._series.items()}
         return {metric: kinds[metric] for metric in sorted(kinds)}
 
-    def _matching(self, metric: str, source: str | None):
+    def _matching(self, metric: str, source: str | None) -> list:
         """``(key, samples)`` for every series answering to ``metric``:
         its exact name, or a scoped ``<prefix>.<metric>`` (fleet shards
         prefix every metric with their shard name)."""
-        suffix = "." + metric
-        for key, samples in self._series.items():
-            name = key[1]
-            if (name == metric or name.endswith(suffix)) and \
-                    (source is None or key[0] == source):
-                yield key, samples
+        found = self._matches.get((metric, source))
+        if found is None:
+            suffix = "." + metric
+            found = self._matches[metric, source] = [
+                (key, samples) for key, samples in self._series.items()
+                if (key[1] == metric or key[1].endswith(suffix))
+                and (source is None or key[0] == source)]
+        return found
 
     @staticmethod
     def _windowed(samples: list[tuple], at, start) -> tuple | None:
@@ -196,15 +210,13 @@ class TelemetryStore:
         or None when the series has no sample by ``at``. A series
         younger than the window start has no baseline and contributes
         from zero."""
-        index = len(samples) - 1
-        while index >= 0 and samples[index][0] > at:
-            index -= 1
-        if index < 0:
+        end = len(samples)
+        while end and samples[end - 1][0] is not at and samples[end - 1][0] > at:
+            end -= 1
+        if not end:
             return None
-        last = samples[index]
-        while index >= 0 and samples[index][0] > start:
-            index -= 1
-        return (samples[index] if index >= 0 else None), last
+        begin = bisect_right(samples, start, 0, end, key=itemgetter(0))
+        return (samples[begin - 1] if begin else None), samples[end - 1]
 
     def _window(self, window, at) -> tuple[Rational, Rational] | None:
         """``(at, start)`` of the trailing ``window`` ending at ``at``
@@ -352,7 +364,7 @@ class TelemetryStore:
     def close(self) -> None:
         """Drop every stored sample, scrape and alert."""
         for held in (self._scrapes, self._newest, self._series,
-                     self._bounds, self._alerts):
+                     self._bounds, self._alerts, self._slots, self._matches):
             held.clear()
 
     def __enter__(self) -> "TelemetryStore":

@@ -32,7 +32,9 @@ are dicts on the :class:`TemporalIndex`, beside its opaque-key set.
 
 The index is a rebuildable cache over exact in-process state, so its
 connection (:func:`open_tuned`) turns durability pragmas off; crash
-safety belongs to :mod:`repro.durability`, not to this sidecar.
+safety belongs to :mod:`repro.durability`, not to this sidecar. Opening
+an index empties its relations, whatever its file holds, and its writes
+are never committed: a file-backed index keeps nothing across a close.
 
 Write-through is the invariant: every catalog mutation
 (:meth:`~repro.query.database.MediaDatabase.add_object`,
@@ -188,6 +190,10 @@ class TemporalIndex(Instrumented):
         self.path = path
         self._conn = open_tuned(path)
         self._conn.executescript(_SCHEMA)
+        # Rows a file already holds describe some other catalog.
+        self._conn.executescript("DELETE FROM attributes; "
+                                 "DELETE FROM composition; "
+                                 "DELETE FROM objects;")
         # Keys that ever carried a value with no canonical encoding;
         # equality filters on them must use the linear oracle.
         self._opaque_keys: set[str] = set()

@@ -236,6 +236,16 @@ class TestDF003:
         assert len(findings) == 1
         assert "wall-clock time.monotonic()" in findings[0].message
 
+    def test_float_reaches_the_tick_scheduler(self, tmp_path):
+        report = df(tmp_path, """\
+            def step(loop, cost):
+                ticks = float(cost)
+                loop.after_ticks(ticks, step)
+            """)
+        findings = fired(report, "DF003")
+        assert len(findings) == 1
+        assert "loop.after_ticks(...)" in findings[0].message
+
     def test_float_literal_direct_into_rational(self, tmp_path):
         report = df(tmp_path, """\
             def direct():

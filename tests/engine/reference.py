@@ -1,0 +1,147 @@
+"""Reference kernel: the exact-``Rational`` event loop the tick kernel replaced.
+
+The library's :mod:`repro.engine.kernel` keeps time as whole ticks of
+one frequency and rescales when a time arrives off that timebase. This
+is the loop it replaced, kept as the oracle: every heap key is the
+event's exact ``Rational`` time, the clock is a ``Rational``, and a
+session machine schedules the ``Rational`` durations its stepper
+yields. Property tests hold the library to it event for event.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Any, Callable, Generator
+
+from repro.core.rational import Rational, as_rational
+from repro.errors import EngineError, MediaModelError, SimulatedCrash
+
+
+class ReferenceClock:
+    """A forward-only clock on exact rational seconds."""
+
+    def __init__(self, start=0):
+        self._now = as_rational(start)
+
+    def now(self) -> Rational:
+        return self._now
+
+    def advance_to(self, at) -> Rational:
+        at = as_rational(at)
+        if at < self._now:
+            raise EngineError(
+                f"clock cannot run backwards: at {self._now}, asked "
+                f"for {at}"
+            )
+        self._now = at
+        return self._now
+
+
+class ReferenceLoop:
+    """Events fire in ``(time, insertion order)`` order; heap entries
+    are ``(time, seq, callback, args)`` with an exact ``Rational``
+    time."""
+
+    def __init__(self, clock: ReferenceClock | None = None):
+        self.clock = clock if clock is not None else ReferenceClock()
+        self._heap: list[tuple[Rational, int, Callable, tuple]] = []
+        self._seq = 0
+        self.events_processed = 0
+        self.peak_pending = 0
+
+    @property
+    def pending(self) -> int:
+        return len(self._heap)
+
+    def at(self, when, callback: Callable, *args) -> int:
+        when = as_rational(when)
+        if when < self.clock.now():
+            raise EngineError(
+                f"cannot schedule into the past: now {self.clock.now()}, "
+                f"asked for {when}"
+            )
+        seq = self._seq
+        self._seq += 1
+        heapq.heappush(self._heap, (when, seq, callback, args))
+        self.peak_pending = max(self.peak_pending, len(self._heap))
+        return seq
+
+    def after(self, delay, callback: Callable, *args) -> int:
+        return self.at(self.clock.now() + as_rational(delay), callback, *args)
+
+    def run(self, until=None) -> int:
+        limit = None if until is None else as_rational(until)
+        fired = 0
+        while self._heap:
+            when, _seq, callback, args = self._heap[0]
+            if limit is not None and when > limit:
+                break
+            heapq.heappop(self._heap)
+            self.clock.advance_to(when)
+            callback(*args)
+            fired += 1
+            self.events_processed += 1
+        return fired
+
+    def stats(self) -> dict[str, Any]:
+        return {
+            "events_processed": self.events_processed,
+            "pending": self.pending,
+            "peak_pending": self.peak_pending,
+            "now": self.clock.now(),
+        }
+
+
+class ReferenceMachine:
+    """A stepper-driven session on the reference loop: one element per
+    event, re-scheduled ``Rational`` seconds after the last."""
+
+    def __init__(self, key, loop: ReferenceLoop, *,
+                 stepper_factory: Callable[[], Generator],
+                 on_complete: Callable[[Any, Any], None] | None = None,
+                 on_error: Callable[[Any, MediaModelError],
+                                    Generator | None] | None = None):
+        self.key = key
+        self.loop = loop
+        self.result: Any = None
+        self.started_at: Rational | None = None
+        self.finished_at: Rational | None = None
+        self.restarts = 0
+        self._stepper_factory = stepper_factory
+        self._stepper: Generator | None = None
+        self._on_complete = on_complete
+        self._on_error = on_error
+
+    def start(self, at) -> None:
+        self.loop.at(at, self._begin)
+
+    def _begin(self) -> None:
+        self.started_at = self.loop.clock.now()
+        self._stepper = self._stepper_factory()
+        self.loop.after(0, self._advance)
+
+    def _advance(self) -> None:
+        try:
+            dt = next(self._stepper)
+        except StopIteration as stop:
+            self._finish(stop.value)
+            return
+        except SimulatedCrash:
+            raise
+        except MediaModelError as exc:
+            replacement = (None if self._on_error is None
+                           else self._on_error(self, exc))
+            if replacement is None:
+                self._finish(None)
+                return
+            self.restarts += 1
+            self._stepper = replacement
+            self.loop.after(0, self._advance)
+            return
+        self.loop.after(dt, self._advance)
+
+    def _finish(self, result: Any) -> None:
+        self.result = result
+        self.finished_at = self.loop.clock.now()
+        if self._on_complete is not None:
+            self._on_complete(self, result)

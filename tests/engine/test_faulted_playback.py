@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from repro.core.rational import Rational
+from repro.engine.kernel import BandwidthLedger
 from repro.engine.player import (
     AdaptationPolicy,
     CostModel,
@@ -60,15 +61,23 @@ class TestCleanPathUnchanged:
         assert observed(zero) == observed(None)
 
         def stepped(plan):
-            factors = itertools.cycle(
-                [Rational(1), Rational(2), Rational(3, 2)])
+            # Six planned sessions, of which 6, 3 and 4 are active in
+            # turn: share factors 1, 2 and 3/2.
+            actives = itertools.cycle([6, 3, 4])
             player = Player(CostModel(bandwidth=100_000), fault_plan=plan)
-            stepper = player.stepper(reads,
-                                     share_factor=lambda: next(factors))
+            frequency = player.deadlines(reads, planned=6).frequency
+            ledger = BandwidthLedger(6, bandwidth=100_000,
+                                     frequency=frequency)
+            stepper = player.stepper(reads, ledger)
             durations = []
             while True:
+                active = next(actives)
+                while ledger.active < active:
+                    ledger.enter()
+                while ledger.active > active:
+                    ledger.leave()
                 try:
-                    durations.append(next(stepper))
+                    durations.append(Rational(next(stepper), frequency))
                 except StopIteration as stop:
                     return durations, stop.value
 
@@ -104,12 +113,13 @@ class TestRetries:
             player = Player(CostModel(bandwidth=100_000), fault_plan=plan,
                             obs=obs)
             stepper = player.stepper(reads)
-            total = Rational(0)
+            total = 0
             while True:
                 try:
                     total += next(stepper)
                 except StopIteration:
-                    return total
+                    return Rational(total,
+                                    player.deadlines(reads).frequency)
 
         assert elapsed(wait) - elapsed(Rational(0)) == wait * len(reads)
         waited, prompt = Observability(), Observability()
@@ -279,8 +289,16 @@ class TestSatellites:
     def test_degraded_bandwidth_scales_only_transfer(self):
         model = CostModel(bandwidth=1000, seek_time=Rational(1, 10),
                           decode_rate=Rational(500))
-        full = model.element_cost(100, contiguous=False)
-        halved = model.element_cost(100, contiguous=False,
-                                    bandwidth_factor=Rational(1, 2))
+        reads = [_PlannedRead("v[0]", 0, 100, Rational(0))]
+
+        def first_read(factor):
+            player = Player(model, fault_plan=FaultPlan(
+                seed=4, degraded_fraction=1.0,
+                degraded_bandwidth_factor=factor))
+            ticks = next(player.stepper(reads))
+            return Rational(ticks, player.deadlines(reads).frequency)
+
+        full, halved = first_read(Rational(1)), first_read(Rational(1, 2))
+        assert full == model.element_cost(100, contiguous=False)
         # Transfer term doubles; seek and decode terms do not.
         assert halved - full == Rational(100, 1000)

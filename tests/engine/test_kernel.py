@@ -17,6 +17,8 @@ from repro.engine.kernel import (
 )
 from repro.errors import EngineError, MediaModelError, SimulatedCrash
 
+from tests.engine.reference import ReferenceLoop, ReferenceMachine
+
 
 class TestSimulatedClock:
     def test_starts_at_zero(self):
@@ -133,6 +135,106 @@ instants = st.builds(
 )
 
 
+class Ticks:
+    """The library kernel: int ticks, rescaled onto each new time."""
+
+    loop = EventLoop
+
+    @staticmethod
+    def machine(key, loop, factory, frequency, on_complete):
+        return SessionMachine(key, loop, stepper_factory=factory,
+                              frequency=frequency, on_complete=on_complete)
+
+    @staticmethod
+    def step(ticks, frequency):
+        return ticks
+
+
+class Exact:
+    """The exact-``Rational`` kernel it replaced (``reference.py``)."""
+
+    loop = ReferenceLoop
+
+    @staticmethod
+    def machine(key, loop, factory, frequency, on_complete):
+        return ReferenceMachine(key, loop, stepper_factory=factory,
+                                on_complete=on_complete)
+
+    @staticmethod
+    def step(ticks, frequency):
+        return Rational(ticks, frequency)
+
+
+#: A stepper's step that raises instead of yielding.
+CRASH_STEP = -1
+
+
+def drive(kernel, schedule, cuts):
+    """Run ``schedule`` on a fresh loop of ``kernel`` and log what it did.
+
+    ``schedule`` holds ``("at", when, label)``, ``("after", delay,
+    label)``, ``("spawn", when, delay, label)`` (at ``when``, schedule
+    ``label + "'"`` ``delay`` later: a time that arrives mid-run),
+    ``("crash", when, label)`` and ``("machine", when, frequency,
+    steps, label)`` (a session stepping ``steps`` ticks of
+    ``frequency``; a ``CRASH_STEP`` raises :class:`SimulatedCrash`).
+    The loop runs to each of ``cuts`` and then to the end, and resumes
+    after every crash. The log holds each callback and step with the
+    clock at it, each run's count, each crash and the stats after each
+    run.
+    """
+    loop = kernel.loop()
+    log = []
+
+    def fire(label):
+        log.append((label, loop.clock.now()))
+
+    def spawn(label, delay):
+        fire(label)
+        loop.after(delay, fire, label + "'")
+
+    def crash(label):
+        fire(label)
+        raise SimulatedCrash(label)
+
+    def steps(label, frequency, durations):
+        def gen():
+            for ticks in durations:
+                log.append((label, "step", loop.clock.now()))
+                if ticks == CRASH_STEP:
+                    raise SimulatedCrash(label)
+                yield kernel.step(ticks, frequency)
+            return label
+        return gen
+
+    def complete(machine, result):
+        log.append((result, machine.started_at, machine.finished_at))
+
+    for kind, *args in schedule:
+        label = args[-1]
+        if kind == "at":
+            loop.at(args[0], fire, label)
+        elif kind == "after":
+            loop.after(args[0], fire, label)
+        elif kind == "spawn":
+            loop.at(args[0], spawn, label, args[1])
+        elif kind == "crash":
+            loop.at(args[0], crash, label)
+        else:
+            when, frequency, durations = args[:3]
+            kernel.machine(label, loop, steps(label, frequency, durations),
+                           frequency, complete).start(when)
+    for cut in [*cuts, None]:
+        while True:
+            try:
+                log.append(("ran", loop.run(until=cut)))
+                break
+            except SimulatedCrash as crashed:
+                log.append(("crashed", str(crashed)))
+        log.append(("stats", loop.stats()))
+    return log
+
+
 @settings(max_examples=200)
 @given(times=st.lists(instants, min_size=1, max_size=30), cut=instants)
 def test_pop_order_is_exact_time_then_insertion(times, cut):
@@ -152,6 +254,38 @@ def test_pop_order_is_exact_time_then_insertion(times, cut):
     loop.run()
     assert fired == expected
     assert loop.clock.now() == max(times)
+    schedule = [("at", when, label) for when, label in zip(times, labels)]
+    assert drive(Ticks, schedule, [cut]) == drive(Exact, schedule, [cut])
+
+
+denominators = st.sampled_from([1, 2, 3, 4, 7, 12, 1000, 1001, 30000, 2**55])
+moments = st.builds(
+    lambda whole, part, denominator: Rational(whole)
+    + Rational(part, denominator),
+    st.integers(0, 3), st.integers(0, 5), denominators,
+)
+operations = st.one_of(
+    st.tuples(st.just("at"), moments),
+    st.tuples(st.just("after"), moments),
+    st.tuples(st.just("spawn"), moments, moments),
+    st.tuples(st.just("crash"), moments),
+    st.tuples(st.just("machine"), moments,
+              st.sampled_from([1, 2, 3, 25, 1000, 30000]),
+              st.lists(st.integers(CRASH_STEP, 6), max_size=8)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.lists(operations, min_size=1, max_size=20),
+       cuts=st.lists(moments, max_size=3))
+def test_ticks_keep_the_rational_kernels_order_and_clock(drawn, cuts):
+    """Mixed denominators, times that arrive mid-run (so the loop
+    rescales while machines are stepping), ``run(until=...)`` cuts and
+    crashes: the tick kernel fires the same callbacks in the same order
+    as the exact-``Rational`` reference, with the same ``clock.now()``
+    at each, and ends each run with the same stats."""
+    schedule = [(*op, f"e{i}") for i, op in enumerate(drawn)]
+    assert drive(Ticks, schedule, cuts) == drive(Exact, schedule, cuts)
 
 
 class TestBandwidthLedger:
@@ -201,11 +335,11 @@ class TestBandwidthLedger:
 
 
 def counting_stepper(durations, result="report"):
-    """A stepper yielding fixed durations and returning ``result``."""
+    """A stepper yielding ``durations`` as int ticks of its machine's
+    frequency and returning ``result``."""
     def factory():
         def gen():
-            for d in durations:
-                yield Rational(d)
+            yield from durations
             return result
         return gen()
     return factory
@@ -253,6 +387,25 @@ class TestSessionMachine:
         # begin + first-advance + one event per element.
         assert loop.events_processed == 5
 
+    def test_stepper_ticks_count_at_the_machines_frequency(self):
+        loop = EventLoop()
+        machine = SessionMachine(
+            "s", loop, stepper_factory=counting_stepper([1, 2, 3]),
+            frequency=4,
+        )
+        machine.start(Rational(1, 3))
+        loop.run()
+        assert machine.finished_at == Rational(1, 3) + Rational(6, 4)
+        assert loop.clock.frequency == 12
+
+    def test_stepper_must_yield_int_ticks(self):
+        loop = EventLoop()
+        SessionMachine(
+            "s", loop, stepper_factory=counting_stepper([Rational(1, 2)]),
+        ).start(0)
+        with pytest.raises(EngineError, match="not an int"):
+            loop.run()
+
     def test_two_sessions_interleave_on_one_clock(self):
         loop = EventLoop()
         order = []
@@ -262,7 +415,7 @@ class TestSessionMachine:
                 def gen():
                     for d in durations:
                         order.append((key, loop.clock.now()))
-                        yield Rational(d)
+                        yield d
                     return key
                 return gen()
             return factory
@@ -286,7 +439,7 @@ class TestSessionMachine:
         def factory():
             def gen():
                 factors.append(ledger.factor())
-                yield Rational(1)
+                yield 1
                 return "ok"
             return gen()
         for key in ("a", "b"):
@@ -304,7 +457,7 @@ class TestSessionMachine:
 
         def broken():
             def gen():
-                yield Rational(1)
+                yield 1
                 raise MediaModelError("storage gave out")
             return gen()
 

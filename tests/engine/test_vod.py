@@ -54,6 +54,10 @@ class TestCatalog:
         descriptor = movie.sequence("feature").media_descriptor
         assert rate == descriptor["average_data_rate"]
 
+    def test_required_rate_is_summed_once_per_title(self, server):
+        assert server.required_rate("feature") is \
+            server.required_rate("feature")
+
     def test_unrecorded_title_lacks_rates(self):
         from repro.core.interpretation import Interpretation, PlacementEntry
         from repro.core.media_types import media_type_registry
@@ -68,8 +72,10 @@ class TestCatalog:
         bare.add("v", video_type, descriptor, [PlacementEntry(0, 0, 1, 10, 0)])
         server = VodServer(bandwidth=1_000_000)
         server.publish("bare", bare)
-        with pytest.raises(ResourceError, match="average_data_rate"):
-            server.required_rate("bare")
+        # At every call, not once: a failed sum is not remembered.
+        for _ in range(2):
+            with pytest.raises(ResourceError, match="average_data_rate"):
+                server.required_rate("bare")
 
 
 class TestAdmission:

@@ -19,7 +19,7 @@ class TestDeterminism:
                 assert a.is_transient(page, visit) == b.is_transient(page, visit)
                 assert a.is_corrupted(page, visit) == b.is_corrupted(page, visit)
         for index in range(500):
-            assert a.bandwidth_factor(index) == b.bandwidth_factor(index)
+            assert a.is_degraded(index) == b.is_degraded(index)
 
     def test_different_seeds_differ(self):
         a = FaultPlan(seed=1, transient_rate=0.5)
@@ -39,8 +39,7 @@ class TestDeterminism:
         assert not any(plan.is_transient(p, 0) for p in range(100))
         assert not any(plan.is_corrupted(p, 0) for p in range(100))
         assert not plan.is_degraded(0)
-        assert plan.bandwidth_factor(17) == 1
-        assert plan.extra_latency(17) == 0
+        assert not plan.is_degraded(17)
 
     def test_fork_is_deterministic_and_independent(self):
         plan = FaultPlan(seed=11, transient_rate=0.5)
@@ -81,9 +80,9 @@ class TestDegradation:
             assert len(states) == 1  # whole window agrees
         degraded = [i for i in range(1600) if plan.is_degraded(i)]
         assert degraded  # 50% of windows should hit some
-        index = degraded[0]
-        assert plan.bandwidth_factor(index) == Rational(1, 4)
-        assert plan.extra_latency(index) == Rational(1, 100)
+        # A degraded read is priced at the plan's factor and latency.
+        assert plan.degraded_bandwidth_factor == Rational(1, 4)
+        assert plan.degraded_latency == Rational(1, 100)
 
 
 class TestGeometry:
