@@ -7,7 +7,9 @@ deep composition over it), runs the headline query classes through both
 the SQLite-backed temporal index and the pure-Python linear oracle, and
 asserts the two backends return byte-identical answers — including
 after a ``set_attribute`` mutation — while the indexed path is at least
-an order of magnitude faster.
+an order of magnitude faster. The build time, the index size and each
+query class's indexed time are also registered as ``BENCH_query.json``
+readings.
 
 Scale down with ``REPRO_BENCH_QUERY_OBJECTS`` /
 ``REPRO_BENCH_QUERY_COMPONENTS`` for smoke runs.
@@ -97,6 +99,8 @@ def test_million_object_speedup(report, catalog):
         linear, cold = _timed(lambda g=gate: g("linear"))
         assert indexed == linear, f"{name}: backends disagree"
         speedups[name] = cold / hot if hot else float("inf")
+        slug = name.replace(" ", "_").replace("+", "_")
+        report.metric("query", f"{slug}_indexed_ms", hot * 1e3)
         rows.append((name, str(len(indexed)), f"{cold * 1e3:9.1f}",
                      f"{hot * 1e3:9.3f}", f"{speedups[name]:8.1f}x"))
     report.table(
@@ -107,6 +111,9 @@ def test_million_object_speedup(report, catalog):
               f"({N_OBJECTS:,} objects, {N_COMPONENTS:,} components; "
               f"build+index {build_seconds:.1f}s)",
     )
+    report.metric("query", "build_s", build_seconds)
+    report.metric("query", "index_size_mb",
+                  db.index.census()["size_bytes"] / 1e6)
     for name, speedup in speedups.items():
         assert speedup >= SPEEDUP_FLOOR, (
             f"{name}: {speedup:.1f}x < {SPEEDUP_FLOOR}x floor"

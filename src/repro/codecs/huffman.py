@@ -171,9 +171,10 @@ class HuffmanCodec:
         """Invert :meth:`encode` with one table lookup per symbol.
 
         NumPy forms the window that starts at every bit position and
-        looks up the code it starts; a walk from bit 0 then hops from
-        each code to the next. Positions past the end lead to one sink,
-        windows that start no code to another.
+        looks up the code it starts; a walk from bit 0 then hops four
+        codes at a time, and three gathers fill in the starts between
+        hops. Positions past the end lead to one sink, windows that
+        start no code to another.
         """
         if len(data) < 4:
             raise CodecError("huffman frame too short")
@@ -194,15 +195,20 @@ class HuffmanCodec:
         step = np.full(invalid + 1, exhausted, dtype=np.intp)
         step[:total] = np.where(lengths, np.arange(total) + lengths, invalid)
         step[invalid] = invalid
-        hop = memoryview(step)
+        two = step[step]  # composed, the sinks stay absorbing
+        hop = memoryview(two[two])
         position = 0
-        path = [0] + [position := hop[position] for _ in range(count)]
+        hops = [0] + [position := hop[position] for _ in range(count // 4)]
+        first = np.fromiter(hops, dtype=np.intp, count=len(hops))
+        second = step[first]
+        third = step[second]
+        path = np.stack((first, second, third, step[third]), axis=1).ravel()
+        position = path[count]  # where the walk stands after count codes
         if position == invalid:
             raise CodecError("invalid huffman bit stream")
         if position > total:
             raise CodecError("bit stream exhausted")
-        starts = np.fromiter(path, dtype=np.intp, count=count)
-        return symbol_of[windows[starts]].tobytes()
+        return symbol_of[windows[path[:count]]].tobytes()
 
     def header(self) -> bytes:
         """The 256-byte code-length header."""

@@ -70,12 +70,15 @@ class Interval:
     end: Rational
 
     def __post_init__(self) -> None:
-        start = as_rational(self.start)
-        end = as_rational(self.end)
+        start, end = self.start, self.end
+        if type(start) is not Rational:
+            start = as_rational(start)
+            object.__setattr__(self, "start", start)
+        if type(end) is not Rational:
+            end = as_rational(end)
+            object.__setattr__(self, "end", end)
         if end < start:
             raise MediaModelError(f"interval end {end} precedes start {start}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
 
     @classmethod
     def of(cls, start, duration) -> "Interval":
@@ -104,12 +107,11 @@ class Interval:
         return self.start <= t < self.end
 
     def intersects(self, other: "Interval") -> bool:
-        """Whether the two intervals share any time (instants included)."""
-        if self.is_instant:
-            return other.contains_time(self.start) or self == other
-        if other.is_instant:
-            return self.contains_time(other.start)
-        return self.start < other.end and other.start < self.end
+        """Whether the two intervals share any time, instants included:
+        equal starts share that instant, and otherwise each interval
+        must start before the other ends."""
+        return self.start == other.start or (
+            self.start < other.end and other.start < self.end)
 
     def intersection(self, other: "Interval") -> "Interval | None":
         if not self.intersects(other):

@@ -16,9 +16,10 @@ catalog mutation through to a :class:`~repro.query.index.TemporalIndex`
 and serves those queries from indexed SQLite relations. Each of them
 takes ``backend="auto" | "index" | "linear"``; ``auto`` uses the index
 when one is attached and the query is expressible there, falling back
-to the linear scan otherwise — so exotic filter values lose speed,
-never answers. Lineage queries have one path: a ranked walk of the
-in-memory :class:`~repro.core.provenance.ProvenanceGraph`.
+to the linear scan otherwise — so exotic filter values, and times past
+SQLite's 64-bit INTEGER, lose speed, never answers. Lineage queries
+have one path: a ranked walk of the in-memory
+:class:`~repro.core.provenance.ProvenanceGraph`.
 """
 
 from __future__ import annotations
@@ -310,18 +311,17 @@ class MediaDatabase(Instrumented):
 
     # -- temporal predicates -----------------------------------------------------------
 
-    def _indexed_multimedia(self, name: str) -> MultimediaObject:
-        multimedia = self.get_multimedia(name)
-        self._index.ensure_multimedia(multimedia)
-        return multimedia
+    def _indexed(self, name: str, op: str) -> bool:
+        """Bring ``name``'s rows up to date; whether they answer ``op``."""
+        self._index.ensure_multimedia(self.get_multimedia(name))
+        return self._index.covers(op, name)
 
     def components_overlapping(self, name: str, label: str,
                                backend: str = "auto") -> list[str]:
         """Labels of ``name``'s components sharing time with ``label``."""
         from repro.query import temporal
 
-        if self._use_index(backend):
-            self._indexed_multimedia(name)
+        if self._use_index(backend) and self._indexed(name, "overlapping"):
             return self._index.components_overlapping(name, label)
         return temporal.components_overlapping(self.get_multimedia(name), label)
 
@@ -330,8 +330,7 @@ class MediaDatabase(Instrumented):
         """Labels of ``name``'s components intersecting ``[start, end)``."""
         from repro.query import temporal
 
-        if self._use_index(backend):
-            self._indexed_multimedia(name)
+        if self._use_index(backend) and self._indexed(name, "during"):
             return self._index.components_during(name, start, end)
         return temporal.components_during(self.get_multimedia(name), start, end)
 
@@ -343,7 +342,8 @@ class MediaDatabase(Instrumented):
         if self._use_index(backend):
             for multimedia in self._multimedia.values():
                 self._index.ensure_multimedia(multimedia)
-            return self._index.occurrences_of(object_name)
+            if self._index.covers("occurrences"):
+                return self._index.occurrences_of(object_name)
         result = []
         for mm_name in sorted(self._multimedia):
             for path, obj, interval in self._multimedia[mm_name].flatten():
@@ -356,8 +356,7 @@ class MediaDatabase(Instrumented):
         """Paths of every relationship below ``path`` in ``name``'s
         composition tree, document order. An empty path addresses the
         root (the whole tree)."""
-        if self._use_index(backend):
-            self._indexed_multimedia(name)
+        if self._use_index(backend) and self._indexed(name, "descendants"):
             return self._index.component_descendants(name, path)
         multimedia = self.get_multimedia(name)
         all_paths = _composition_paths(multimedia)
@@ -376,7 +375,7 @@ class MediaDatabase(Instrumented):
                 "duration_rollup needs an index; construct with "
                 "MediaDatabase(index=True)"
             )
-        self._indexed_multimedia(name)
+        self._index.ensure_multimedia(self.get_multimedia(name))
         return self._index.duration_rollup(name)
 
     def fidelity_rollup(self) -> list[dict[str, Any]]:

@@ -16,9 +16,11 @@ style of the XPath-accelerator line of work:
   ``(start_num, start_den, end_num, end_den)`` columns plus a
   conservative float approximation (:func:`approx`) used only to
   *narrow* candidates through a B-tree range (never to decide): the
-  final temporal predicate re-checks candidates with the exact interval
-  algebra of :mod:`repro.core.intervals`, so indexed answers are
-  byte-identical to the linear scan;
+  integer columns decide each candidate by the one intersection rule of
+  :mod:`repro.core.intervals`, cross-multiplied, and order the answers,
+  so indexed answers are byte-identical to the linear scan. A
+  composition with a time past SQLite's 64-bit INTEGER keeps no rows
+  and is answered by the linear scan;
 * **rollups** (duration shares, fidelity statistics) use SQL window
   functions over the encoded rows.
 
@@ -178,7 +180,7 @@ class TemporalIndex(Instrumented):
     the database writes through on every mutation and routes queries
     here when a fast path applies. All temporal answers are *exact*:
     float columns only narrow the candidate set, the decision is made
-    by the interval algebra over the exact rational columns.
+    on the exact integer columns.
 
     Instrumented: ``query.index.*`` counters (writes, fast-path hits,
     fallbacks, rebuilds) and ``query.index.build``/``query.index.select``
@@ -203,6 +205,8 @@ class TemporalIndex(Instrumented):
         # Per indexed composition: the version its rows encode and the
         # longest top-level duration, which bounds the window prefilter.
         self._compositions: dict[str, tuple[int, float]] = {}
+        # Compositions with a time past SQLite's 64-bit INTEGER: no rows.
+        self._opaque_times: set[str] = set()
         self._write_seq = 0
         self.last_write: tuple[int, str, str] | None = None
         if obs is not None:
@@ -232,6 +236,15 @@ class TemporalIndex(Instrumented):
         self._obs.metrics.counter("query.index.fallbacks").inc(
             op=op, reason=reason,
         )
+
+    def covers(self, op: str, mm: str | None = None) -> bool:
+        """Whether the rows hold ``mm``'s times (with no ``mm``, every
+        composition's); if not, the fallback of ``op`` is recorded."""
+        opaque = self._opaque_times if mm is None else mm in self._opaque_times
+        if opaque:
+            self.fallback(op, "unindexable-time")
+            return False
+        return True
 
     # -- object / attribute write-through ----------------------------------------
 
@@ -395,6 +408,12 @@ class TemporalIndex(Instrumented):
                 seen_on_path.discard(id(node))
                 stack.pop()
 
+            if any(not -2**63 <= value < 2**63
+                   for row in rows for value in row[8:12]):
+                self._opaque_times.add(name)
+                rows = []
+            else:
+                self._opaque_times.discard(name)
             self._conn.execute(
                 "DELETE FROM composition WHERE mm = ?", (name,)
             )
@@ -488,34 +507,38 @@ class TemporalIndex(Instrumented):
 
     # -- temporal predicates ---------------------------------------------------------
 
-    def _level1_candidates(self, mm: str,
-                           window: Interval) -> list[tuple[str, Interval]]:
-        """Top-level components possibly intersecting ``window``.
+    def _level1_candidates(self, mm: str, window: Interval) -> list[str]:
+        """Labels of the top-level components intersecting ``window``,
+        ordered by start, then label.
 
         The float B-tree range narrows: an intersecting component's
         start lies in ``[window.start - max_dur, window.end]`` (padded
-        by the conservative margin). Exactness comes from re-checking
-        each candidate with the rational interval algebra.
+        by the conservative margin). The stored integers decide, by
+        :meth:`Interval.intersects`'s one rule cross-multiplied: every
+        denominator is positive, so ``a/b < c/d`` iff ``a·d < c·b``.
         """
         meta = self._compositions.get(mm)
-        if meta is None:
+        if meta is None or mm in self._opaque_times:
             raise QueryIndexError(f"multimedia {mm!r} is not indexed")
         ws, we = approx(window.start), approx(window.end)
         lo = ws - meta[1]
         lo -= _margin(lo)
         hi = we + _margin(we)
+        wsn, wsd = window.start.numerator, window.start.denominator
+        wen, wed = window.end.numerator, window.end.denominator
         rows = self._conn.execute(
             "SELECT label, start_num, start_den, end_num, end_den"
             " FROM composition WHERE mm = ? AND level = 1"
             " AND start_approx >= ? AND start_approx <= ?",
             (mm, lo, hi),
-        ).fetchall()
-        candidates = [
-            (label, Interval(Rational(sn, sd), Rational(en, ed)))
-            for label, sn, sd, en, ed in rows
-        ]
-        candidates.sort(key=lambda item: (item[1].start, item[0]))
-        return candidates
+        )
+        hits = [(sn, sd, label) for label, sn, sd, en, ed in rows
+                if sn * wsd == wsn * sd
+                or (sn * wed < wen * sd and wsn * ed < en * wsd)]
+        # Starts compare as numerators over the hits' common denominator.
+        common = math.lcm(*{sd for _, sd, _ in hits})
+        hits.sort(key=lambda hit: (hit[0] * (common // hit[1]), hit[2]))
+        return [label for _, _, label in hits]
 
     def component_interval(self, mm: str, label: str) -> Interval:
         """The exact top-level interval of one labelled component.
@@ -540,10 +563,8 @@ class TemporalIndex(Instrumented):
         with self._obs.tracer.span(
             "query.index.select", op="overlapping", mm=mm,
         ):
-            result = [
-                other for other, interval in self._level1_candidates(mm, target)
-                if other != label and interval.intersects(target)
-            ]
+            result = [other for other in self._level1_candidates(mm, target)
+                      if other != label]
         self._fastpath("overlapping")
         return result
 
@@ -553,10 +574,7 @@ class TemporalIndex(Instrumented):
         with self._obs.tracer.span(
             "query.index.select", op="during", mm=mm,
         ):
-            result = [
-                label for label, interval in self._level1_candidates(mm, window)
-                if interval.intersects(window)
-            ]
+            result = self._level1_candidates(mm, window)
         self._fastpath("during")
         return result
 
@@ -640,6 +658,8 @@ class TemporalIndex(Instrumented):
         component time, and running coverage in timeline order. Floats
         (these are statistics, not predicates).
         """
+        if mm in self._opaque_times:
+            raise QueryIndexError(f"{mm!r} has a time past SQLite's INTEGER")
         rows = self._conn.execute(
             "SELECT label,"
             "  end_approx - start_approx AS dur,"

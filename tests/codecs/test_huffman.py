@@ -13,6 +13,7 @@ from repro.codecs.huffman import (
 )
 from repro.codecs.rle import rle_encode
 from repro.errors import CodecError
+from tests.codecs import reference
 
 
 class TestCodeLengths:
@@ -204,3 +205,61 @@ class TestHeaderValidation:
             codec = HuffmanCodec(lengths[:used] + [0] * (256 - used))
             data = bytes(range(used)) * 3
             assert codec.decode(codec.encode(data)) == data
+
+
+#: a = 0, b = 10, c = 110, d = 1110; the windows 1111 start no code.
+_LADDER = [0] * 256
+_LADDER[ord("a")], _LADDER[ord("b")], _LADDER[ord("c")], _LADDER[ord("d")] = (
+    1, 2, 3, 4)
+
+
+def _outcome(decode, *args):
+    try:
+        return "ok", decode(*args)
+    except CodecError as error:
+        return "error", str(error)
+
+
+class TestFourCodeHops:
+    """The walk hops four codes at a time and fills in the three starts
+    between hops, so every count modulo 4 ends differently."""
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_every_remainder_matches_the_oracle(self, count):
+        codec = HuffmanCodec(_LADDER)
+        data = b"dcbadcbaa"[:count]
+        encoded = codec.encode(data)
+        assert codec.decode(encoded) == data
+        assert reference.huffman_decode(_LADDER, encoded) == data
+
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_every_cut_and_flip_fails_like_the_oracle(self, count):
+        codec = HuffmanCodec(_LADDER)
+        frame = codec.encode(b"dcbadcbaa"[:count])
+        damaged = [frame[:cut] for cut in range(4, len(frame))]
+        damaged += [frame[:4] + b"\xff" * (len(frame) - 4)]
+        for bit in range(8 * (len(frame) - 4)):
+            flipped = bytearray(frame)
+            flipped[4 + bit // 8] ^= 0x80 >> (bit % 8)
+            damaged.append(bytes(flipped))
+        for damage in damaged:
+            assert (_outcome(codec.decode, damage)
+                    == _outcome(reference.huffman_decode, _LADDER,
+                                damage))
+
+    def test_truncation_inside_the_last_partial_hop(self):
+        """Six 3-bit codes: one hop covers the first four, and the sixth
+        code runs past a 16-bit payload."""
+        lengths = [3] * 8 + [0] * 248
+        codec = HuffmanCodec(lengths)
+        data = bytes([7, 6, 5, 4, 3, 2])
+        frame = codec.encode(data)
+        assert len(frame) == 4 + 3
+        assert codec.decode(frame) == data
+        with pytest.raises(CodecError, match="bit stream exhausted"):
+            codec.decode(frame[:6])
+        with pytest.raises(CodecError, match="bit stream exhausted"):
+            reference.huffman_decode(lengths, frame[:6])
+        # Five codes fit the 16 bits: the walk stops inside the hop.
+        shorter = (5).to_bytes(4, "big") + frame[4:6]
+        assert codec.decode(shorter) == data[:5]

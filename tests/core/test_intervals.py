@@ -1,5 +1,7 @@
 """Tests for intervals and Allen's relations."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core.intervals import (
@@ -27,6 +29,32 @@ class TestInterval:
     def test_reversed_rejected(self):
         with pytest.raises(MediaModelError):
             iv(4, 1)
+
+    @pytest.mark.parametrize("start,end", [
+        (4, 1), (Fraction(1, 2), Fraction(1, 3)), (1.5, 1.0),
+        (Rational(2), 1), (2, Rational(1)),
+    ])
+    def test_reversed_rejected_for_every_end_type(self, start, end):
+        with pytest.raises(MediaModelError, match="precedes start"):
+            Interval(start, end)
+
+    @pytest.mark.parametrize("start,end,expected", [
+        (1, 2, iv(1, 2)),
+        (Fraction(1, 3), Fraction(1, 2), iv(Rational(1, 3), Rational(1, 2))),
+        (0.5, 2.0, iv(Rational(1, 2), 2)),
+        (Rational(1, 4), 3, iv(Rational(1, 4), 3)),
+        (0, Fraction(5, 2), iv(0, Rational(5, 2))),
+    ])
+    def test_other_numbers_become_rationals(self, start, end, expected):
+        interval = Interval(start, end)
+        assert type(interval.start) is Rational
+        assert type(interval.end) is Rational
+        assert interval == expected
+
+    def test_rational_ends_are_stored_as_given(self):
+        start, end = Rational(1, 3), Rational(7, 2)
+        interval = Interval(start, end)
+        assert interval.start is start and interval.end is end
 
     def test_instant(self):
         assert iv(2, 2).is_instant

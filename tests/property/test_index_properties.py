@@ -12,6 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.composition import MultimediaObject
 from repro.core.media_object import StillMediaObject
 from repro.core.media_types import media_type_registry
 from repro.core.rational import Rational
@@ -63,6 +64,30 @@ def _reference_encoding(value):
     if isinstance(value, str):
         return "str:" + value
     return None
+
+
+#: Denominators dividing 3 * 2**60, so sums of such times keep one.
+denominators = st.integers(0, 60).flatmap(
+    lambda k: st.sampled_from([2**k, 3 * 2**k]))
+
+
+@st.composite
+def fine_times(draw, most=Rational(2)):
+    """An exact time in ``[0, most]``. Starts up to 2 and durations up to
+    1/2 keep every numerator, ends included, inside SQLite's INTEGER."""
+    denominator = draw(denominators)
+    numerator = draw(st.integers(0, int(most * denominator)))
+    return Rational(numerator, denominator)
+
+
+#: ``k/3`` and ``k/3 + 1/2**60`` are distinct times with one ``float``.
+float_twins = st.builds(lambda k, nudge: Rational(k, 3) + nudge,
+                        st.integers(0, 5),
+                        st.sampled_from([0, Rational(1, 2**60)]))
+
+times = st.one_of(fine_times(), float_twins)
+durations = st.one_of(st.just(Rational(0)), fine_times(most=Rational(1, 2)),
+                      st.sampled_from([Rational(1, 3), Rational(1, 2)]))
 
 
 def _still(name):
@@ -149,6 +174,45 @@ class TestBackendAgreement:
         linear = [o.name for o in db.objects(backend="linear", v=new_value)]
         assert indexed == linear
         assert f"o{victim % len(stored):02d}" in indexed
+
+    @given(st.lists(times, min_size=1, max_size=5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fine_and_shared_starts_agree(self, pool, data):
+        """Window, overlap and occurrence answers, in the same order, on
+        starts with denominators up to 3 * 2**60, instants, starts shared
+        under different labels and distinct starts with one float."""
+        size = data.draw(st.integers(1, 10))
+        starts = data.draw(st.lists(st.sampled_from(pool), min_size=size,
+                                    max_size=size))
+        spans = data.draw(st.lists(durations, min_size=size,
+                                   max_size=size))
+        names = data.draw(st.permutations(range(size)))
+        db = MediaDatabase("fine", index=True)
+        leaf = _still("leaf")
+        db.add_object(leaf)
+        nested = MultimediaObject("nested")
+        nested.add_temporal(leaf, at=0, duration=Rational(1, 3), label="x")
+        m = MultimediaObject("fine")
+        for name, start, duration in zip(names, starts, spans):
+            m.add_temporal(leaf, at=start, duration=duration,
+                           label=f"c{name}")
+        m.add_temporal(nested, at=data.draw(st.sampled_from(pool)),
+                       label="box")
+        db.add_multimedia(m)
+        assert db.index.covers("check", "fine")
+        for label, _ in m.timeline():
+            assert (db.components_overlapping("fine", label, backend="index")
+                    == db.components_overlapping("fine", label,
+                                                 backend="linear"))
+        edges = pool + [a + b for a, b in zip(starts, spans)]
+        for _ in range(6):
+            a, b = sorted(data.draw(st.tuples(
+                st.one_of(st.sampled_from(edges), times),
+                st.one_of(st.sampled_from(edges), times))))
+            assert (db.components_during("fine", a, b, backend="index")
+                    == db.components_during("fine", a, b, backend="linear"))
+        assert (db.occurrences_of("leaf", backend="index")
+                == db.occurrences_of("leaf", backend="linear"))
 
     @given(st.integers(0, 2**20))
     @settings(max_examples=8, deadline=None)

@@ -45,6 +45,31 @@ coarse_intervals = st.tuples(
 ).map(lambda pair: Interval(min(pair), max(pair)))
 
 
+def four_branch_intersects(a: Interval, b: Interval) -> bool:
+    """``Interval.intersects`` as it was, one branch per instant case.
+
+    The oracle the one-rule definition is held to: an instant shares
+    time with what contains its time point (or with an equal instant).
+    """
+    if a.is_instant:
+        return b.contains_time(a.start) or a == b
+    if b.is_instant:
+        return a.contains_time(b.start)
+    return a.start < b.end and b.start < a.end
+
+
+instants = rationals.map(lambda t: Interval(t, t))
+
+
+@st.composite
+def shared_starts(draw):
+    """Two intervals with one start, either or both of them instants."""
+    start = draw(rationals)
+    ends = [start + draw(st.sampled_from([0, Rational(1, 3), 1, 2]))
+            for _ in range(2)]
+    return Interval(start, ends[0]), Interval(start, ends[1])
+
+
 def semantic_relation(a: Interval, b: Interval) -> IntervalRelation:
     """An independent classifier built from endpoint trichotomies.
 
@@ -77,6 +102,30 @@ def semantic_relation(a: Interval, b: Interval) -> IntervalRelation:
         return IntervalRelation.FINISHES
     return (IntervalRelation.DURING if a.end < b.end
             else IntervalRelation.OVERLAPPED_BY)
+
+
+class TestIntersectsRule:
+    """``intersects`` is one rule; it must equal the four-branch oracle."""
+
+    pairs = st.one_of(
+        st.tuples(st.one_of(intervals, instants, coarse_intervals),
+                  st.one_of(intervals, instants, coarse_intervals)),
+        shared_starts(),
+    )
+
+    @given(pairs)
+    def test_one_rule_matches_the_four_branch_oracle(self, pair):
+        a, b = pair
+        assert a.intersects(b) is four_branch_intersects(a, b)
+        assert b.intersects(a) is four_branch_intersects(b, a)
+
+    def test_every_pair_on_a_grid_of_halves(self):
+        """Exhaustively: instants, shared starts and shared ends."""
+        points = [Rational(n, 2) for n in range(-2, 5)]
+        grid = [Interval(s, e) for s in points for e in points if s <= e]
+        for a in grid:
+            for b in grid:
+                assert a.intersects(b) is four_branch_intersects(a, b)
 
 
 class TestRelateProperties:

@@ -194,6 +194,33 @@ class TestPointLookup:
         assert small == large == ["c00047", "c00051"]
         assert 0 < large_steps <= 2 * small_steps
 
+    def test_window_and_overlap_build_one_interval_each(self, monkeypatch):
+        """The stored integers decide: the only ``Interval`` a window
+        query builds is its window, and an overlap query's is its
+        target's."""
+        db = self.programme(2_000)
+        built = 0
+        post_init = Interval.__post_init__
+
+        def counting(interval):
+            nonlocal built
+            built += 1
+            post_init(interval)
+
+        monkeypatch.setattr(Interval, "__post_init__", counting)
+        during = db.components_during("programme", 100, 900, backend="index")
+        assert built == 1
+        built = 0
+        overlapping = db.components_overlapping("programme", "c00050",
+                                                backend="index")
+        assert built == 1
+        monkeypatch.undo()
+        assert len(during) == 401
+        assert during == db.components_during("programme", 100, 900,
+                                              backend="linear")
+        assert overlapping == db.components_overlapping(
+            "programme", "c00050", backend="linear") == ["c00047", "c00051"]
+
     @pytest.mark.parametrize("top_level_first", [True, False])
     def test_slash_label_is_not_the_nested_path(self, db, top_level_first):
         """A top-level ``a/b`` and the nested path ``a/b`` share a path
@@ -219,6 +246,96 @@ class TestPointLookup:
                                         backend=backend) == ["a/b"]
             assert db.components_during("slashes", 0, 1,
                                         backend=backend) == ["a", "early"]
+
+
+class TestTimesPastSqliteInteger:
+    """SQLite's INTEGER is 64 bits; a composition holding a time whose
+    numerator or denominator does not fit is answered by the linear
+    oracle, and every other composition stays indexed."""
+
+    @staticmethod
+    def catalog(far):
+        obs = Observability()
+        db = MediaDatabase("far", index=True, obs=obs)
+        leaf = still("leaf")
+        db.add_object(leaf)
+        near = MultimediaObject("near")
+        near.add_temporal(leaf, at=0, duration=2, label="a")
+        near.add_temporal(leaf, at=1, duration=0, label="b")
+        db.add_multimedia(near)
+        nested = MultimediaObject("nested")
+        nested.add_temporal(leaf, at=0, duration=1, label="inner")
+        m = MultimediaObject("m")
+        m.add_temporal(leaf, at=far, duration=1, label="far")
+        m.add_temporal(leaf, at=0, duration=2, label="first")
+        m.add_temporal(nested, at=Rational(1, 2), label="box")
+        m.add_temporal(leaf, at=3, duration=0, label="mark")
+        db.add_multimedia(m)
+        return db, obs
+
+    @staticmethod
+    def queries(db):
+        return {
+            "during": [db.components_during("m", a, b, backend=backend)
+                       for backend in ("index", "linear")
+                       for a, b in ((0, 1), (1, 1), (3, 4), (0, 2**64))],
+            "overlapping": [db.components_overlapping("m", label,
+                                                      backend=backend)
+                            for backend in ("index", "linear")
+                            for label in ("far", "first", "box", "mark")],
+            "occurrences": [db.occurrences_of("leaf", backend=backend)
+                            for backend in ("index", "linear")],
+            "descendants": [db.component_descendants("m", path,
+                                                     backend=backend)
+                            for backend in ("index", "linear")
+                            for path in ("", "box")],
+        }
+
+    @pytest.mark.parametrize("far,during", [
+        (Rational(1, 2**63), ["first", "far", "box"]),
+        (Rational(2**63), ["first", "box"]),
+        (Rational(2**63 + 1, 2**64), ["first", "box", "far"]),
+    ])
+    def test_both_backends_agree_and_the_fallback_is_counted(self, far,
+                                                             during):
+        db, obs = self.catalog(far)
+        assert db.multimedia() == ["m", "near"]
+        answers = self.queries(db)
+        for op, pairs in answers.items():
+            half = len(pairs) // 2
+            assert pairs[:half] == pairs[half:], op
+        assert answers["during"][0] == during
+        assert ("m", "far", Interval(far, far + 1)) in answers["occurrences"][0]
+        fallbacks = obs.metrics.counter("query.index.fallbacks")
+        for op, calls in (("during", 4), ("overlapping", 4),
+                          ("occurrences", 1), ("descendants", 2)):
+            assert fallbacks.value(op=op, reason="unindexable-time") == calls
+        # The other composition is still answered from its rows.
+        assert (db.components_during("near", 1, 1, backend="index")
+                == ["a", "b"])
+        assert fallbacks.total() == 11
+        with pytest.raises(QueryIndexError, match="INTEGER"):
+            db.duration_rollup("m")
+
+    def test_the_largest_integer_sqlite_holds_is_indexed(self):
+        db, obs = self.catalog(Rational(2**63 - 2))  # ends at 2**63 - 1
+        answers = self.queries(db)
+        for op, pairs in answers.items():
+            half = len(pairs) // 2
+            assert pairs[:half] == pairs[half:], op
+        assert obs.metrics.counter("query.index.fallbacks").total() == 0
+
+    def test_a_late_add_past_the_range_turns_the_composition_opaque(self):
+        db, obs = self.catalog(Rational(5))
+        m = db.get_multimedia("m")
+        assert db.components_during("m", 5, 6, backend="index") == ["far"]
+        m.add_temporal(still("late"), at=Rational(1, 2**70), duration=1,
+                       label="late")
+        assert (db.components_during("m", 0, 1, backend="index")
+                == db.components_during("m", 0, 1, backend="linear")
+                == ["first", "late", "box"])
+        assert obs.metrics.counter("query.index.fallbacks").value(
+            op="during", reason="unindexable-time") == 1
 
 
 class TestCompositionAxes:
