@@ -130,7 +130,7 @@ class EventLoop:
     def after_ticks(self, ticks: int, callback: Callable, *args) -> int:
         """Schedule ``callback(*args)`` ``ticks`` (an int >= 0) ticks on."""
         if ticks.__class__ is not int or ticks < 0:
-            raise EngineError(f"cannot schedule {ticks!r} ticks on: not an int or past")
+            raise _unschedulable(ticks)
         seq = self._seq
         self._seq = seq + 1
         heap = self._heap
@@ -147,19 +147,48 @@ class EventLoop:
         :class:`~repro.errors.SimulatedCrash` from a callback
         propagates immediately — the simulated process died, and the
         remaining heap is the work it lost.
+
+        An entry whose callback is a stepping :class:`SessionMachine`
+        resumes its stepper here and re-arms the same entry in place,
+        with the next ``seq`` and the yielded ticks on, so the order and
+        clock are those of popping it and scheduling a new one.
         """
         limit = None if until is None else as_rational(until)
         heap, clock, pop = self._heap, self.clock, heapq.heappop
         fired = 0
         try:
             while heap:
-                ticks = heap[0][0]
+                ticks, _seq, callback, args = heap[0]
                 if limit is not None and (ticks * limit.denominator
                                           > limit.numerator * clock.frequency):
                     break
-                _ticks, _seq, callback, args = pop(heap)
                 clock.ticks = ticks
-                callback(*args)
+                if callback.__class__ is not SessionMachine:
+                    pop(heap)
+                    callback(*args)
+                else:
+                    try:
+                        dt = next(callback._stepper)
+                    except StopIteration as stop:
+                        pop(heap)
+                        callback._finish(stop.value)
+                    except SimulatedCrash:
+                        pop(heap)
+                        raise
+                    except MediaModelError as exc:
+                        pop(heap)
+                        callback._handle_error(exc)
+                    except BaseException:
+                        pop(heap)
+                        raise
+                    else:
+                        dt *= clock.frequency // callback.frequency
+                        if dt.__class__ is not int or dt < 0:
+                            pop(heap)
+                            raise _unschedulable(dt)
+                        seq = self._seq
+                        self._seq = seq + 1
+                        heapq.heapreplace(heap, (clock.ticks + dt, seq, callback, ()))
                 fired += 1
         finally:
             self.events_processed += fired
@@ -179,6 +208,10 @@ class EventLoop:
             f"EventLoop(t={self.clock.now()}, pending={self.pending}, "
             f"processed={self.events_processed})"
         )
+
+
+def _unschedulable(ticks) -> EngineError:
+    return EngineError(f"cannot schedule {ticks!r} ticks on: not an int or past")
 
 
 class BandwidthLedger:
@@ -257,10 +290,11 @@ class SessionMachine:
     * ``stepper_factory`` — a zero-argument callable returning a player
       stepper (a generator yielding per-element durations in int ticks
       of ``frequency``, and returning the session's report). The machine
-      consumes one element per event, re-scheduling itself at
-      ``now + dt`` (it aligns the loop to ``frequency`` first); this is
-      the fine granularity under which sessions genuinely interleave and
-      the :class:`BandwidthLedger` can re-price bandwidth per event.
+      is its own heap entry: the loop consumes one element per event and
+      re-arms the entry at ``now + dt`` (the machine aligns the loop to
+      ``frequency`` first); this is the fine granularity under which
+      sessions genuinely interleave and the :class:`BandwidthLedger` can
+      re-price bandwidth per event.
 
     ``on_error`` (fine granularity only) is called with a
     :class:`~repro.errors.MediaModelError` the stepper raised; it may
@@ -327,21 +361,7 @@ class SessionMachine:
         # Schedule the first element rather than stepping inline, so
         # every same-instant arrival enters the ledger before any of
         # them prices a read.
-        self.loop.after_ticks(0, self._advance)
-
-    def _advance(self) -> None:
-        try:
-            dt = next(self._stepper)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except SimulatedCrash:
-            raise
-        except MediaModelError as exc:
-            self._handle_error(exc)
-            return
-        loop = self.loop
-        loop.after_ticks(dt * (loop.clock.frequency // self.frequency), self._advance)
+        self.loop.after_ticks(0, self)
 
     def _handle_error(self, exc: MediaModelError) -> None:
         replacement = None
@@ -352,7 +372,7 @@ class SessionMachine:
             return
         self.restarts += 1
         self._stepper = replacement
-        self.loop.after_ticks(0, self._advance)
+        self.loop.after_ticks(0, self)
 
     def _finish(self, result: Any) -> None:
         self.state = DONE if result is not None else FAILED

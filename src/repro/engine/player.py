@@ -248,7 +248,8 @@ class PlaybackReport:
     glitches: int = 0
     delivered_quality: Rational = Rational(1)
     #: Metric snapshot captured at report time when the player ran with
-    #: an observability sink (``Player(obs=...)``); None otherwise.
+    #: an observability sink (``Player(obs=...)``); None otherwise. Its
+    #: bodies are shared with other snapshots: read them, never change them.
     metrics: dict | None = None
     #: Per-session SLO verdicts, populated when the player ran with an
     #: SLO policy (explicit ``slo_policy=`` or the default policy under
@@ -335,11 +336,13 @@ class _PlannedRead:
 class _Deadlines(NamedTuple):
     """A plan's deadlines relative to its first read at the player's
     rate (media time d plays at d / rate), as exact ``times`` and as int
-    ``ticks`` of ``frequency``."""
+    ``ticks`` of ``frequency``; for an instrumented player, also each
+    read's ``sequences`` name."""
 
     frequency: int
     times: list[Rational]
     ticks: list[int]
+    sequences: list[str]
 
     def at(self, frequency: int) -> "_Deadlines":
         """The same in ticks of ``frequency``, a multiple of this one."""
@@ -413,6 +416,9 @@ class Player:
         self.derivation_cache = derivation_cache
         self.obs = NULL_OBS if obs is None else obs
         self.slo_policy = slo_policy
+        self._default_slo = default_slo_policy() if self.obs.enabled else None
+        # Metric handles every instrumented session uses, resolved at first use.
+        self._stages = self._evaluations = self._session_metrics = None
         from repro.analysis.graph import PLAN_POLICIES
 
         if plan_check not in PLAN_POLICIES:
@@ -552,7 +558,10 @@ class Player:
 
     def _stage_histogram(self):
         """The shared per-stage attribution histogram (instrumented only)."""
-        return self.obs.metrics.histogram(STAGE_METRIC, buckets=STAGE_BUCKETS)
+        if self._stages is None:
+            self._stages = self.obs.metrics.histogram(STAGE_METRIC,
+                                                      buckets=STAGE_BUCKETS)
+        return self._stages
 
     def prices(self, planned: int = 1) -> list[Rational]:
         """Every unit a read is charged in, ``planned`` sessions sharing the
@@ -581,7 +590,10 @@ class Player:
         if self.rate != 1:
             times = [d / self.rate for d in times]
         frequency = math.lcm(*(t.denominator for t in times + self.prices(planned)))
-        return _Deadlines(frequency, times, [to_ticks(t, frequency) for t in times])
+        sequences = ([r.label.split("[", 1)[0] for r in reads]
+                     if self.obs.enabled else [])
+        return _Deadlines(frequency, times, [to_ticks(t, frequency) for t in times],
+                          sequences)
 
     # -- playback -------------------------------------------------------------
 
@@ -880,43 +892,59 @@ class Player:
                 counts = {} if plan is None else {"presented": len(presented)}
                 tracer.record("engine.play", ZERO, end, mode=mode,
                               elements=len(reads), bytes=total_bytes, **counts)
-                self._record_metrics(report, total_bytes, mode, prefetch,
-                                     frequency)
+                sequences = deadlines.sequences
+                self._record_metrics(
+                    report, total_bytes, mode, prefetch, frequency,
+                    [sequences[i] for i in presented] if skipped else sequences)
         return report
 
     def _record_metrics(self, report: PlaybackReport, total_bytes: int,
-                        mode: str, prefetch, frequency: int) -> None:
+                        mode: str, prefetch, frequency: int,
+                        sequences: list[str]) -> None:
         """Fold one run's outcome into the attached metrics registry and
         embed the resulting snapshot in the report. ``prefetch`` is the
-        run's, in ticks of ``frequency``."""
+        run's, in ticks of ``frequency``; ``sequences`` names each
+        presented read's sequence. A run with no late read records its
+        lateness as one count of zeros per sequence."""
         metrics = self.obs.metrics
-        metrics.counter("engine.play.runs").inc(mode=mode)
-        metrics.counter("engine.play.elements").inc(report.element_count)
-        metrics.counter("engine.play.bytes").inc(total_bytes)
-        metrics.counter("engine.play.seeks").inc(report.seeks)
-        metrics.counter("engine.play.underruns").inc(report.underruns)
+        if self._session_metrics is None:
+            self._session_metrics = (
+                *(metrics.counter(f"engine.play.{name}") for name in
+                  ("runs", "elements", "bytes", "seeks", "underruns")),
+                metrics.gauge("engine.play.buffer_high_water"),
+                metrics.histogram("engine.play.lateness_seconds",
+                                  buckets=LATENESS_BUCKETS))
+        runs, elements, read_bytes, seeks, underruns, high_water, lateness = \
+            self._session_metrics
+        runs.inc(mode=mode)
+        elements.inc(report.element_count)
+        read_bytes.inc(total_bytes)
+        seeks.inc(report.seeks)
+        underruns.inc(report.underruns)
         if report.retries:
             metrics.counter("engine.play.retries").inc(report.retries)
         if report.skipped_elements:
             metrics.counter("engine.play.skips").inc(report.skipped_elements)
         if report.glitches:
             metrics.counter("engine.play.glitches").inc(report.glitches)
-        metrics.gauge("engine.play.buffer_high_water").set_max(prefetch.high_water)
+        high_water.set_max(prefetch.high_water)
         self._stage_histogram().observe(prefetch.startup_delay / frequency,
                                         stage="deliver")
-        lateness = metrics.histogram("engine.play.lateness_seconds",
-                                     buckets=LATENESS_BUCKETS)
-        recorders: dict = {}
-        for (label, deadline, late), ticks in zip(report.per_read, prefetch.lateness):
-            sequence = label.split("[", 1)[0]
-            record = recorders.get(sequence) or recorders.setdefault(
-                sequence, lateness.recorder(sequence=sequence))
-            record(ticks / frequency)
-            if ticks:
-                self.obs.events.record(
-                    Severity.WARNING, "engine.player", "deadline.miss",
-                    at=report.startup_delay + deadline + late,
-                    element=label, late_seconds=ticks / frequency)
+        if not prefetch.max_wait:
+            for sequence, count in Counter(sequences).items():
+                lateness.observe_zeros(count, sequence=sequence)
+        else:
+            recorders: dict = {}
+            for (label, deadline, late), ticks, sequence in zip(
+                    report.per_read, prefetch.lateness, sequences):
+                record = recorders.get(sequence) or recorders.setdefault(
+                    sequence, lateness.recorder(sequence=sequence))
+                record(ticks / frequency)
+                if ticks:
+                    self.obs.events.record(
+                        Severity.WARNING, "engine.player", "deadline.miss",
+                        at=report.startup_delay + deadline + late,
+                        element=label, late_seconds=ticks / frequency)
         report.metrics = metrics.snapshot()
 
     def _evaluate_slo(self, report: PlaybackReport, at: Rational) -> None:
@@ -927,9 +955,7 @@ class Player:
         or budget-burning verdict lands in the flight recorder stamped
         with the run's simulated end time.
         """
-        policy = self.slo_policy
-        if policy is None and self.obs.enabled:
-            policy = default_slo_policy()
+        policy = self._default_slo if self.slo_policy is None else self.slo_policy
         if policy is None:
             return
         report.slo = policy.evaluate_report(report)
@@ -937,7 +963,9 @@ class Player:
             return
         metrics = self.obs.metrics
         for verdict in report.slo:
-            metrics.counter("slo.evaluations").inc(slo=verdict.slo)
+            if self._evaluations is None:
+                self._evaluations = metrics.counter("slo.evaluations")
+            self._evaluations.inc(slo=verdict.slo)
             if not verdict.ok:
                 metrics.counter("slo.violations").inc(slo=verdict.slo)
             if verdict.severity >= Severity.WARNING:

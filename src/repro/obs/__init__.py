@@ -65,12 +65,10 @@ from repro.obs.profile import (
     StageStats,
     profile_stages,
     self_time_breakdown,
-    self_time_table,
 )
 from repro.obs.export import (
     events_to_table,
     metrics_rows,
-    spans_to_table,
     to_chrome_trace,
     to_dict,
     to_json_lines,
@@ -133,10 +131,8 @@ __all__ = [
     "StageStats",
     "profile_stages",
     "self_time_breakdown",
-    "self_time_table",
     "events_to_table",
     "metrics_rows",
-    "spans_to_table",
     "to_chrome_trace",
     "to_dict",
     "to_json_lines",

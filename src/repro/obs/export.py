@@ -89,31 +89,6 @@ def to_table(obs: Observability, title: str | None = None) -> str:
     )
 
 
-def spans_to_table(obs: Observability, title: str | None = None,
-                   limit: int | None = None) -> str:
-    """Aligned text table of recorded spans (first ``limit`` rows)."""
-    from repro.bench.reporting import table_text
-
-    spans = obs.snapshot()["spans"]
-    shown = spans if limit is None else spans[:limit]
-    rows = [
-        (
-            span["span_id"],
-            "" if span["parent_id"] is None else span["parent_id"],
-            span["name"],
-            span["start"],
-            span["end"],
-            _format_labels(span["attributes"]),
-        )
-        for span in shown
-    ]
-    return table_text(
-        ("id", "parent", "span", "start", "end", "attributes"),
-        rows,
-        title=title,
-    )
-
-
 def events_to_table(obs: Observability, title: str | None = None,
                     min_severity=None, limit: int | None = None) -> str:
     """Aligned text table of flight-recorder events (newest last)."""

@@ -88,7 +88,7 @@ class Observability:
         """
         view = Observability.__new__(Observability)
         view.metrics = ScopedMetrics(self.metrics, prefix)  # type: ignore[assignment]
-        flat = _flat_prefix(view.metrics)
+        flat = view.metrics.flat
         if flat in self._scopes:
             from repro.errors import ObservabilityError
 
@@ -129,6 +129,10 @@ class ScopedMetrics:
             raise ObservabilityError("scoped metrics need a non-empty prefix")
         self.registry = registry
         self.prefix = prefix
+        nested = isinstance(registry, ScopedMetrics)
+        self.flat = f"{registry.flat}.{prefix}" if nested else prefix
+        self._root = registry._root if nested else registry
+        self._seen = self._scoped = []  # the root's member list last seen; ours
 
     def scoped_name(self, name: str) -> str:
         return f"{self.prefix}.{name}"
@@ -152,27 +156,24 @@ class ScopedMetrics:
     def __contains__(self, name: str) -> bool:
         return self.scoped_name(name) in self.registry
 
+    def _members(self) -> list[tuple[str, Any]]:
+        """The root registry's members under ``flat``, kept until it grows."""
+        members = self._root._members()
+        if members is not self._seen:
+            marker = f"{self.flat}."
+            self._seen = members
+            self._scoped = [(name, metric) for name, metric in members
+                            if name.startswith(marker)]
+        return self._scoped
+
     def names(self) -> list[str]:
-        marker = f"{self.prefix}."
-        return [n for n in self.registry.names() if n.startswith(marker)]
+        return [name for name, _ in self._members()]
 
     def snapshot(self) -> dict[str, Any]:
-        return {
-            name: self.registry.get(name).export() for name in self.names()
-        }
+        return {name: metric.export() for name, metric in self._members()}
 
     def __repr__(self) -> str:
         return f"ScopedMetrics({self.prefix!r}, {len(self.names())} metrics)"
-
-
-def _flat_prefix(metrics: ScopedMetrics) -> str:
-    """The full dotted prefix of a (possibly nested) scoped view."""
-    parts = []
-    node: Any = metrics
-    while isinstance(node, ScopedMetrics):
-        parts.append(node.prefix)
-        node = node.registry
-    return ".".join(reversed(parts))
 
 
 class ScopedTracer:
@@ -286,6 +287,9 @@ class _NullMetric:
         pass
 
     def observe(self, value: Any, **labels: Any) -> None:
+        pass
+
+    def observe_zeros(self, count: int, **labels: Any) -> None:
         pass
 
     def recorder(self, **labels: Any) -> Callable[[float], None]:

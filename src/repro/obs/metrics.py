@@ -68,19 +68,24 @@ class Metric:
         self.name = name
         self.help = help
         self._series: dict[LabelKey, Any] = {}
+        self._body: dict[str, Any] | None = None
 
     def labels_seen(self) -> list[LabelKey]:
         return sorted(self._series)
 
     def export(self) -> dict[str, Any]:
-        body: dict[str, Any] = {"type": self.kind}
-        if self.help:
-            body["help"] = self.help
-        body["series"] = [
-            {"labels": dict(key), "value": self._export_value(key)} if key
-            else {"value": self._export_value(key)}
-            for key in self.labels_seen()
-        ]
+        """The metric's body, kept until a write changes the metric and
+        shared by every snapshot in between: read it, never change it."""
+        body = self._body
+        if body is None:
+            body = self._body = {"type": self.kind}
+            if self.help:
+                body["help"] = self.help
+            body["series"] = [
+                {"labels": dict(key), "value": self._export_value(key)} if key
+                else {"value": self._export_value(key)}
+                for key in sorted(self._series)
+            ]
         return body
 
     def _export_value(self, key: LabelKey) -> Any:
@@ -99,6 +104,7 @@ class Counter(Metric):
             )
         key = _label_key(labels)
         self._series[key] = self._series.get(key, 0) + amount
+        self._body = None
 
     def value(self, **labels: Any) -> int:
         return self._series.get(_label_key(labels), 0)
@@ -115,6 +121,7 @@ class Gauge(Metric):
 
     def set(self, value: Any, **labels: Any) -> None:
         self._series[_label_key(labels)] = value
+        self._body = None
 
     def set_max(self, value: Any, **labels: Any) -> None:
         """Record ``value`` only if it exceeds the current reading.
@@ -125,19 +132,17 @@ class Gauge(Metric):
         """
         key = _label_key(labels)
         current = self._series.get(key)
-        if current is None:
-            self._series[key] = value
-            return
         try:
-            exceeds = value > current
+            if current is not None and not value > current:
+                return
         except TypeError:
             raise ObservabilityError(
                 f"gauge {self.name!r} set_max cannot compare "
                 f"{type(value).__name__} against the current "
                 f"{type(current).__name__} reading"
             ) from None
-        if exceeds:
-            self._series[key] = value
+        self._series[key] = value
+        self._body = None
 
     def value(self, default: Any = None, **labels: Any) -> Any:
         return self._series.get(_label_key(labels), default)
@@ -216,13 +221,22 @@ class Histogram(Metric):
     def observe(self, value: Any, **labels: Any) -> None:
         self.recorder(**labels)(float(value))
 
+    def observe_zeros(self, count: int, **labels: Any) -> None:
+        """Record ``count`` observations of 0.0 at once, in any order of
+        folding: bucket counts commute, and a sum that starts at 0.0 is
+        never -0.0, so adding 0.0 leaves it as it is."""
+        if count > 0:
+            series = self._open(_label_key(labels))
+            series["counts"][bisect_left(self.buckets, 0.0)] += count
+            series["count"] += count
+            self._body = None
+
     def _fold(self) -> None:
         overflow = len(self.buckets)
         for key, queue in self._queues.items():
             if not queue:
                 continue
-            series = self._series.setdefault(key, {
-                "counts": [0] * (overflow + 1), "count": 0, "sum": 0.0})
+            series = self._open(key)
             counts, total = series["counts"], series["sum"]
             for value in queue:
                 counts[bisect_left(self.buckets, value)
@@ -231,6 +245,11 @@ class Histogram(Metric):
             series["count"] += len(queue)
             series["sum"] = total
             queue.clear()
+            self._body = None
+
+    def _open(self, key: LabelKey) -> dict:
+        return self._series.setdefault(key, {
+            "counts": [0] * (len(self.buckets) + 1), "count": 0, "sum": 0.0})
 
     def _read(self, labels: Mapping[str, Any]) -> dict | None:
         self._fold()
@@ -239,6 +258,10 @@ class Histogram(Metric):
     def labels_seen(self) -> list[LabelKey]:
         self._fold()
         return super().labels_seen()
+
+    def export(self) -> dict[str, Any]:
+        self._fold()
+        return super().export()
 
     def count(self, **labels: Any) -> int:
         series = self._read(labels)
@@ -297,6 +320,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
+        self._sorted: list[tuple[str, Metric]] = []
 
     def _get(self, name: str, kind: type[Metric], factory) -> Metric:
         existing = self._metrics.get(name)
@@ -317,6 +341,7 @@ class MetricsRegistry:
         # get-or-create call sites may pass help unconditionally
         if help and not metric.help:
             metric.help = help
+            metric._body = None
         return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
@@ -356,6 +381,13 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
+    def _members(self) -> list[tuple[str, Metric]]:
+        """``(name, metric)`` by name, kept until the registry grows."""
+        if len(self._sorted) != len(self._metrics):
+            self._sorted = sorted(self._metrics.items())
+        return self._sorted
+
     def snapshot(self) -> dict[str, Any]:
-        """Nested-dict export, sorted at every level."""
-        return {name: self._metrics[name].export() for name in self.names()}
+        """Nested-dict export, sorted at every level: a fresh dict of
+        shared bodies (see :meth:`Metric.export`)."""
+        return {name: metric.export() for name, metric in self._members()}

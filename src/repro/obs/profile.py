@@ -205,19 +205,3 @@ def self_time_breakdown(obs: Observability) -> list[SpanSelfTime]:
                      self_time=entry[2])
         for name, entry in sorted(totals.items())
     ]
-
-
-def self_time_table(obs: Observability, title: str | None = None) -> str:
-    """Aligned text table of the self-time breakdown."""
-    from repro.bench.reporting import table_text
-
-    rows = [
-        (row.name, row.count, export_value(row.total),
-         export_value(row.self_time))
-        for row in self_time_breakdown(obs)
-    ]
-    return table_text(
-        ("span", "count", "total", "self"),
-        rows,
-        title=title or "span self-time breakdown",
-    )

@@ -117,6 +117,8 @@ class TelemetryStore:
         # set's JSON is built once; each query's matches until a new one.
         self._slots: dict[tuple, list[tuple]] = {}
         self._matches: dict[tuple, list] = {}
+        # Each (source, metric)'s last stored body and (series, sample)s.
+        self._last: dict[tuple[str, str], tuple[dict, list]] = {}
 
     # -- writes ---------------------------------------------------------------
 
@@ -128,6 +130,10 @@ class TelemetryStore:
         scoped view's restricted snapshot works identically). A scrape
         older than ``source``'s newest raises
         :class:`~repro.errors.ObservabilityError`.
+
+        A body handed to the store is a value: never change it after.
+        Handed ``(source, metric)``'s last stored body again, the store
+        restamps that body's samples with the new time and scrape id.
         """
         when = as_rational(at)
         newest = self._newest.get(source)
@@ -141,6 +147,13 @@ class TelemetryStore:
         scrape_id = len(self._scrapes)
         for metric in sorted(snapshot):
             body = snapshot[metric]
+            last = self._last.get((source, metric))
+            if last is not None and last[0] is body:
+                for samples, (_, reading, count, total, counts, _, kind) in last[1]:
+                    samples.append((when, reading, count, total, counts,
+                                    scrape_id, kind))
+                continue
+            stored = []
             kind = body.get("type", "metric")
             for series in body.get("series", ()):
                 labels = series.get("labels", {})
@@ -160,6 +173,8 @@ class TelemetryStore:
                     reading = float(value) if type(value) is int else _real(value)
                     sample = (when, reading, None, None, None, scrape_id, kind)
                 samples.append(sample)
+                stored.append((samples, sample))
+            self._last[source, metric] = (body, stored)
         return scrape_id
 
     def record_alert(self, alert: str, source: str, state: str, at,
@@ -363,8 +378,8 @@ class TelemetryStore:
 
     def close(self) -> None:
         """Drop every stored sample, scrape and alert."""
-        for held in (self._scrapes, self._newest, self._series,
-                     self._bounds, self._alerts, self._slots, self._matches):
+        for held in (self._scrapes, self._newest, self._series, self._bounds,
+                     self._alerts, self._slots, self._matches, self._last):
             held.clear()
 
     def __enter__(self) -> "TelemetryStore":
@@ -644,6 +659,7 @@ class Telemetry:
             rules = default_burn_rate_rules()
         self.alerts = AlertManager(rules, self.store)
         self._overflow_seen: dict[tuple[str, tuple], int] = {}
+        self._overflow_bodies: dict[str, dict] = {}
 
     def attach(self, loop, obs, source: str) -> None:
         """Schedule the repeating scrape on ``loop`` for ``obs``."""
@@ -670,12 +686,14 @@ class Telemetry:
         boundary; this counter makes that saturation visible in the
         time series instead of silent. The overflow is each series'
         last bucket count in ``snapshot``; a grown counter's export is
-        written back into ``snapshot``, so this scrape stores it.
+        written back into ``snapshot``, so this scrape stores it. A body
+        checked before is skipped: its overflow cannot have grown.
         """
         overflow = None
         for name, body in snapshot.items():
-            if body["type"] != "histogram":
+            if body["type"] != "histogram" or self._overflow_bodies.get(name) is body:
                 continue
+            self._overflow_bodies[name] = body
             for series in body["series"]:
                 key = (name, tuple(series.get("labels", {}).items()))
                 seen = self._overflow_seen.get(key, 0)

@@ -406,6 +406,42 @@ class TestSessionMachine:
         with pytest.raises(EngineError, match="not an int"):
             loop.run()
 
+    @pytest.mark.parametrize("bad", [-1, 0.5])
+    def test_bad_yield_raises_and_leaves_only_the_other_work(self, bad):
+        loop = EventLoop()
+        SessionMachine(
+            "s", loop, stepper_factory=counting_stepper([2, bad]),
+        ).start(0)
+        loop.at(5, lambda: None)
+        with pytest.raises(EngineError, match="not an int or past"):
+            loop.run()
+        # begin, first step: the failed step fired no event and its
+        # entry is gone; the survivor is the lost work.
+        assert loop.pending == 1
+        assert loop.events_processed == 2
+        assert loop.clock.now() == Rational(2)
+        assert loop.stats()["peak_pending"] == 2
+
+    def test_stepper_crash_leaves_only_the_other_work(self):
+        loop = EventLoop()
+
+        def dying():
+            def gen():
+                yield 1
+                raise SimulatedCrash("armed")
+            return gen()
+
+        machine = SessionMachine("s", loop, stepper_factory=dying)
+        machine.start(0)
+        loop.at(3, lambda: None)
+        with pytest.raises(SimulatedCrash):
+            loop.run()
+        assert loop.pending == 1
+        assert loop.events_processed == 2
+        assert machine.state == STREAMING
+        assert loop.run() == 1
+        assert machine.state == STREAMING
+
     def test_two_sessions_interleave_on_one_clock(self):
         loop = EventLoop()
         order = []

@@ -1,12 +1,15 @@
 """Tests for the polymorphic ``Player.play`` front door and the policy
 ``replace`` helpers."""
 
+import json
+
 import pytest
 
 from repro.blob.blob import MemoryBlob
 from repro.core.composition import MultimediaObject
 from repro.core.rational import Rational
 from repro.engine.player import (
+    LATENESS_BUCKETS,
     AdaptationPolicy,
     CostModel,
     Player,
@@ -17,6 +20,7 @@ from repro.errors import EngineError
 from repro.media import frames, signals
 from repro.media.objects import audio_object, video_object
 from repro.obs import Observability
+from tests.obs.reference import ReferenceRegistry
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +141,27 @@ class TestReportMetrics:
         report = player.play(movie)
         assert report.metrics is None
         assert report.metrics_summary() == "metrics: (none captured)"
+
+
+class TestZeroLateness:
+    @pytest.mark.parametrize("names", [["video1"], ["video1", "audio1"]])
+    def test_zero_counts_equal_the_per_read_path(self, movie, names):
+        """On-time sessions record their lateness as one count of zeros
+        per sequence, late ones read by read; interleaved through one
+        sink, the histogram equals every read folded one by one."""
+        obs = Observability()
+        on_time = Player(CostModel(bandwidth=2_000_000), obs=obs)
+        late = Player(CostModel(bandwidth=10_000), obs=obs)
+        reference = ReferenceRegistry().get(
+            "engine.play.lateness_seconds", "histogram", LATENESS_BUCKETS)
+        reports = [player.play(movie, names=names)
+                   for player in (on_time, late, on_time, late, on_time)]
+        assert [r.max_lateness > 0 for r in reports] == [
+            False, True, False, True, False]
+        for report in reports:
+            for label, _, lateness in report.per_read:
+                reference.observe(float(lateness),
+                                  sequence=label.split("[", 1)[0])
+        actual = obs.metrics.get("engine.play.lateness_seconds").export()
+        assert json.dumps(actual) == json.dumps(reference.export())
+        assert len(actual["series"]) == len(names)

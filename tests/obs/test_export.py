@@ -10,7 +10,6 @@ from repro.obs import Observability, Severity, to_json_lines, to_table
 from repro.obs.export import (
     events_to_table,
     metrics_rows,
-    spans_to_table,
     to_chrome_trace,
     to_dict,
     trace_events,
@@ -68,13 +67,6 @@ class TestTables:
         assert text.startswith("obs")
         for name in ("blob.page.reads", "faults.injected", "lateness"):
             assert name in text
-
-    def test_spans_table_renders_and_limits(self):
-        obs = populated_obs()
-        obs.tracer.event("second")
-        text = spans_to_table(obs, limit=1)
-        assert "engine.retry" in text
-        assert "second" not in text
 
     def test_events_table_filters_severity(self):
         obs = populated_obs()

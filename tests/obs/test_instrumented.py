@@ -267,6 +267,35 @@ class TestScopedViews:
         inner.metrics.counter("reads").inc()
         assert "fleet.shard1.reads" in obs.metrics.names()
 
+    def test_nested_view_exports_its_own_metrics(self, obs):
+        inner = obs.scoped("fleet").scoped("shard1")
+        inner.metrics.counter("reads").inc()
+        obs.metrics.counter("fleet.other").inc()
+        assert inner.metrics.names() == ["fleet.shard1.reads"]
+        assert inner.metrics.snapshot() == {
+            "fleet.shard1.reads": {"type": "counter",
+                                   "series": [{"value": 1}]}}
+        assert obs.scoped("fleet2").metrics.names() == []
+
+    def test_server_on_a_nested_view_embeds_and_scrapes_its_metrics(self, obs):
+        from repro.core.rational import Rational
+        from repro.engine.vod import ServeOptions, SessionRequest, VodServer
+        from repro.obs.telemetry import Telemetry
+
+        inner = obs.scoped("fleet").scoped("shard1")
+        telemetry = Telemetry()
+        server = VodServer(50_000, obs=inner, telemetry=telemetry)
+        video = video_object(frames.scene(16, 16, 4, "orbit"), "clip")
+        server.publish("clip", Recorder(MemoryBlob()).record([video]))
+        report = server.serve(
+            [SessionRequest(client="c", title="clip",
+                            arrival_time=Rational(1, 4))],
+            ServeOptions(granularity="read"))
+        (session,) = report.admitted
+        assert session.report.metrics
+        assert set(session.report.metrics) == set(inner.metrics.names())
+        assert set(telemetry.store.metrics()) == set(inner.metrics.names())
+
     def test_nested_collision_caught_against_flat_namespace(self, obs):
         obs.scoped("fleet").scoped("shard1")
         with pytest.raises(ObservabilityError, match="already claimed"):

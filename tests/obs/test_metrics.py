@@ -1,10 +1,16 @@
 """Tests for the deterministic metrics registry."""
 
+import copy
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
-from repro.obs import DEFAULT_TIME_BUCKETS, MetricsRegistry
+from repro.obs import DEFAULT_TIME_BUCKETS, MetricsRegistry, Observability
 from repro.obs.metrics import export_value
+from tests.obs.reference import ReferenceRegistry
 
 
 class TestCounter:
@@ -208,3 +214,122 @@ class TestHistogramOverflow:
         hist.observe(50.0)
         hist.observe(60.0)
         assert hist.quantile(0.99) == 1.0
+
+
+class TestHistogramZeros:
+    def test_zero_counts_land_in_the_zero_bucket_and_keep_the_sum(self):
+        hist = MetricsRegistry().histogram("t", buckets=(0.0, 0.5))
+        hist.observe(0.25, sequence="v")
+        hist.observe_zeros(3, sequence="v")
+        hist.observe_zeros(0, sequence="a")
+        assert hist.bucket_counts(sequence="v") == [3, 1, 0]
+        assert hist.count(sequence="v") == 4
+        assert hist.sum(sequence="v") == 0.25
+        assert hist.labels_seen() == [(("sequence", "v"),)]
+
+
+class TestSharedBodies:
+    def test_each_snapshot_dict_is_fresh(self):
+        obs = Observability()
+        obs.metrics.counter("c").inc()
+        shard = obs.scoped("shard0")
+        shard.metrics.gauge("g").set(1)
+        for metrics in (obs.metrics, shard.metrics):
+            first = metrics.snapshot()
+            first["planted"] = {}
+            second = metrics.snapshot()
+            assert second is not first
+            assert "planted" not in second
+            assert first.keys() - {"planted"} == second.keys()
+
+    def test_unchanged_metric_keeps_its_body_and_a_write_drops_it(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        hist = registry.histogram("h", buckets=(1.0,))
+        counter.inc()
+        hist.observe(0.5)
+        first = registry.snapshot()
+        second = registry.snapshot()
+        assert second["c"] is first["c"] and second["h"] is first["h"]
+        counter.inc()
+        hist.recorder()(2.0)
+        third = registry.snapshot()
+        assert third["c"] is not first["c"] and third["h"] is not first["h"]
+        assert first["c"]["series"] == [{"value": 1}]
+        assert first["h"]["series"][0]["value"]["counts"] == [1, 0]
+
+
+# -- change-tracked exports against the uncached reference ---------------------
+
+NAMES = {"c": "counter", "g": "gauge", "h": "histogram"}
+BUCKETS = (0.0, 0.5, 2.0)
+label_sets = st.sampled_from([{}, {"k": "a"}, {"k": "b"}])
+readings = st.one_of(st.integers(-5, 5),
+                     st.floats(-3, 3, allow_nan=False))
+observations = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 2.0]),
+                         st.floats(allow_nan=True, allow_infinity=True))
+writes = st.one_of(
+    st.tuples(st.just("inc"), st.integers(0, 3), label_sets),
+    st.tuples(st.just("set"), readings, label_sets),
+    st.tuples(st.just("set_max"), readings, label_sets),
+    st.tuples(st.just("record"), observations, label_sets),
+    st.tuples(st.just("observe"), observations, label_sets),
+    st.tuples(st.just("zeros"), st.integers(0, 4), label_sets),
+    st.tuples(st.just("help"), st.sampled_from(sorted(NAMES)),
+              st.sampled_from(["", "first", "second"])),
+    st.tuples(st.just("snapshot")),
+)
+METRIC_OF = {"inc": "c", "set": "g", "set_max": "g", "record": "h",
+             "observe": "h", "zeros": "h"}
+
+
+def _metric(registry, name: str, help: str = ""):
+    if isinstance(registry, ReferenceRegistry):
+        return registry.get(name, NAMES[name], BUCKETS if name == "h" else (),
+                            help)
+    if name == "h":
+        return registry.histogram(name, buckets=BUCKETS, help=help)
+    return getattr(registry, NAMES[name])(name, help)
+
+
+def _apply(registry, op: tuple) -> None:
+    kind, *args = op
+    if kind == "help":
+        _metric(registry, args[0], args[1])
+        return
+    value, labels = args
+    metric = _metric(registry, METRIC_OF[kind])
+    if kind == "record" and not isinstance(registry, ReferenceRegistry):
+        metric.recorder(**labels)(float(value))
+    elif kind in ("record", "observe"):
+        metric.observe(value, **labels)
+    elif kind == "zeros":
+        metric.observe_zeros(value, **labels)
+    else:
+        getattr(metric, kind)(value, **labels)
+
+
+def _text(snapshot: dict) -> str:
+    return json.dumps(snapshot, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(writes, max_size=40))
+def test_kept_bodies_equal_the_uncached_rebuild(ops):
+    """Every snapshot equals the reference's rebuild at that moment
+    (NaN, -0.0 and infinite sums included), and no later write changes
+    a snapshot already taken."""
+    registry, reference = MetricsRegistry(), ReferenceRegistry()
+    taken = []
+    for op in [*ops, ("snapshot",)]:
+        if op[0] == "snapshot":
+            snapshot = registry.snapshot()
+            expected = _text(reference.snapshot())
+            assert _text(snapshot) == expected
+            taken.append((snapshot, expected))
+            continue
+        _apply(registry, op)
+        _apply(reference, op)
+    for snapshot, expected in taken:
+        assert _text(snapshot) == expected
+    assert _text(copy.deepcopy(registry.snapshot())) == taken[-1][1]

@@ -16,7 +16,6 @@ from repro.obs import (
     STAGE_METRIC,
     profile_stages,
     self_time_breakdown,
-    self_time_table,
 )
 
 
@@ -121,8 +120,3 @@ class TestSelfTime:
         rows = {r.name: r for r in self_time_breakdown(obs)}
         assert rows["outer"].total == rows["outer"].self_time
         assert rows["inner"].total == Rational(5)
-
-    def test_table_renders(self, played_obs):
-        text = self_time_table(played_obs)
-        assert "self-time breakdown" in text
-        assert "engine.play" in text

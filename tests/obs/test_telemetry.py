@@ -7,6 +7,7 @@ kernel integration, the mid-serve health degradation, and the
 byte-identity contract of :meth:`TelemetryStore.dump`.
 """
 
+import copy
 import json
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.core.rational import Rational
+from repro.engine.fleet import Fleet
 from repro.engine.kernel import EventLoop
 from repro.engine.recorder import Recorder
 from repro.engine.vod import ServeOptions, SessionRequest, VodServer
@@ -464,3 +466,66 @@ class TestServeIntegration:
         values = [v for _, v in samples]
         assert values[-1] > 0
         assert values[0] < values[-1]  # accrued over the run, not at once
+
+
+def timelines(store):
+    """Every stored series with its sample times, field by field."""
+    return {(metric, field): store.series(metric, field=field)
+            for metric in store.metrics()
+            for field in ("value", "count", "total")}
+
+
+class TestDeltaScrapes:
+    def test_restamped_store_dumps_as_one_fed_deep_copies(self):
+        """A fleet serve's scrapes hand the store kept bodies; a twin
+        store fed a deep copy of every snapshot walks every body, and
+        both dump byte for byte alike."""
+        telemetry = Telemetry()
+        twin = TelemetryStore()
+        store = telemetry.store
+        record_scrape, record_alert = store.record_scrape, store.record_alert
+        previous: dict[str, dict] = {}
+        handed_again = []
+
+        def record_both(source, at, snapshot):
+            handed_again.extend(name for name, body in snapshot.items()
+                                if previous.get(source, {}).get(name) is body)
+            previous[source] = snapshot
+            twin.record_scrape(source, at, copy.deepcopy(snapshot))
+            return record_scrape(source, at, snapshot)
+
+        def alert_both(*args):
+            twin.record_alert(*args)
+            return record_alert(*args)
+
+        store.record_scrape, store.record_alert = record_both, alert_both
+        fleet = Fleet(bandwidth=6_000, shards=3, obs=Observability(),
+                      telemetry=telemetry)
+        for index, frame_count in enumerate((20, 16, 12)):
+            video = video_object(frames.scene(48, 36, frame_count, "orbit"),
+                                 f"title{index}")
+            fleet.publish(f"title{index}", Recorder(MemoryBlob()).record(
+                [video], encoders={f"title{index}":
+                                   JpegLikeCodec(quality=40).encode}))
+        fleet.serve(
+            [SessionRequest(client=f"client-{i}", title=f"title{i % 3}",
+                            arrival_time=Rational(i, 4)) for i in range(6)],
+            ServeOptions(enforce_admission=False, granularity="read"),
+        )
+        assert handed_again and store.alert_rows()
+        assert store.dump() == twin.dump()
+        assert timelines(store) == timelines(twin)
+
+    def test_a_body_handed_again_is_restamped(self):
+        store = TelemetryStore()
+        snapshot = counter_snapshot("hits", 3, kind="a")
+        snapshot.update(counter_snapshot("idle", 7))
+        store.record_scrape("srv", Rational(1), snapshot)
+        store.record_scrape("srv", Rational(2), dict(snapshot))
+        twin = TelemetryStore()
+        for at in (1, 2):
+            twin.record_scrape("srv", Rational(at), copy.deepcopy(snapshot))
+        assert store.dump() == twin.dump()
+        assert timelines(store) == timelines(twin)
+        assert store.series("idle") == {
+            ("srv", "idle", "{}"): [(Rational(1), 7.0), (Rational(2), 7.0)]}
