@@ -16,17 +16,16 @@ without a directory fsync):
    its checkpoint, carrying finished sessions over as ``recovered`` and
    re-serving the rest marked ``resumed``.
 
-Finally the crash matrix sweeps *every* crash point in the small
-scenario set, proving the sequence above was not luck.
+The test suite's crash matrix (``tests/durability/crashtest.py``)
+arms *every* crash point of these workloads in turn, proving the
+sequence above was not luck.
 
 Run:  python examples/crash_recovery.py
 """
 
 from repro.durability import (
-    CrashMatrix,
     DurablePageStore,
     WriteAheadLog,
-    default_scenarios,
     read_bytes,
     recover_page_store,
 )
@@ -124,20 +123,12 @@ def act_three_vod_failover() -> None:
           f"{len(report.failed)} failed")
     print(f"  health: {restored.health().status} "
           f"(failover counts as degraded service)")
-    print()
-
-
-def finale_crash_matrix() -> None:
-    print("=== 4. the crash matrix: every site, recovered and verified ===")
-    for scenario in default_scenarios(small=True):
-        print(f"  {CrashMatrix(scenario).run().summary()}")
 
 
 def main() -> None:
     act_one_page_store()
     act_two_container()
     act_three_vod_failover()
-    finale_crash_matrix()
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ Everything in ``__all__`` is the blessed, stable face of the library —
 the data model (timed streams, interpretation, derivation,
 composition), the storage substrate, the caching layer (``BufferPool``,
 ``DerivationCache``), the playback engine, fault injection, the
-durability layer (WAL, atomic commits, recovery, the crash matrix),
+durability layer (WAL, atomic commits, recovery),
 observability, the static verification layer and the query catalog. Subpackage-internal
 names (codecs' DCT helpers, pager internals, benchmark plumbing) are
 deliberately excluded; reaching past this module into submodules is
@@ -43,13 +43,10 @@ from repro.blob import (
 )
 from repro.cache import BufferPool, DerivationCache
 from repro.durability import (
-    CrashMatrix,
-    CrashMatrixReport,
     DurablePageStore,
     RecoveryReport,
     WriteAheadLog,
     atomic_write_bytes,
-    default_scenarios,
     recover_page_store,
 )
 from repro.core import (
@@ -135,8 +132,6 @@ from repro.query import (
     components_during,
     components_overlapping,
     frames_at_fidelity,
-    gaps_in_presentation,
-    relation_matrix,
     select_duration,
     select_track,
 )
@@ -212,13 +207,10 @@ __all__ = [
     "FaultyPager",
     "SimulatedMedium",
     # durability
-    "CrashMatrix",
-    "CrashMatrixReport",
     "DurablePageStore",
     "RecoveryReport",
     "WriteAheadLog",
     "atomic_write_bytes",
-    "default_scenarios",
     "recover_page_store",
     # observability
     "Observability",
@@ -256,6 +248,4 @@ __all__ = [
     "frames_at_fidelity",
     "components_during",
     "components_overlapping",
-    "gaps_in_presentation",
-    "relation_matrix",
 ]

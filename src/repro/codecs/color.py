@@ -136,17 +136,6 @@ def rgb_to_cmyk(rgb: np.ndarray, black_generation: float = 1.0) -> np.ndarray:
     return np.stack([c, m, y, k], axis=-1).astype(np.float32)
 
 
-def cmyk_to_rgb(cmyk: np.ndarray) -> np.ndarray:
-    """Recombine CMYK plates into uint8 RGB."""
-    if cmyk.ndim != 3 or cmyk.shape[-1] != 4:
-        raise CodecError(f"expected (h, w, 4) CMYK, got {cmyk.shape}")
-    c, m, y, k = (cmyk[..., i] for i in range(4))
-    r = (1.0 - np.minimum(1.0, c * (1.0 - k) + k)) * 255.0
-    g = (1.0 - np.minimum(1.0, m * (1.0 - k) + k)) * 255.0
-    b = (1.0 - np.minimum(1.0, y * (1.0 - k) + k)) * 255.0
-    return np.clip(np.rint(np.stack([r, g, b], axis=-1)), 0, 255).astype(np.uint8)
-
-
 def _check_rgb(rgb: np.ndarray) -> None:
     if rgb.ndim != 3 or rgb.shape[-1] != 3:
         raise CodecError(f"expected (h, w, 3) RGB, got shape {rgb.shape}")

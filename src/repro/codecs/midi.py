@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codecs.varint import read_uvarint, write_uvarint
+from repro.codecs.varint import write_uvarint
 from repro.errors import CodecError
 
 NOTE_OFF = 0x80
@@ -91,31 +91,3 @@ def encode_events(events: list[MidiEvent]) -> bytes:
         if event.status != PROGRAM_CHANGE:
             out.append(event.data2)
     return bytes(out)
-
-
-def decode_events(data: bytes) -> list[MidiEvent]:
-    """Invert :func:`encode_events`."""
-    events = []
-    offset = 0
-    tick = 0
-    while offset < len(data):
-        delta, offset = read_uvarint(data, offset)
-        tick += delta
-        if offset >= len(data):
-            raise CodecError("truncated event after delta time")
-        status_byte = data[offset]
-        offset += 1
-        status = status_byte & 0xF0
-        channel = status_byte & 0x0F
-        if status == PROGRAM_CHANGE:
-            if offset + 1 > len(data):
-                raise CodecError("truncated program change")
-            data1, data2 = data[offset], 0
-            offset += 1
-        else:
-            if offset + 2 > len(data):
-                raise CodecError("truncated note event")
-            data1, data2 = data[offset], data[offset + 1]
-            offset += 2
-        events.append(MidiEvent(tick, status, channel, data1, data2))
-    return events

@@ -38,10 +38,3 @@ def rle_decode(data: bytes) -> bytes:
             raise CodecError(f"zero run length at offset {i}")
         out.extend(data[i + 1:i + 2] * count)
     return bytes(out)
-
-
-def rle_ratio(data: bytes) -> float:
-    """Compression ratio achieved on ``data`` (original/encoded)."""
-    if not data:
-        return 1.0
-    return len(data) / len(rle_encode(data))

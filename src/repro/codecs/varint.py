@@ -1,7 +1,8 @@
 """Unsigned LEB128 varints, for the MIDI delta-time encoder.
 
 The coefficient coders of :mod:`repro.codecs.jpeg_like` write and parse
-their signed varints inline.
+their signed varints inline. Nothing in the library reads an unsigned
+varint back; the reader is a test oracle (``tests/codecs/reference.py``).
 """
 
 from __future__ import annotations
@@ -22,19 +23,3 @@ def write_uvarint(out: bytearray, value: int) -> None:
             out.append(byte)
             return
 
-
-def read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
-    """Read an unsigned varint at ``offset``; return (value, new_offset)."""
-    value = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
-            raise CodecError("varint stream exhausted")
-        byte = data[offset]
-        offset += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
-        shift += 7
-        if shift > 63:
-            raise CodecError("varint too long")

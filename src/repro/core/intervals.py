@@ -181,18 +181,3 @@ def span(intervals: Iterable[Interval]) -> Interval | None:
     for interval in intervals:
         result = interval if result is None else result.hull(interval)
     return result
-
-
-def total_covered(intervals: Iterable[Interval]) -> Rational:
-    """Total time covered by the union of ``intervals`` (overlaps counted once)."""
-    ordered = sorted(intervals, key=lambda iv: (iv.start, iv.end))
-    covered = Rational(0)
-    cursor: Rational | None = None
-    for interval in ordered:
-        if cursor is None or interval.start > cursor:
-            covered += interval.duration
-            cursor = interval.end
-        elif interval.end > cursor:
-            covered += interval.end - cursor
-            cursor = interval.end
-    return covered

@@ -12,7 +12,7 @@ All operations are non-destructive: they return new streams sharing the
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.elements import MediaElement
 from repro.core.rational import Rational, as_rational
@@ -82,25 +82,6 @@ def select_range(
         kept = [TimedTuple(t.element, t.start - start_tick, t.duration) for t in kept]
     return TimedStream(
         stream.media_type, kept,
-        time_system=stream.time_system, validate_constraints=False,
-    )
-
-
-def select_elements(
-    stream: TimedStream,
-    indices: Sequence[int],
-    rebase: bool = True,
-) -> TimedStream:
-    """Select tuples by element index, keeping their relative order."""
-    tuples = [stream.tuples[i] for i in indices]
-    for prev, cur in zip(tuples, tuples[1:]):
-        if cur.start < prev.start:
-            raise StreamError("selected indices must be time-ordered")
-    if rebase and tuples:
-        base = tuples[0].start
-        tuples = [TimedTuple(t.element, t.start - base, t.duration) for t in tuples]
-    return TimedStream(
-        stream.media_type, tuples,
         time_system=stream.time_system, validate_constraints=False,
     )
 
@@ -208,26 +189,3 @@ def overlaps(stream: TimedStream) -> list[tuple[int, int]]:
                 break
             result.append((i, j))
     return result
-
-
-def retime(
-    stream: TimedStream,
-    target_media_type=None,
-    target_system=None,
-) -> TimedStream:
-    """Re-express a stream in another time system (and optionally type).
-
-    Each start/end is converted through continuous time and rounded to
-    the nearest target tick. Used by type-changing derivations (music at
-    1920 Hz ticks synthesized to audio at 44100 Hz).
-    """
-    media_type = target_media_type or stream.media_type
-    system = target_system or media_type.time_system or stream.time_system
-    tuples = []
-    for t in stream:
-        start = stream.time_system.rescale(t.start, system)
-        end = stream.time_system.rescale(t.end, system)
-        tuples.append(TimedTuple(t.element, start, max(0, end - start)))
-    return TimedStream(
-        media_type, tuples, time_system=system, validate_constraints=False,
-    )

@@ -1,8 +1,8 @@
-"""Crash-safe durability: WAL, atomic commits, recovery, crash matrix.
+"""Crash-safe durability: WAL, atomic commits, recovery.
 
 The paper models media whose value lives in *permanently associated*
 interpretations (§4.1); this package makes "permanent" literal under
-crashes. Three mechanisms, one contract:
+crashes. Two mechanisms, one contract:
 
 * :class:`~repro.durability.wal.WriteAheadLog` +
   :class:`~repro.durability.store.DurablePageStore` — no-steal
@@ -13,12 +13,14 @@ crashes. Three mechanisms, one contract:
 * :func:`~repro.durability.atomic.atomic_write_bytes` — shadow write +
   fsync barrier + rename for whole-file commits (RMF containers,
   server checkpoints): readers see a complete old or new file, never a
-  prefix;
-* :mod:`~repro.durability.crashtest` — the crash matrix that *proves*
-  it: every durability-critical instruction is a named crash point,
-  and the harness kills the workload at each one, recovers over the
-  simulated medium, and asserts no acknowledged write was lost and no
-  torn state is visible.
+  prefix.
+
+Every durability-critical instruction is a named crash point
+(:class:`~repro.faults.crash.CrashInjector`). The crash matrix that
+proves the contract, killing the workload at each point, recovering
+over the simulated medium and asserting that no acknowledged write was
+lost and no torn state is visible, lives in the test suite
+(``tests/durability/crashtest.py``).
 
 The contract everywhere: **acknowledged ⇒ durable**; unacknowledged
 work may vanish but never corrupts what came before.
@@ -28,15 +30,6 @@ from repro.durability.atomic import (
     atomic_write_bytes,
     read_bytes,
     remove_stale_temp,
-)
-from repro.durability.crashtest import (
-    CheckpointCrashScenario,
-    ContainerCrashScenario,
-    CrashMatrix,
-    CrashMatrixReport,
-    CrashOutcome,
-    PageStoreCrashScenario,
-    default_scenarios,
 )
 from repro.durability.fs import REAL_FS, OsFilesystem
 from repro.durability.store import (
@@ -48,20 +41,13 @@ from repro.durability.wal import WalRecord, WalScan, WriteAheadLog
 
 __all__ = [
     "REAL_FS",
-    "CheckpointCrashScenario",
-    "ContainerCrashScenario",
-    "CrashMatrix",
-    "CrashMatrixReport",
-    "CrashOutcome",
     "DurablePageStore",
     "OsFilesystem",
-    "PageStoreCrashScenario",
     "RecoveryReport",
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
     "atomic_write_bytes",
-    "default_scenarios",
     "read_bytes",
     "recover_page_store",
     "remove_stale_temp",

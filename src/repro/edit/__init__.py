@@ -35,8 +35,8 @@ from repro.edit.filters import AUDIO_NORMALIZATION, normalize_signal
 from repro.edit.separation import COLOR_SEPARATION
 from repro.edit.timing import TEMPORAL_SCALE, TEMPORAL_TRANSLATE, VIDEO_REVERSE
 from repro.edit.editor import MediaEditor
-from repro.edit.compositor import compose_frame, compose_sequence
-from repro.edit.mixdown import channel_activity, mixdown
+from repro.edit.compositor import compose_frame
+from repro.edit.mixdown import mixdown
 
 __all__ = [
     "EditDecision",
@@ -55,7 +55,5 @@ __all__ = [
     "VIDEO_REVERSE",
     "MediaEditor",
     "compose_frame",
-    "compose_sequence",
-    "channel_activity",
     "mixdown",
 ]

@@ -102,20 +102,3 @@ def compose_frame(
             continue
         canvas[y0:y1, x0:x1] = frame[y0 - y:y1 - y, x0 - x:x1 - x]
     return canvas
-
-
-def compose_sequence(
-    multimedia: MultimediaObject,
-    width: int,
-    height: int,
-    fps: int = 25,
-    duration=None,
-    background: tuple[int, int, int] = (0, 0, 0),
-) -> list[np.ndarray]:
-    """Rasterize the presentation as a frame sequence at ``fps``."""
-    total = as_rational(duration) if duration is not None else multimedia.duration()
-    count = int(total * fps)
-    return [
-        compose_frame(multimedia, Rational(i, fps), width, height, background)
-        for i in range(count)
-    ]

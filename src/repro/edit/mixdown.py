@@ -74,18 +74,3 @@ def mixdown(
     if gain is None and peak > 1.0:
         total /= peak
     return total
-
-
-def channel_activity(
-    multimedia: MultimediaObject,
-    at,
-) -> dict[str, bool]:
-    """Which audio components are sounding at time ``at`` (for meters)."""
-    from repro.core.rational import as_rational
-
-    t = as_rational(at)
-    result = {}
-    for label, obj, interval in multimedia.flatten():
-        if obj.kind is MediaKind.AUDIO:
-            result[label] = interval.contains_time(t)
-    return result

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.codecs.color import cmyk_to_rgb, rgb_to_cmyk
+from repro.codecs.color import rgb_to_cmyk
 from repro.core.derivation import (
     Derivation,
     DerivationCategory,
@@ -74,11 +74,3 @@ COLOR_SEPARATION = derivation_registry.register(Derivation(
     optional_params=("black_generation",),
     doc="Table 1: image -> image; RGB to CMYK with separation parameters.",
 ))
-
-
-def roundtrip_error(image: np.ndarray, black_generation: float = 1.0) -> float:
-    """Mean absolute RGB error after separate + recombine (sanity metric)."""
-    recombined = cmyk_to_rgb(rgb_to_cmyk(image, black_generation))
-    return float(np.mean(np.abs(
-        recombined.astype(np.int32) - image.astype(np.int32)
-    )))

@@ -345,7 +345,11 @@ class _Deadlines(NamedTuple):
     sequences: list[str]
 
     def at(self, frequency: int) -> "_Deadlines":
-        """The same in ticks of ``frequency``, a multiple of this one."""
+        """The same in ticks of ``frequency``, a multiple of this one;
+        itself when ``frequency`` is its own (no reader changes
+        ``ticks``)."""
+        if frequency == self.frequency:
+            return self
         scale = to_ticks(Rational(frequency, self.frequency), 1)
         return self._replace(frequency=frequency, ticks=[t * scale for t in self.ticks])
 

@@ -26,7 +26,7 @@ The write side (PR 6) adds the durability adversary:
   instructions;
 * :class:`~repro.faults.disk.SimulatedMedium` — a crashable filesystem
   with an explicit volatile/durable split, consumed by the crash matrix
-  in :mod:`repro.durability.crashtest`.
+  in ``tests/durability/crashtest.py``.
 """
 
 from repro.faults.crash import NULL_CRASH, CrashInjector, CrashSite

@@ -4,7 +4,7 @@ Every durability-critical instruction in the write path (a WAL append,
 an fsync, a rename, applying a page image) is bracketed by a named
 *crash point*: a call to :meth:`CrashInjector.point`. In production the
 shared :data:`NULL_CRASH` makes every point a no-op; under the crash
-matrix (:mod:`repro.durability.crashtest`) an injector is *armed* on one
+matrix (``tests/durability/crashtest.py``) an injector is *armed* on one
 ``(name, occurrence)`` site and raises
 :class:`~repro.errors.SimulatedCrash` exactly there — the simulated
 process dies mid-instruction, and recovery is asserted to restore every

@@ -27,22 +27,6 @@ def gradient_frame(width: int = 160, height: int = 120,
     return (frame * 255).astype(np.uint8)
 
 
-def color_bars(width: int = 160, height: int = 120) -> np.ndarray:
-    """Eight vertical color bars (a test pattern)."""
-    _check_size(width, height)
-    colors = np.array([
-        [255, 255, 255], [255, 255, 0], [0, 255, 255], [0, 255, 0],
-        [255, 0, 255], [255, 0, 0], [0, 0, 255], [0, 0, 0],
-    ], dtype=np.uint8)
-    frame = np.zeros((height, width, 3), dtype=np.uint8)
-    bar_width = max(1, width // len(colors))
-    for i, color in enumerate(colors):
-        begin = i * bar_width
-        end = width if i == len(colors) - 1 else (i + 1) * bar_width
-        frame[:, begin:end] = color
-    return frame
-
-
 def texture_frame(width: int = 160, height: int = 120, seed: int = 0,
                   smoothness: int = 4) -> np.ndarray:
     """Seeded smooth texture: low-resolution noise upsampled.
@@ -120,11 +104,6 @@ def scene(width: int, height: int, frame_count: int, kind: str = "orbit",
             for i in range(frame_count)
         ]
     raise MediaModelError(f"unknown scene kind {kind!r}")
-
-
-def frame_bytes(width: int, height: int, depth: int = 24) -> int:
-    """Raw frame size in bytes (Figure 2: 640x480x24bpp = 921600)."""
-    return width * height * depth // 8
 
 
 def _check_size(width: int, height: int) -> None:

@@ -137,20 +137,6 @@ def score_object(score: Score, name: str) -> StreamMediaObject:
     return obj
 
 
-def midi_object(score: Score, name: str) -> StreamMediaObject:
-    """Wrap a score's events as a MIDI media object (event-based stream)."""
-    media_type = media_type_registry.get("midi-music")
-    stream = score.to_event_stream()
-    descriptor = media_type.make_media_descriptor(
-        division=960,
-        tempo_bpm=score.tempo_bpm,
-        duration=Rational.from_float(score.duration_seconds()),
-    )
-    obj = StreamMediaObject(media_type, descriptor, stream, name=name)
-    obj.score = score
-    return obj
-
-
 def animation_object(scene: AnimationScene, name: str) -> StreamMediaObject:
     """Wrap an animation scene as a media object (non-continuous stream)."""
     media_type = media_type_registry.get("animation")

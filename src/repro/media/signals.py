@@ -45,11 +45,6 @@ def noise(duration: float, sample_rate: int = 44100, amplitude: float = 0.5,
     return amplitude * rng.uniform(-1.0, 1.0, n)
 
 
-def silence(duration: float, sample_rate: int = 44100) -> np.ndarray:
-    """A run of zeros."""
-    return np.zeros(_sample_count(duration, sample_rate))
-
-
 def adsr_envelope(n: int, attack: float = 0.05, decay: float = 0.1,
                   sustain: float = 0.7, release: float = 0.2) -> np.ndarray:
     """An attack/decay/sustain/release envelope over ``n`` samples.
@@ -100,13 +95,6 @@ def to_stereo(signal: np.ndarray, pan: float = 0.0) -> np.ndarray:
     else:
         left = right = signal
     return np.stack([left, right], axis=-1)
-
-
-def rms(signal: np.ndarray) -> float:
-    """Root-mean-square level."""
-    if signal.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(np.square(signal))))
 
 
 def peak(signal: np.ndarray) -> float:

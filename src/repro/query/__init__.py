@@ -8,8 +8,7 @@ a specific visual fidelity."
 
 * :mod:`repro.query.database` — the catalog: BLOBs, interpretations,
   media objects with domain attributes, multimedia objects, provenance;
-* :mod:`repro.query.query` — those three §1.2 queries (and more) over
-  the catalog;
+* :mod:`repro.query.query` — those three §1.2 queries over the catalog;
 * :mod:`repro.query.temporal` — temporal predicates over compositions,
   by linear scan of a timeline;
 * :mod:`repro.query.index` — the relational temporal-index accelerator
@@ -24,14 +23,11 @@ from repro.query.index import TemporalIndex, encode_attribute
 from repro.query.query import (
     frames_at_fidelity,
     select_duration,
-    select_objects,
     select_track,
 )
 from repro.query.temporal import (
     components_during,
     components_overlapping,
-    gaps_in_presentation,
-    relation_matrix,
 )
 
 __all__ = [
@@ -40,10 +36,7 @@ __all__ = [
     "encode_attribute",
     "frames_at_fidelity",
     "select_duration",
-    "select_objects",
     "select_track",
     "components_during",
     "components_overlapping",
-    "gaps_in_presentation",
-    "relation_matrix",
 ]

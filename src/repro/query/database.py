@@ -58,10 +58,10 @@ class CatalogEntry:
 class MediaDatabase(Instrumented):
     """A catalog of BLOBs, interpretations, media and multimedia objects.
 
-    With ``index=True`` (or ``index="/path/to.db"`` for a file-backed
-    index) a :class:`~repro.query.index.TemporalIndex` shadows the
-    catalog: mutations write through synchronously, and ``objects()``,
-    the temporal predicates and the composition axes gain an indexed
+    With ``index=True`` an in-memory
+    :class:`~repro.query.index.TemporalIndex` shadows the catalog:
+    mutations write through synchronously, and ``objects()``, the
+    temporal predicates and the composition axes gain an indexed
     fast path. The linear scan stays available via ``backend="linear"``.
 
     Instrumentable: an attached sink counts catalog lookups and misses,
@@ -74,7 +74,7 @@ class MediaDatabase(Instrumented):
     def __init__(self, name: str = "media-db",
                  blob_store: BlobStore | None = None,
                  obs: Observability | None = None,
-                 index: bool | str = False):
+                 index: bool = False):
         self.name = name
         self.blobs = blob_store or BlobStore()
         self.provenance = ProvenanceGraph()
@@ -83,8 +83,7 @@ class MediaDatabase(Instrumented):
         self._multimedia: dict[str, MultimediaObject] = {}
         self._index: TemporalIndex | None = None
         if index:
-            path = index if isinstance(index, str) else ":memory:"
-            self._index = TemporalIndex(path)
+            self._index = TemporalIndex()
         if obs is not None:
             self.instrument(obs)
 

@@ -32,11 +32,11 @@ the index's own bookkeeping: the planner's match count per attribute
 top-level duration are read on every query and never joined, so they
 are dicts on the :class:`TemporalIndex`, beside its opaque-key set.
 
-The index is a rebuildable cache over exact in-process state, so its
-connection (:func:`open_tuned`) turns durability pragmas off; crash
-safety belongs to :mod:`repro.durability`, not to this sidecar. Opening
-an index empties its relations, whatever its file holds, and its writes
-are never committed: a file-backed index keeps nothing across a close.
+The index is a rebuildable cache over exact in-process state, so it
+lives in an in-memory SQLite database whose connection
+(:func:`open_tuned`) turns durability pragmas off and whose writes are
+never committed: it keeps nothing across a close. Crash safety belongs
+to :mod:`repro.durability`, not to this sidecar.
 
 Write-through is the invariant: every catalog mutation
 (:meth:`~repro.query.database.MediaDatabase.add_object`,
@@ -136,14 +136,14 @@ def encode_attribute(value: Any) -> str | None:
     return None
 
 
-def open_tuned(path: str = ":memory:") -> sqlite3.Connection:
-    """A connection with the accelerator pragmas applied.
+def open_tuned() -> sqlite3.Connection:
+    """An in-memory connection with the accelerator pragmas applied.
 
     ``journal_mode=MEMORY`` / ``synchronous=OFF`` / ``temp_store=MEMORY``:
     the index is rebuildable from in-process state, so nothing is paid
     for durability it does not need.
     """
-    conn = sqlite3.connect(path)
+    conn = sqlite3.connect(":memory:")
     try:
         conn.executescript(
             "PRAGMA journal_mode=MEMORY;"
@@ -187,15 +187,9 @@ class TemporalIndex(Instrumented):
     spans.
     """
 
-    def __init__(self, path: str = ":memory:",
-                 obs: Observability | None = None):
-        self.path = path
-        self._conn = open_tuned(path)
+    def __init__(self, obs: Observability | None = None):
+        self._conn = open_tuned()
         self._conn.executescript(_SCHEMA)
-        # Rows a file already holds describe some other catalog.
-        self._conn.executescript("DELETE FROM attributes; "
-                                 "DELETE FROM composition; "
-                                 "DELETE FROM objects;")
         # Keys that ever carried a value with no canonical encoding;
         # equality filters on them must use the linear oracle.
         self._opaque_keys: set[str] = set()
@@ -727,7 +721,6 @@ class TemporalIndex(Instrumented):
         page_count = self._conn.execute("PRAGMA page_count").fetchone()[0]
         page_size = self._conn.execute("PRAGMA page_size").fetchone()[0]
         return {
-            "path": self.path,
             "rows": counts,
             "indexes": indexes,
             "size_bytes": page_count * page_size,

@@ -9,8 +9,6 @@ edit list), never copied data, per §4.2.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.codecs.scalable import ScalableVideoCodec
@@ -20,12 +18,6 @@ from repro.core.media_object import DerivedMediaObject, MediaObject
 from repro.core.media_types import MediaKind
 from repro.errors import QueryError
 from repro.query.database import MediaDatabase
-
-
-def select_objects(db: MediaDatabase, kind: MediaKind | None = None,
-                   **attributes: Any) -> list[MediaObject]:
-    """Attribute selection over the catalog (thin, explicit wrapper)."""
-    return db.objects(kind=kind, **attributes)
 
 
 def select_track(db: MediaDatabase, movie: str | MultimediaObject,

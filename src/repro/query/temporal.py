@@ -14,7 +14,7 @@ answers in the same order.
 from __future__ import annotations
 
 from repro.core.composition import MultimediaObject
-from repro.core.intervals import Interval, IntervalRelation, relate
+from repro.core.intervals import Interval
 from repro.core.rational import as_rational
 from repro.errors import QueryError
 
@@ -39,35 +39,6 @@ def components_during(multimedia: MultimediaObject, start, end) -> list[str]:
         label for label, interval in multimedia.timeline()
         if interval.intersects(window)
     ]
-
-
-def relation_matrix(
-    multimedia: MultimediaObject,
-) -> dict[tuple[str, str], IntervalRelation]:
-    """The Allen relation between every ordered pair of components."""
-    timeline = multimedia.timeline()
-    matrix: dict[tuple[str, str], IntervalRelation] = {}
-    for label_a, interval_a in timeline:
-        for label_b, interval_b in timeline:
-            if label_a == label_b:
-                continue
-            matrix[(label_a, label_b)] = relate(interval_a, interval_b)
-    return matrix
-
-
-def gaps_in_presentation(multimedia: MultimediaObject) -> list[Interval]:
-    """Timeline ranges where no component is presented."""
-    timeline = sorted(multimedia.timeline(), key=lambda x: x[1].start)
-    gaps: list[Interval] = []
-    cursor = None
-    for _, interval in timeline:
-        if cursor is None:
-            cursor = interval.end
-            continue
-        if interval.start > cursor:
-            gaps.append(Interval(cursor, interval.start))
-        cursor = max(cursor, interval.end)
-    return gaps
 
 
 def _interval_of(multimedia: MultimediaObject, label: str) -> Interval:

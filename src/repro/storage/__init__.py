@@ -32,7 +32,6 @@ from repro.storage.layout import (
     write_sequential,
 )
 from repro.storage.container import read_container, write_container
-from repro.storage.vacuum import VacuumStats, compact, referenced_spans
 
 __all__ = [
     "ChunkOffsetTable",
@@ -50,7 +49,4 @@ __all__ = [
     "write_sequential",
     "read_container",
     "write_container",
-    "VacuumStats",
-    "compact",
-    "referenced_spans",
 ]

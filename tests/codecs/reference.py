@@ -5,6 +5,11 @@ parses the coefficient varints inline. These are the per-bit decoder and
 the per-call varint coders that it replaced; property tests hold the
 library to them byte for byte.
 
+Three inverses live here too, because the library only ever writes
+their formats: the unsigned varint reader, the MIDI event decoder and
+the CMYK recombination. Tests hold ``write_uvarint``, ``encode_events``
+and ``rgb_to_cmyk`` to them.
+
 One fix against the originals: the sign fold is ``v << 1`` for ``v >= 0``
 and ``(-v << 1) - 1`` below zero. The C idiom ``(v << 1) ^ (v >> 63)``
 is wrong for Python ints of 2**63 and above (2**63 came back as
@@ -17,10 +22,67 @@ import numpy as np
 
 from repro.codecs import dct
 from repro.codecs.huffman import canonical_codes
-from repro.codecs.varint import read_uvarint, write_uvarint
+from repro.codecs.midi import PROGRAM_CHANGE, MidiEvent
+from repro.codecs.varint import write_uvarint
 from repro.errors import CodecError
 
 EOB = 255
+
+
+def read_uvarint(data: bytes, offset: int) -> tuple[int, int]:
+    """Read an unsigned varint at ``offset``; return (value, new_offset)."""
+    value = 0
+    shift = 0
+    while True:
+        if offset >= len(data):
+            raise CodecError("varint stream exhausted")
+        byte = data[offset]
+        offset += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, offset
+        shift += 7
+        if shift > 63:
+            raise CodecError("varint too long")
+
+
+def decode_events(data: bytes) -> list[MidiEvent]:
+    """Invert :func:`repro.codecs.midi.encode_events`."""
+    events = []
+    offset = 0
+    tick = 0
+    while offset < len(data):
+        delta, offset = read_uvarint(data, offset)
+        tick += delta
+        if offset >= len(data):
+            raise CodecError("truncated event after delta time")
+        status_byte = data[offset]
+        offset += 1
+        status = status_byte & 0xF0
+        channel = status_byte & 0x0F
+        if status == PROGRAM_CHANGE:
+            if offset + 1 > len(data):
+                raise CodecError("truncated program change")
+            data1, data2 = data[offset], 0
+            offset += 1
+        else:
+            if offset + 2 > len(data):
+                raise CodecError("truncated note event")
+            data1, data2 = data[offset], data[offset + 1]
+            offset += 2
+        events.append(MidiEvent(tick, status, channel, data1, data2))
+    return events
+
+
+def cmyk_to_rgb(cmyk: np.ndarray) -> np.ndarray:
+    """Recombine CMYK plates into uint8 RGB."""
+    if cmyk.ndim != 3 or cmyk.shape[-1] != 4:
+        raise CodecError(f"expected (h, w, 4) CMYK, got {cmyk.shape}")
+    c, m, y, k = (cmyk[..., i] for i in range(4))
+    r = (1.0 - np.minimum(1.0, c * (1.0 - k) + k)) * 255.0
+    g = (1.0 - np.minimum(1.0, m * (1.0 - k) + k)) * 255.0
+    b = (1.0 - np.minimum(1.0, y * (1.0 - k) + k)) * 255.0
+    return np.clip(np.rint(np.stack([r, g, b], axis=-1)), 0, 255).astype(np.uint8)
 
 
 def zigzag_int(value: int) -> int:

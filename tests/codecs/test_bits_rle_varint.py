@@ -1,18 +1,20 @@
 """Tests for the RLE and varint primitives.
 
-The signed varint coders and the sign fold live in the test oracle,
-:mod:`tests.codecs.reference`; the library writes them inline in the
-coefficient coders, which the properties in
-``tests/property/test_codec_kernels.py`` check against the oracle.
+The signed varint coders, the sign fold and the unsigned varint reader
+live in the test oracle, :mod:`tests.codecs.reference`; the library
+writes the signed varints inline in the coefficient coders, which the
+properties in ``tests/property/test_codec_kernels.py`` check against the
+oracle.
 """
 
 import pytest
 
-from repro.codecs.rle import rle_decode, rle_encode, rle_ratio
-from repro.codecs.varint import read_uvarint, write_uvarint
+from repro.codecs.rle import rle_decode, rle_encode
+from repro.codecs.varint import write_uvarint
 from repro.errors import CodecError
 from tests.codecs.reference import (
     read_svarint,
+    read_uvarint,
     unzigzag_int,
     write_svarint,
     zigzag_int,
@@ -33,7 +35,7 @@ class TestRle:
         assert encoded == bytes([255, ord("x"), 45, ord("x")])
 
     def test_compresses_runs(self):
-        assert rle_ratio(b"\x00" * 1000) > 100
+        assert len(rle_encode(b"\x00" * 1000)) * 100 < 1000
 
     def test_worst_case_2x(self):
         data = bytes(range(256))

@@ -6,7 +6,6 @@ import pytest
 from repro.codecs.color import (
     SUBSAMPLING,
     bits_per_pixel,
-    cmyk_to_rgb,
     rgb_to_cmyk,
     rgb_to_yuv,
     subsample,
@@ -16,6 +15,7 @@ from repro.codecs.color import (
     yuv_to_rgb,
 )
 from repro.errors import CodecError
+from tests.codecs.reference import cmyk_to_rgb
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ from repro.codecs.jpeg_like import (
 )
 from repro.errors import CodecError
 from repro.media import frames
+from tests.media.sources import color_bars
 
 
 @pytest.fixture
@@ -121,7 +122,7 @@ class TestCodec:
             assert decoded.shape == frame.shape
 
     def test_444_beats_420_on_chroma_detail(self):
-        bars = frames.color_bars(64, 48)
+        bars = color_bars(64, 48)
         full = JpegLikeCodec(quality=90, subsampling="4:4:4")
         sub = JpegLikeCodec(quality=90, subsampling="4:2:0")
         assert psnr(bars, full.decode(full.encode(bars))) >= \

@@ -7,10 +7,10 @@ from repro.codecs.midi import (
     NOTE_OFF,
     NOTE_ON,
     PROGRAM_CHANGE,
-    decode_events,
     encode_events,
 )
 from repro.errors import CodecError
+from tests.codecs.reference import decode_events
 
 
 class TestMidiEvent:

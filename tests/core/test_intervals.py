@@ -9,7 +9,6 @@ from repro.core.intervals import (
     IntervalRelation,
     relate,
     span,
-    total_covered,
 )
 from repro.core.rational import Rational
 from repro.errors import MediaModelError
@@ -145,18 +144,6 @@ class TestAggregates:
 
     def test_span_empty(self):
         assert span([]) is None
-
-    def test_total_covered_disjoint(self):
-        assert total_covered([iv(0, 1), iv(2, 3)]) == 2
-
-    def test_total_covered_overlapping_counted_once(self):
-        assert total_covered([iv(0, 3), iv(2, 5)]) == 5
-
-    def test_total_covered_nested(self):
-        assert total_covered([iv(0, 10), iv(2, 4)]) == 10
-
-    def test_total_covered_unsorted_input(self):
-        assert total_covered([iv(4, 6), iv(0, 2), iv(1, 5)]) == 6
 
 
 class TestInstantRelations:

@@ -89,20 +89,6 @@ class TestSelectRange:
             stream_ops.select_range(stream, 5, 2)
 
 
-class TestSelectElements:
-    def test_by_index(self, stream):
-        picked = stream_ops.select_elements(stream, [1, 3, 5])
-        assert [t.element.payload for t in picked] == [1, 3, 5]
-        assert picked.start == 0
-
-    def test_order_must_be_temporal(self, stream):
-        with pytest.raises(StreamError, match="time-ordered"):
-            stream_ops.select_elements(stream, [3, 1])
-
-    def test_empty_selection(self, stream):
-        assert len(stream_ops.select_elements(stream, [])) == 0
-
-
 class TestConcat:
     def test_appends_in_time(self, stream):
         joined = stream_ops.concat(stream, stream)
@@ -196,17 +182,3 @@ class TestGapsAndOverlaps:
         ]
         stream = TimedStream(video, tuples, validate_constraints=False)
         assert stream_ops.gaps(stream) == []
-
-
-class TestRetime:
-    def test_pal_to_cd(self, stream):
-        retimed = stream_ops.retime(stream, target_system=CD_AUDIO_TIME)
-        # 1 PAL tick = 1764 CD ticks.
-        assert [t.start for t in retimed] == [i * 1764 for i in range(6)]
-        assert all(t.duration == 1764 for t in retimed)
-
-    def test_target_media_type_sets_system(self, stream):
-        block_audio = media_type_registry.get("block-audio")
-        retimed = stream_ops.retime(stream, target_media_type=block_audio)
-        assert retimed.time_system == CD_AUDIO_TIME
-        assert retimed.media_type.name == "block-audio"

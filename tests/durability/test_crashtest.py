@@ -7,14 +7,14 @@ unmarked so a default test run still exercises the harness end to end.
 
 import pytest
 
-from repro.durability import (
+from repro.obs import Observability
+from tests.durability.crashtest import (
     CheckpointCrashScenario,
     ContainerCrashScenario,
     CrashMatrix,
     PageStoreCrashScenario,
     default_scenarios,
 )
-from repro.obs import Observability
 
 
 class TestHarness:

@@ -1,5 +1,5 @@
-"""Extra coverage: nested mixdown, explicit-duration rendering,
-downscale compositing, edit-view descriptor preservation."""
+"""Extra coverage: nested mixdown, downscale compositing, edit-view
+descriptor preservation."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,10 @@ from repro.blob.blob import MemoryBlob
 from repro.codecs.adpcm import AdpcmCodec
 from repro.core.composition import MultimediaObject, SpatialComposition
 from repro.core.rational import Rational
-from repro.edit.compositor import compose_frame, compose_sequence
+from repro.edit.compositor import compose_frame
 from repro.edit.mixdown import mixdown
-from repro.media import frames, signals
-from repro.media.objects import audio_object, image_object, video_object
+from repro.media import signals
+from repro.media.objects import audio_object, image_object
 
 
 class TestNestedMixdown:
@@ -26,15 +26,6 @@ class TestNestedMixdown:
         # Music starts at 1 + 0.5 = 1.5 s on the outer timeline.
         assert np.abs(mix[:11_000]).max() < 1e-9
         assert np.abs(mix[12_500:13_500]).max() > 0.1
-
-
-class TestComposeSequenceDuration:
-    def test_explicit_duration_overrides(self):
-        clip = video_object(frames.scene(16, 16, 25, "pan"), "clip")
-        m = MultimediaObject("m")
-        m.add_spatial(clip, x=0, y=0, label="v")
-        short = compose_sequence(m, 16, 16, fps=10, duration=Rational(1, 2))
-        assert len(short) == 5
 
 
 class TestDownscaleCompositing:

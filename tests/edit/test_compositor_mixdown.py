@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.composition import MultimediaObject
 from repro.core.rational import Rational
-from repro.edit.compositor import compose_frame, compose_sequence
-from repro.edit.mixdown import channel_activity, mixdown
+from repro.edit.compositor import compose_frame
+from repro.edit.mixdown import mixdown
 from repro.errors import CompositionError
 from repro.media import frames, signals
 from repro.media.objects import audio_object, image_object, video_object
@@ -94,20 +94,6 @@ class TestComposeFrame:
         assert frame.max() == 0  # nothing has a spatial placement
 
 
-class TestComposeSequence:
-    def test_sequence_length(self, clip):
-        m = MultimediaObject("m")
-        m.add_spatial(clip, x=0, y=0, label="v")
-        rendered = compose_sequence(m, 16, 16, fps=25)
-        assert len(rendered) == 25
-
-    def test_motion_visible(self, clip):
-        m = MultimediaObject("m")
-        m.add_spatial(clip, x=0, y=0, label="v")
-        rendered = compose_sequence(m, 16, 16, fps=25)
-        assert not np.array_equal(rendered[0], rendered[10])
-
-
 class TestMixdown:
     @pytest.fixture
     def narrated(self):
@@ -151,14 +137,6 @@ class TestMixdown:
         m.add_temporal(clip, at=0, label="v")
         with pytest.raises(CompositionError, match="no audio"):
             mixdown(m)
-
-    def test_channel_activity(self, narrated):
-        assert channel_activity(narrated, Rational(1, 2)) == {
-            "music": True, "narration": False,
-        }
-        assert channel_activity(narrated, Rational(3, 2)) == {
-            "music": True, "narration": True,
-        }
 
 
 class TestVideoReverse:

@@ -3,11 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.codecs.color import rgb_to_cmyk
 from repro.core.derivation import derivation_registry
-from repro.edit.separation import PLATES, plate, roundtrip_error, separate
+from repro.edit.separation import PLATES, plate, separate
 from repro.errors import DerivationError
 from repro.media import frames
 from repro.media.objects import image_object
+from tests.codecs.reference import cmyk_to_rgb
+
+
+def roundtrip_error(image: np.ndarray, black_generation: float = 1.0) -> float:
+    """Mean absolute RGB error after separate + recombine."""
+    recombined = cmyk_to_rgb(rgb_to_cmyk(image, black_generation))
+    return float(np.mean(np.abs(
+        recombined.astype(np.int32) - image.astype(np.int32)
+    )))
 
 
 class TestSeparate:

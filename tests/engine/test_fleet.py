@@ -1,13 +1,15 @@
 """Tests for the sharded VOD fleet: routing, serving, failover, health."""
 
+from collections import Counter
+
 import pytest
 
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.engine.fleet import Fleet, place
-from repro.engine.player import RetryPolicy
+from repro.engine.player import Player, RetryPolicy
 from repro.engine.recorder import Recorder
-from repro.engine.vod import ServeOptions, SessionRequest
+from repro.engine.vod import ServeOptions, SessionRequest, VodServer
 from repro.errors import EngineError, SimulatedCrash
 from repro.faults.crash import CrashInjector, CrashSite
 from repro.faults.disk import SimulatedMedium
@@ -162,6 +164,55 @@ class TestFleetServe:
         })
         with pytest.raises(SimulatedCrash):
             fleet.serve(requests(4))
+
+
+class TestReplayMemo:
+    """E13's structural claim: an unobserved, unfaulted, uniform-arrival
+    serve plays each title for real once per shard batch and replays
+    that report for every other session of the title."""
+
+    TITLES = ("feature", "short", "news", "archive")
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        return {name: make_title(name, frame_count=6, size=16)
+                for name in self.TITLES}
+
+    @pytest.mark.parametrize("sessions", [40, 400])
+    def test_one_real_play_per_routed_shard_and_title(
+            self, catalog, sessions, monkeypatch):
+        fleet = Fleet(bandwidth=2_000_000, shards=3)
+        for name, interpretation in catalog.items():
+            fleet.publish(name, interpretation)
+        shard_of = {id(fleet.shard(name)): name for name in fleet.shard_names}
+        serving = []
+        plays = Counter()
+        serve, play = VodServer.serve, Player.play
+
+        def counted_serve(server, *args, **kwargs):
+            serving.append(shard_of[id(server)])
+            try:
+                return serve(server, *args, **kwargs)
+            finally:
+                serving.pop()
+
+        def counted_play(player, reads, *args, **kwargs):
+            # A serve title's one sequence is named after the title.
+            plays[serving[-1], reads[0].label.split("[", 1)[0]] += 1
+            return play(player, reads, *args, **kwargs)
+
+        monkeypatch.setattr(VodServer, "serve", counted_serve)
+        monkeypatch.setattr(Player, "play", counted_play)
+        merged = fleet.serve(
+            [SessionRequest(client=f"client-{i}",
+                            title=self.TITLES[i % len(self.TITLES)])
+             for i in range(sessions)],
+            ServeOptions(enforce_admission=False),
+        )
+        assert merged.admitted_count == sessions
+        routed = Counter((fleet.route(title), title) for title in self.TITLES)
+        assert len({shard for shard, _ in routed}) > 1
+        assert plays == routed
 
 
 class TestFailover:

@@ -165,3 +165,16 @@ class TestZeroLateness:
         actual = obs.metrics.get("engine.play.lateness_seconds").export()
         assert json.dumps(actual) == json.dumps(reference.export())
         assert len(actual["series"]) == len(names)
+
+
+class TestDeadlines:
+    def test_unchanged_frequency_keeps_the_deadlines(self, movie, player):
+        """Deadlines already at the asked frequency come back as they
+        are, with no rescaled copy of the tick list; another multiple
+        rescales the ticks and keeps the exact times."""
+        deadlines = player.deadlines(player.plan_interpretation(movie))
+        assert deadlines.at(deadlines.frequency) is deadlines
+        doubled = deadlines.at(2 * deadlines.frequency)
+        assert doubled.frequency == 2 * deadlines.frequency
+        assert doubled.ticks == [2 * t for t in deadlines.ticks]
+        assert doubled.times == deadlines.times

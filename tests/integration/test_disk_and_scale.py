@@ -15,7 +15,7 @@ from repro.engine.recorder import Recorder
 from repro.media import frames, signals
 from repro.media.objects import audio_object, video_object
 from repro.storage.container import read_container, write_container
-from repro.storage.indexes import index_for_sequence
+from tests.storage.index_builder import index_for_sequence
 
 
 class TestDiskBackedCapture:

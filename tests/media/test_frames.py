@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import MediaModelError
 from repro.media import frames
+from tests.media.sources import color_bars
 
 
 class TestGenerators:
@@ -20,7 +21,7 @@ class TestGenerators:
         )
 
     def test_color_bars_have_eight_colors(self):
-        bars = frames.color_bars(80, 16)
+        bars = color_bars(80, 16)
         distinct = {tuple(c) for c in bars[0]}
         assert len(distinct) == 8
 
@@ -72,12 +73,3 @@ class TestScenes:
 
     def test_zero_frames(self):
         assert frames.scene(32, 32, 0, "pan") == []
-
-
-class TestFrameBytes:
-    def test_paper_arithmetic(self):
-        # Figure 2: 640x480 at 24 bpp = 921600 bytes per frame; at 25
-        # fps that is the paper's ~22 MB/s.
-        per_frame = frames.frame_bytes(640, 480, 24)
-        assert per_frame == 921600
-        assert per_frame * 25 / 2 ** 20 == pytest.approx(21.97, abs=0.01)

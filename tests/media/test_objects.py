@@ -15,11 +15,11 @@ from repro.media.objects import (
     audio_object,
     frames_of,
     image_object,
-    midi_object,
     score_object,
     signal_of,
     video_object,
 )
+from tests.media.sources import midi_object
 
 
 class TestVideoObject:

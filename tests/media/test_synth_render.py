@@ -8,13 +8,14 @@ from repro.core.media_types import MediaKind
 from repro.errors import DerivationError
 from repro.media.animation import Sprite, AnimationScene, demo_scene
 from repro.media.music import Note, Score, demo_score
-from repro.media.objects import animation_object, midi_object, score_object
+from repro.media.objects import animation_object, score_object
 from repro.media.renderer import render_animation, render_frame
 from repro.media.synthesizer import (
     INSTRUMENTS,
     synthesize_note,
     synthesize_score,
 )
+from tests.media.sources import midi_object
 
 
 class TestSynthesizeNote:

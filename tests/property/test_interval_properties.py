@@ -8,20 +8,11 @@ meets, met-by) hold exactly when no time is shared. These are the
 invariants the ``relate`` instant-handling fix restored.
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.composition import MultimediaObject
-from repro.core.intervals import (
-    Interval,
-    IntervalRelation,
-    relate,
-    total_covered,
-)
-from repro.core.media_object import StillMediaObject
-from repro.core.media_types import media_type_registry
+from repro.core.intervals import Interval, IntervalRelation, relate
 from repro.core.rational import Rational
-from repro.query.temporal import gaps_in_presentation, relation_matrix
 
 DISJOINT_RELATIONS = {
     IntervalRelation.BEFORE,
@@ -171,90 +162,3 @@ class TestRelateProperties:
             assert rel not in DISJOINT_RELATIONS
         else:
             assert rel in DISJOINT_RELATIONS
-
-
-def _presentation(placements):
-    """A multimedia object from (start, duration) placements.
-
-    The generated lists deliberately include zero durations (instants),
-    duplicate starts and fully contained intervals.
-    """
-    text_type = media_type_registry.get("text")
-    descriptor = text_type.make_media_descriptor()
-    still = StillMediaObject(text_type, descriptor, "x", name="x")
-    m = MultimediaObject("presentation")
-    for index, (start, duration) in enumerate(placements):
-        m.add_temporal(still, at=start, duration=duration,
-                       label=f"p{index:02d}")
-    return m
-
-
-placements = st.lists(
-    st.tuples(st.integers(0, 12), st.integers(0, 5)),
-    min_size=1, max_size=8,
-)
-
-
-class TestRelationMatrixProperties:
-    @given(placements)
-    @settings(max_examples=50)
-    def test_matrix_is_inverse_consistent(self, specs):
-        m = _presentation(specs)
-        matrix = relation_matrix(m)
-        for (label_a, label_b), rel in matrix.items():
-            assert matrix[(label_b, label_a)] is rel.inverse
-
-
-class TestGapProperties:
-    @given(placements)
-    @settings(max_examples=100)
-    def test_conservation(self, specs):
-        """Covered time plus gap time equals the presentation hull."""
-        m = _presentation(specs)
-        timeline = [interval for _, interval in m.timeline()]
-        gaps = gaps_in_presentation(m)
-        hull = max(iv.end for iv in timeline) - min(iv.start
-                                                    for iv in timeline)
-        gap_total = sum((g.duration for g in gaps), Rational(0))
-        assert total_covered(timeline) + gap_total == hull
-
-    @given(placements)
-    @settings(max_examples=100)
-    def test_gaps_are_sorted_disjoint_and_nonempty(self, specs):
-        gaps = gaps_in_presentation(_presentation(specs))
-        for gap in gaps:
-            assert gap.duration > 0
-        for earlier, later in zip(gaps, gaps[1:]):
-            assert earlier.end <= later.start
-
-    @given(placements)
-    @settings(max_examples=100)
-    def test_no_gap_overlaps_a_positive_component(self, specs):
-        """Gaps never intersect presented time.
-
-        Instants are excluded: a zero-length component splits a gap at
-        its point but the half-open representation cannot carve the
-        point itself out of the following gap.
-        """
-        m = _presentation(specs)
-        gaps = gaps_in_presentation(m)
-        for _, interval in m.timeline():
-            if interval.is_instant:
-                continue
-            for gap in gaps:
-                assert not gap.intersects(interval)
-
-    def test_instants_split_gaps(self):
-        m = _presentation([(0, 2), (3, 0), (5, 1)])
-        assert gaps_in_presentation(m) == [
-            Interval(Rational(2), Rational(3)),
-            Interval(Rational(3), Rational(5)),
-        ]
-
-    def test_duplicate_starts_and_contained_intervals(self):
-        # Two components at 0 (one containing the other) and one
-        # detached: the only gap is between the longest cover and it.
-        m = _presentation([(0, 4), (0, 2), (1, 1), (6, 1)])
-        assert gaps_in_presentation(m) == [
-            Interval(Rational(4), Rational(6)),
-        ]

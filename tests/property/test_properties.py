@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from repro.codecs.adpcm import AdpcmCodec
 from repro.codecs.huffman import huffman_compress, huffman_decompress
-from repro.codecs.midi import MidiEvent, decode_events, encode_events
+from repro.codecs.midi import MidiEvent, encode_events
 from repro.codecs.pcm import PcmCodec
 from repro.codecs.rle import rle_decode, rle_encode
-from repro.codecs.varint import read_uvarint, write_uvarint
+from repro.codecs.varint import write_uvarint
 from repro.core import stream_ops
 from repro.core.elements import MediaElement
 from repro.core.intervals import Interval, IntervalRelation, relate
@@ -18,7 +18,12 @@ from repro.core.rational import Rational
 from repro.core.streams import StreamCategory, TimedStream, TimedTuple
 from repro.core.time_system import DiscreteTimeSystem
 from repro.storage.indexes import SampleSizeTable, TimeToSampleTable
-from tests.codecs.reference import read_svarint, write_svarint
+from tests.codecs.reference import (
+    decode_events,
+    read_svarint,
+    read_uvarint,
+    write_svarint,
+)
 
 
 # -- strategies ----------------------------------------------------------------

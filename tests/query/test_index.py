@@ -472,31 +472,6 @@ class TestInstrumentation:
     def test_stats_embed_the_census(self, timeline_db):
         assert "index" in timeline_db.stats()
 
-    def test_file_backed_index(self, tmp_path):
-        path = str(tmp_path / "catalog.idx")
-        db = MediaDatabase("filed", index=path)
-        db.add_object(still("a"))
-        assert db.index.census()["path"] == path
-
-    @pytest.mark.parametrize("backend", ["index", "linear"])
-    def test_a_file_backed_index_starts_empty(self, tmp_path, backend):
-        """Rows an earlier catalog committed to the file are not this
-        catalog's: it answers from its own objects alone."""
-        path = str(tmp_path / "catalog.idx")
-        earlier = MediaDatabase("earlier", index=path)
-        earlier.add_object(still("old"), genre="news")
-        earlier.index._conn.commit()
-        earlier.index.close()
-        db = MediaDatabase("later", index=path)
-        db.add_object(still("new"), genre="news")
-        try:
-            assert db.index.census()["rows"]["objects"] == 1
-            assert [o.name for o in db.objects(backend=backend)] == ["new"]
-            assert [o.name for o in db.objects(
-                backend=backend, genre="news")] == ["new"]
-        finally:
-            db.index.close()
-
 
 class TestTemporalIndexDirect:
     def test_set_attribute_on_unknown_object_raises(self):

@@ -16,7 +16,6 @@ from repro.media.objects import image_object, video_object
 from repro.query import (
     frames_at_fidelity,
     select_duration,
-    select_objects,
     select_track,
 )
 
@@ -120,6 +119,5 @@ class TestFramesAtFidelity:
 class TestSelectObjects:
     def test_kind_and_attributes(self, movie_db):
         db, _ = movie_db
-        soundtracks = select_objects(db, kind=MediaKind.AUDIO,
-                                     role="soundtrack")
+        soundtracks = db.objects(kind=MediaKind.AUDIO, role="soundtrack")
         assert len(soundtracks) == 3

@@ -1,21 +1,12 @@
-"""Tests for element-level queries and lazy stream iteration."""
+"""Tests for lazy stream iteration over an interpretation."""
 
 import pytest
 
-from repro.blob.blob import Blob, MemoryBlob
+from repro.blob.blob import MemoryBlob
 from repro.codecs.mpeg_like import MpegLikeCodec
 from repro.core.interpretation import Interpretation, PlacementEntry
 from repro.core.media_types import media_type_registry
-from repro.core.rational import Rational
-from repro.errors import QueryError
 from repro.media import frames
-from repro.query.stream_queries import (
-    bytes_for_range,
-    elements_in_range,
-    elements_where,
-    key_elements,
-    size_statistics,
-)
 
 
 class CountingBlob(MemoryBlob):
@@ -55,87 +46,6 @@ def mpeg_interpretation():
     )
     interpretation.add("video", video_type, descriptor, entries)
     return interpretation, blob
-
-
-class TestElementsInRange:
-    def test_whole_range(self, mpeg_interpretation):
-        interpretation, _ = mpeg_interpretation
-        found = elements_in_range(interpretation, "video", 0, 1)
-        assert len(found) == 8
-
-    def test_partial_range(self, mpeg_interpretation):
-        interpretation, _ = mpeg_interpretation
-        found = elements_in_range(
-            interpretation, "video", Rational(2, 25), Rational(5, 25),
-        )
-        assert [e.element_number for e in found] == [2, 3, 4]
-
-    def test_partial_overlap_included(self, mpeg_interpretation):
-        interpretation, _ = mpeg_interpretation
-        # A range starting mid-element still needs that element.
-        found = elements_in_range(
-            interpretation, "video", Rational(5, 50), Rational(4, 25),
-        )
-        assert found[0].element_number == 2
-
-    def test_empty_range_rejected(self, mpeg_interpretation):
-        interpretation, _ = mpeg_interpretation
-        with pytest.raises(QueryError):
-            elements_in_range(interpretation, "video", 1, 0)
-
-    def test_bytes_for_range(self, mpeg_interpretation):
-        interpretation, _ = mpeg_interpretation
-        half = bytes_for_range(interpretation, "video", 0, Rational(4, 25))
-        full = bytes_for_range(interpretation, "video", 0, 1)
-        assert 0 < half < full
-
-
-class TestDescriptorQueries:
-    def test_key_elements_of_gop(self, mpeg_interpretation):
-        interpretation, _ = mpeg_interpretation
-        keys = key_elements(interpretation, "video")
-        assert [e.element_number for e in keys] == [0, 4]
-
-    def test_all_intra_means_all_keys(self):
-        video_type = media_type_registry.get("pal-video")
-        blob = MemoryBlob(b"x" * 30)
-        interpretation = Interpretation(blob)
-        descriptor = video_type.make_media_descriptor(
-            frame_rate=25, frame_width=8, frame_height=8, frame_depth=24,
-            color_model="RGB",
-        )
-        interpretation.add("v", video_type, descriptor, [
-            PlacementEntry(i, i, 1, 10, i * 10) for i in range(3)
-        ])
-        assert len(key_elements(interpretation, "v")) == 3
-
-    def test_elements_where(self, mpeg_interpretation):
-        interpretation, _ = mpeg_interpretation
-        b_frames = elements_where(
-            interpretation, "video",
-            lambda d: d is not None and d.get("frame_kind") == "B",
-        )
-        assert [e.element_number for e in b_frames] == [1, 2, 5, 6]
-
-
-class TestSizeStatistics:
-    def test_statistics(self, mpeg_interpretation):
-        interpretation, _ = mpeg_interpretation
-        stats = size_statistics(interpretation, "video")
-        assert stats["elements"] == 8
-        assert stats["min_size"] <= stats["mean_size"] <= stats["max_size"]
-        assert stats["burstiness"] > 1.0  # I frames dwarf B frames
-
-    def test_empty_rejected(self):
-        video_type = media_type_registry.get("pal-video")
-        interpretation = Interpretation(MemoryBlob())
-        descriptor = video_type.make_media_descriptor(
-            frame_rate=25, frame_width=8, frame_height=8, frame_depth=24,
-            color_model="RGB",
-        )
-        interpretation.add("v", video_type, descriptor, [])
-        with pytest.raises(QueryError):
-            size_statistics(interpretation, "v")
 
 
 class TestLazyIteration:

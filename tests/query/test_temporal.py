@@ -3,17 +3,11 @@
 import pytest
 
 from repro.core.composition import MultimediaObject
-from repro.core.intervals import IntervalRelation
 from repro.core.rational import Rational
 from repro.errors import QueryError
 from repro.media import frames
 from repro.media.objects import video_object
-from repro.query.temporal import (
-    components_during,
-    components_overlapping,
-    gaps_in_presentation,
-    relation_matrix,
-)
+from repro.query.temporal import components_during, components_overlapping
 
 
 @pytest.fixture
@@ -56,27 +50,3 @@ class TestDuring:
 
     def test_empty_window(self, composition):
         assert components_during(composition, 10, 11) == []
-
-
-class TestRelationMatrix:
-    def test_pairs(self, composition):
-        matrix = relation_matrix(composition)
-        assert matrix[("audio1", "video3")] is IntervalRelation.EQUAL
-        assert matrix[("audio2", "video3")] is IntervalRelation.FINISHES
-        assert matrix[("video3", "audio2")] is IntervalRelation.FINISHED_BY
-        assert len(matrix) == 6
-
-
-class TestGaps:
-    def test_no_gaps(self, composition):
-        assert gaps_in_presentation(composition) == []
-
-    def test_gap_found(self):
-        clip = video_object(frames.scene(16, 16, 25, "pan"), "c")
-        m = MultimediaObject("gappy")
-        m.add_temporal(clip, at=0, label="a")
-        m.add_temporal(clip, at=3, label="b")
-        gaps = gaps_in_presentation(m)
-        assert len(gaps) == 1
-        assert gaps[0].start == 1
-        assert gaps[0].end == 3

@@ -1,4 +1,4 @@
-"""Tests for building MediaIndex from interpreted sequences."""
+"""MediaIndex lookups held to the placement tables they were built from."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.engine.recorder import Recorder
 from repro.errors import StorageError
 from repro.media import frames, signals
 from repro.media.objects import audio_object, video_object
-from repro.storage.indexes import index_for_sequence
+from tests.storage.index_builder import index_for_sequence
 
 
 @pytest.fixture
