@@ -23,10 +23,12 @@ from repro.core.rational import Rational
 from repro.core.streams import TimedStream, TimedTuple
 from repro.core.composition import MultimediaObject
 from repro.edit.editor import MediaEditor
+from repro.engine.player import Player
 from repro.engine.recorder import Recorder
 from repro.media import frames, signals
 from repro.media.music import demo_score
 from repro.media.objects import audio_object, video_object
+from repro.obs import Observability, profile_stages
 
 
 # -- Figure 1: one stream per category ----------------------------------------
@@ -220,6 +222,15 @@ def figure2_capture(width: int = 160, height: int = 120,
         measured_video_rate=video_bytes / seconds,
         measured_audio_rate=audio_bytes / seconds,
     )
+
+
+def played_price(interpretation: Interpretation) -> tuple[int, float]:
+    """Seeks and ``page_read`` seconds of one play of ``interpretation``
+    at the player's default cost model: the price E7 and E9 rank
+    layouts by (§2.2's interleaving)."""
+    obs = Observability()
+    report = Player(obs=obs).play(interpretation)
+    return report.seeks, profile_stages(obs).stage("page_read").total_seconds
 
 
 # -- Figure 4: the composed multimedia object ------------------------------------

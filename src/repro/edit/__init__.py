@@ -35,7 +35,6 @@ from repro.edit.filters import AUDIO_NORMALIZATION, normalize_signal
 from repro.edit.separation import COLOR_SEPARATION
 from repro.edit.timing import TEMPORAL_SCALE, TEMPORAL_TRANSLATE, VIDEO_REVERSE
 from repro.edit.editor import MediaEditor
-from repro.edit.compositor import compose_frame
 from repro.edit.mixdown import mixdown
 
 __all__ = [
@@ -54,6 +53,5 @@ __all__ = [
     "TEMPORAL_TRANSLATE",
     "VIDEO_REVERSE",
     "MediaEditor",
-    "compose_frame",
     "mixdown",
 ]

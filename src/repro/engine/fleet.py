@@ -57,7 +57,6 @@ from repro.obs.instrument import NULL_OBS, Observability
 from repro.obs.slo import SloVerdict, worst_verdicts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.derivations import DerivationCache
     from repro.obs.telemetry import Telemetry
 
 __all__ = ["Fleet", "FleetHealth", "place"]
@@ -172,12 +171,10 @@ class Fleet:
     """N ``VodServer`` shards behind a consistent router.
 
     ``bandwidth`` is *per shard* (each shard owns its own outbound
-    link). ``derivation_cache`` is shared by every shard, so one
-    shard's expansion warms the whole fleet. ``obs`` is split into
-    per-shard namespaces via :meth:`Observability.scoped` — shard
-    ``shard0``'s page reads land under ``shard0.blob.page.reads`` in
-    the one shared registry — while fleet-level counters stay at
-    ``fleet.*``.
+    link). ``obs`` is split into per-shard namespaces via
+    :meth:`Observability.scoped` — shard ``shard0``'s page reads land
+    under ``shard0.blob.page.reads`` in the one shared registry — while
+    fleet-level counters stay at ``fleet.*``.
 
     ``checkpoint_fs`` (a :class:`~repro.faults.disk.SimulatedMedium`)
     arms failover: every shard batch checkpoints after each session to
@@ -195,7 +192,6 @@ class Fleet:
     def __init__(self, bandwidth: int, shards: int = 3, *,
                  prefetch_depth: int = 8,
                  admission_margin: float = 1.0,
-                 derivation_cache: "DerivationCache | None" = None,
                  obs: Observability | None = None,
                  plan_check: str = "check",
                  crash: dict[str, CrashInjector] | None = None,
@@ -205,7 +201,6 @@ class Fleet:
         if shards < 1:
             raise EngineError("a fleet needs at least one shard")
         self.obs = NULL_OBS if obs is None else obs
-        self.derivation_cache = derivation_cache
         self.checkpoint_fs = checkpoint_fs
         self.checkpoint_dir = checkpoint_dir.rstrip("/")
         # One pipeline for the whole fleet: every shard scrapes into
@@ -223,7 +218,6 @@ class Fleet:
                 bandwidth=bandwidth,
                 prefetch_depth=prefetch_depth,
                 admission_margin=admission_margin,
-                derivation_cache=derivation_cache,
                 obs=(None if obs is None else self.obs.scoped(name)),
                 plan_check=plan_check,
                 crash=crash.get(name),
@@ -307,8 +301,8 @@ class Fleet:
         return next(iter(self._shards.values())).titles()
 
     def prefetch(self, title: str) -> int:
-        """Warm the owning shard's storage path (and the shared
-        derivation cache, which every shard reads)."""
+        """Warm the storage path beneath ``title`` on the shard that
+        owns it; returns bytes pulled (:meth:`VodServer.prefetch`)."""
         warmed = self.shard(self.route(title)).prefetch(title)
         self.obs.metrics.counter("fleet.prefetch_bytes").inc(warmed)
         return warmed

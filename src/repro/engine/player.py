@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.composition import MultimediaObject
 from repro.core.interpretation import Interpretation
+from repro.core.media_object import InterpretedMediaObject
 from repro.core.rational import ONE, ZERO, Rational, as_rational
 from repro.core.time_system import to_ticks
 from repro.engine.buffers import simulate_prefetch
@@ -436,33 +437,14 @@ class Player:
 
     # -- planning -------------------------------------------------------------
 
-    def plan_interpretation(
-        self,
-        interpretation: Interpretation,
-        names: list[str] | None = None,
-        offsets: dict[str, Rational] | None = None,
-    ) -> list[_PlannedRead]:
-        """Presentation-ordered reads for the named sequences.
-
-        ``offsets`` optionally shifts each sequence on the shared
-        timeline (temporal composition of interpreted components).
-        """
-        names = names if names is not None else interpretation.names()
-        offsets = offsets or {}
-        reads: list[_PlannedRead] = []
-        for name in names:
-            sequence = interpretation.sequence(name)
-            base = as_rational(offsets.get(name, 0))
-            for entry in sequence:
-                deadline = base + sequence.time_system.to_continuous(entry.start)
-                reads.append(_PlannedRead(
-                    label=f"{name}[{entry.element_number}]",
-                    offset=entry.blob_offset,
-                    size=entry.size,
-                    deadline=deadline,
-                ))
-        reads.sort(key=lambda r: (r.deadline, r.offset))
-        return reads
+    def plan_interpretation(self, interpretation: Interpretation) -> list[_PlannedRead]:
+        """Presentation-ordered reads of every sequence of
+        ``interpretation``, each element at its placement row: the
+        :meth:`_walk` of the interpretation's own sequences. Pure — it
+        reads no BLOB byte and observes nothing."""
+        blob = interpretation.blob
+        return self._walk([(name, interpretation.sequence(name), blob, ZERO)
+                           for name in interpretation.names()])
 
     def verify_plan(self, multimedia: MultimediaObject):
         """Statically verify ``multimedia`` per the ``plan_check`` policy.
@@ -506,31 +488,28 @@ class Player:
         return report
 
     def plan_multimedia(self, multimedia: MultimediaObject) -> list[_PlannedRead]:
-        """Presentation-ordered reads for a composed multimedia object.
-
-        The static plan check (:meth:`verify_plan`) runs first, before
-        any expansion or page read. Components are then flattened to
-        leaf media objects; each leaf's stream supplies element sizes
-        and timing, shifted by its composition offset. Leaves without
-        in-memory streams (derived, unexpanded) are expanded via their
-        normal access path — or through the player's
-        :class:`DerivationCache` when one is attached, so replanning
-        the same composition is a cache hit.
-        """
+        """Presentation-ordered reads for a composed multimedia object:
+        the static plan check (:meth:`verify_plan`) before any expansion
+        or page read, then the :meth:`_walk` of every leaf at its
+        interval. A stored leaf keeps its placement and reads no page; a
+        derived one expands through its access path, or through the
+        player's :class:`DerivationCache` when one is attached, so
+        replanning the same composition is a cache hit."""
         self.verify_plan(multimedia)
-        instrumented = self.obs.enabled
-        stage_hist = self._stage_histogram() if instrumented else None
-        reads: list[_PlannedRead] = []
-        synthetic_offset = 0
+        stage_hist = self._stage_histogram() if self.obs.enabled else None
+        leaves = []
         for label, obj, interval in multimedia.flatten():
             if not obj.media_type.kind.is_time_based:
                 continue
-            if self.derivation_cache is not None and obj.is_derived:
+            blob, cached = None, obj.is_derived and obj.is_materialized
+            if isinstance(obj, InterpretedMediaObject):
+                blob = obj.interpretation.blob
+                source = obj.interpretation.sequence(obj.sequence_name)
+            elif self.derivation_cache is not None and obj.is_derived:
                 cached = obj in self.derivation_cache
-                stream = self.derivation_cache.materialize(obj).stream()
+                source = self.derivation_cache.materialize(obj).stream()
             else:
-                cached = obj.is_derived and obj.is_materialized
-                stream = obj.stream()
+                source = obj.stream()
             if stage_hist is not None:
                 # Composition itself is pointer arithmetic (§5): count
                 # the component, charge zero simulated time.
@@ -539,24 +518,47 @@ class Player:
                     from repro.cache.derivations import expansion_seconds
 
                     estimate = 0.0 if cached else float(expansion_seconds(
-                        obj, stream.total_size(), self.cost_model,
+                        obj, source.total_size(), self.cost_model,
                     ))
                     stage_hist.observe(estimate, stage="derivation_expand")
                     self.obs.tracer.event(
                         "engine.expand", component=label,
                         cached=cached, cost_seconds=estimate,
                     )
-            for index, t in enumerate(stream):
-                deadline = interval.start + stream.time_system.to_continuous(
-                    t.start - stream.start
-                )
-                reads.append(_PlannedRead(
-                    label=f"{label}[{index}]",
-                    offset=synthetic_offset,
-                    size=t.element.size,
-                    deadline=deadline,
-                ))
-                synthetic_offset += t.element.size
+            first = next(iter(source), None)  # starts at the leaf's interval
+            if first is not None:
+                leaves.append((label, source, blob, interval.start
+                               - source.time_system.to_continuous(first.start)))
+        return self._walk(leaves)
+
+    @staticmethod
+    def _walk(leaves) -> list[_PlannedRead]:
+        """The one planner: presentation-ordered reads of ``(label, source,
+        blob, shift)`` leaves, each source's start times moved by
+        ``shift``. A sequence stored in ``blob`` is read at its placement
+        rows; a timed stream (``blob`` None) at synthetic offsets, leaf
+        after leaf. Each BLOB, then the synthetic run, has its own address
+        range, the first at 0 and each a byte or more past the last, so
+        reads in two BLOBs are never contiguous."""
+        bases: dict = {}
+        cursor = 0
+        for _, _, blob, _ in leaves:
+            if blob is not None and blob not in bases:
+                bases[blob], cursor = cursor, cursor + len(blob) + 1
+        reads: list[_PlannedRead] = []
+        for label, source, blob, shift in leaves:
+            at = source.time_system.to_continuous
+            if blob is not None:
+                base = bases[blob]
+                reads += [_PlannedRead(f"{label}[{e.element_number}]",
+                                       base + e.blob_offset, e.size,
+                                       shift + at(e.start) if shift else at(e.start))
+                          for e in source]
+                continue
+            for index, t in enumerate(source):
+                reads.append(_PlannedRead(f"{label}[{index}]", cursor,
+                                          t.element.size, shift + at(t.start)))
+                cursor += t.element.size
         reads.sort(key=lambda r: (r.deadline, r.offset))
         return reads
 
@@ -601,23 +603,17 @@ class Player:
 
     # -- playback -------------------------------------------------------------
 
-    def play(self, target, names: list[str] | None = None,
-             offsets: dict[str, Rational] | None = None) -> PlaybackReport:
+    def play(self, target) -> PlaybackReport:
         """Simulate playback of ``target``.
 
         Polymorphic front door: ``target`` may be an
-        :class:`~repro.core.interpretation.Interpretation` (optionally
-        restricted to ``names`` and shifted by per-sequence
-        ``offsets``), a :class:`~repro.core.composition.MultimediaObject`,
-        or a pre-planned read list from :meth:`plan_interpretation` /
+        :class:`~repro.core.interpretation.Interpretation`, a
+        :class:`~repro.core.composition.MultimediaObject`, or a
+        pre-planned read list from :meth:`plan_interpretation` /
         :meth:`plan_multimedia`.
         """
         if isinstance(target, Interpretation):
-            return self._run(self.plan_interpretation(target, names, offsets))
-        if names is not None or offsets is not None:
-            raise EngineError(
-                "names/offsets only apply when playing an Interpretation"
-            )
+            return self._run(self.plan_interpretation(target))
         if isinstance(target, MultimediaObject):
             report = self._run(self.plan_multimedia(target))
             report.plan_diagnostics = list(self._plan_findings)

@@ -56,7 +56,6 @@ from repro.obs.slo import SloVerdict, worst_verdicts
 from repro.obs.tracing import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.derivations import DerivationCache
     from repro.obs.telemetry import Telemetry
 
 #: Checkpoint payload format version; bump on incompatible changes.
@@ -411,18 +410,14 @@ class VodServer:
 
     def __init__(self, bandwidth: int, prefetch_depth: int = 8,
                  admission_margin: float = 1.0,
-                 derivation_cache: "DerivationCache | None" = None,
                  obs: Observability | None = None,
                  plan_check: str = "check",
                  crash: CrashInjector | None = None,
                  telemetry: "Telemetry | None" = None):
         """``bandwidth`` is outbound bytes/second; ``admission_margin``
-        scales the admission test (1.2 keeps 20% headroom).
-        ``derivation_cache`` is handed to every session's player so
-        derived components expand once per server, not once per
-        session. ``obs`` attaches an observability sink, shared with
-        every session's player, so one registry captures the whole
-        serving run.
+        scales the admission test (1.2 keeps 20% headroom). ``obs``
+        attaches an observability sink, shared with every session's
+        player, so one registry captures the whole serving run.
 
         ``plan_check`` gates :meth:`publish` behind the static graph
         checker (same policies as :class:`Player`): the default
@@ -461,7 +456,6 @@ class VodServer:
         # The admission test's exact operands, converted once.
         self._margin = as_rational(admission_margin)
         self._budget = Rational(bandwidth)
-        self.derivation_cache = derivation_cache
         self.obs = NULL_OBS if obs is None else obs
         self.plan_check = plan_check
         self.crash = crash or NULL_CRASH
@@ -477,7 +471,6 @@ class VodServer:
         # checkpoints) and the batch a restored server should resume.
         self._batch_progress: dict | None = None
         self._pending_batch: dict | None = None
-        self.restored_cache_manifest: dict | None = None
 
     # -- catalog ---------------------------------------------------------------
 
@@ -670,7 +663,6 @@ class VodServer:
             fault_plan=fault_plan,
             retry_policy=retry_policy,
             adaptation=adaptation,
-            derivation_cache=self.derivation_cache,
             obs=self.obs,
         )
 
@@ -977,9 +969,8 @@ class VodServer:
         Catalog titles travel as serialized RMF containers (base64), so
         the checkpoint is self-contained; mid-serve progress (completed
         session summaries, remaining requests, bandwidth share) rides
-        along when a serve is running with ``checkpoint_to``; the
-        derivation cache contributes its manifest. Deterministic for a
-        given server state."""
+        along when a serve is running with ``checkpoint_to``.
+        Deterministic for a given server state."""
         from repro.storage.container import serialize_container
 
         titles = {
@@ -1006,10 +997,6 @@ class VodServer:
                 "rejected": sum(len(r.rejected) for r in reports),
                 "recovered": sum(r.recovered for r in reports),
             },
-            "derivation_cache": (
-                None if self.derivation_cache is None
-                else self.derivation_cache.manifest()
-            ),
         }
 
     def checkpoint_to(self, path: str, fs=None) -> int:
@@ -1033,7 +1020,6 @@ class VodServer:
 
     @classmethod
     def restore(cls, source: str | dict, fs=None,
-                derivation_cache: "DerivationCache | None" = None,
                 obs: Observability | None = None,
                 crash: CrashInjector | None = None) -> "VodServer":
         """Rebuild a server from a checkpoint file (or payload dict).
@@ -1072,7 +1058,6 @@ class VodServer:
                 bandwidth=config["bandwidth"],
                 prefetch_depth=config["prefetch_depth"],
                 admission_margin=config["admission_margin"],
-                derivation_cache=derivation_cache,
                 obs=obs,
                 plan_check=config["plan_check"],
                 crash=crash,
@@ -1082,7 +1067,6 @@ class VodServer:
                     title, deserialize_container(base64.b64decode(encoded))
                 )
             server._pending_batch = payload.get("batch")
-            server.restored_cache_manifest = payload.get("derivation_cache")
         except (CheckpointError, MediaModelError):
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -1197,11 +1181,11 @@ class VodServer:
         """The server's aggregate health across every ``serve`` so far.
 
         Folds all session outcomes, the worst SLO verdict per
-        objective, cache hit ratios (derivation cache directly, buffer
-        pool via its exported gauge), the pipeline's dominant stage and
-        the tail of ERROR-and-above flight-recorder events into one
-        :class:`ServerHealth`. A pure function of the recorded state —
-        same-seed runs report identical health.
+        objective, the buffer pool's hit ratio (from its exported gauge,
+        when the pool reports into the server's sink), the pipeline's
+        dominant stage and the tail of ERROR-and-above flight-recorder
+        events into one :class:`ServerHealth`. A pure function of the
+        recorded state — same-seed runs report identical health.
         """
         reports = self._reports
         sessions = sum(r.admitted_count for r in reports)
@@ -1214,8 +1198,6 @@ class VodServer:
             s.report.slo for r in reports for s in r.admitted
         ))
         ratios: dict[str, float] = {}
-        if self.derivation_cache is not None:
-            ratios["derivation"] = self.derivation_cache.hit_ratio
         if self.obs.enabled and "cache.pool.hit_ratio" in self.obs.metrics:
             pool_ratio = self.obs.metrics.get("cache.pool.hit_ratio").value()
             if pool_ratio is not None:

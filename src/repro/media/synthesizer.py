@@ -13,6 +13,8 @@ presets differ in harmonic content. The derivation is registered as
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.derivation import (
@@ -23,7 +25,7 @@ from repro.core.derivation import (
 from repro.core.media_types import MediaKind
 from repro.core.rational import Rational
 from repro.errors import DerivationError
-from repro.media.music import Score
+from repro.media.music import Note, Score
 from repro.media.signals import adsr_envelope
 
 #: Instrument presets: relative amplitudes of the first harmonics.
@@ -85,9 +87,18 @@ def _expand_midi_synthesis(inputs, params):
     source = inputs[0]
     score = getattr(source, "score", None)
     if score is None:
-        # Reconstruct the symbolic score from the event stream.
-        events = [t.element.payload for t in source.stream()]
-        score = Score.from_midi_events(events)
+        # Rebuild the score from the stream. A timing derivation (§4.2)
+        # moves the timed tuples, not the ticks their payloads carry, so
+        # each note's timing comes from its tuple.
+        tuples = source.stream().tuples
+        tempo = source.descriptor.get("tempo_bpm", 120)
+        if tuples and isinstance(tuples[0].element.payload, Note):
+            score = Score([replace(t.element.payload, start=t.start,
+                                   duration=t.duration) for t in tuples], tempo)
+        else:
+            score = Score.from_midi_events(
+                [replace(t.element.payload, tick=t.start) for t in tuples],
+                tempo)
     sample_rate = params.get("sample_rate", 44100)
     signal = synthesize_score(
         score,

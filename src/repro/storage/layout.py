@@ -155,49 +155,6 @@ def write_sequential(
     return placements
 
 
-def read_cost_model(
-    placements: dict[str, list[PlacementEntry]],
-    schedule: list[tuple[str, int]],
-    seek_penalty: int = 4096,
-) -> int:
-    """Cost of reading elements in presentation order.
-
-    ``schedule`` is (track, element_number) pairs in the order playback
-    needs them. Cost = bytes read + ``seek_penalty`` per non-contiguous
-    jump — the locality argument for interleaving, quantified (ablation
-    E9).
-    """
-    by_key = {
-        (name, e.element_number): e
-        for name, rows in placements.items() for e in rows
-    }
-    cost = 0
-    cursor: int | None = None
-    for key in schedule:
-        try:
-            entry = by_key[key]
-        except KeyError:
-            raise StorageError(f"schedule references unknown element {key}")
-        if cursor is not None and entry.blob_offset != cursor:
-            cost += seek_penalty
-        cost += entry.size
-        cursor = entry.blob_offset + entry.size
-    return cost
-
-
-def playback_schedule(
-    tracks: list[TrackSpec],
-) -> list[tuple[str, int]]:
-    """The presentation-order read schedule for a set of tracks."""
-    _check_tracks(tracks)
-    merged = sorted(
-        (track.start_seconds(i), priority, i)
-        for priority, track in enumerate(tracks)
-        for i in range(len(track.elements))
-    )
-    return [(tracks[priority].name, index) for _, priority, index in merged]
-
-
 def _check_tracks(tracks: list[TrackSpec]) -> None:
     if not tracks:
         raise StorageError("need at least one track")

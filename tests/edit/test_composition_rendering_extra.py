@@ -1,17 +1,14 @@
-"""Extra coverage: nested mixdown, downscale compositing, edit-view
-descriptor preservation."""
+"""Extra coverage: nested mixdown, edit-view descriptor preservation."""
 
 import numpy as np
-import pytest
 
 from repro.blob.blob import MemoryBlob
 from repro.codecs.adpcm import AdpcmCodec
-from repro.core.composition import MultimediaObject, SpatialComposition
+from repro.core.composition import MultimediaObject
 from repro.core.rational import Rational
-from repro.edit.compositor import compose_frame
 from repro.edit.mixdown import mixdown
 from repro.media import signals
-from repro.media.objects import audio_object, image_object
+from repro.media.objects import audio_object
 
 
 class TestNestedMixdown:
@@ -26,31 +23,6 @@ class TestNestedMixdown:
         # Music starts at 1 + 0.5 = 1.5 s on the outer timeline.
         assert np.abs(mix[:11_000]).max() < 1e-9
         assert np.abs(mix[12_500:13_500]).max() > 0.1
-
-
-class TestDownscaleCompositing:
-    def test_reciprocal_scale(self):
-        logo = image_object(
-            np.full((16, 16, 3), 200, dtype=np.uint8), "logo",
-        )
-        m = MultimediaObject("m")
-        m.add(SpatialComposition(logo, x=0, y=0, scale=Rational(1, 2),
-                                 label="small"))
-        frame = compose_frame(m, 0, 32, 32)
-        assert tuple(frame[7, 7]) == (200, 200, 200)   # 16x16 -> 8x8
-        assert tuple(frame[8, 8]) == (0, 0, 0)
-
-    def test_irrational_scale_rejected(self):
-        from repro.errors import CompositionError
-
-        logo = image_object(
-            np.full((8, 8, 3), 200, dtype=np.uint8), "logo",
-        )
-        m = MultimediaObject("m")
-        m.add(SpatialComposition(logo, x=0, y=0, scale=Rational(3, 2),
-                                 label="odd"))
-        with pytest.raises(CompositionError, match="scale"):
-            compose_frame(m, 0, 32, 32)
 
 
 class TestEditViewDescriptors:

@@ -1,4 +1,4 @@
-"""Reference kernel: the exact-``Rational`` event loop the tick kernel replaced.
+"""Reference kernel and planner: the engine code the library replaced.
 
 The library's :mod:`repro.engine.kernel` keeps time as whole ticks of
 one frequency and rescales when a time arrives off that timebase. This
@@ -6,6 +6,11 @@ is the loop it replaced, kept as the oracle: every heap key is the
 event's exact ``Rational`` time, the clock is a ``Rational``, and a
 session machine schedules the ``Rational`` durations its stepper
 yields. Property tests hold the library to it event for event.
+
+:func:`plan_interpretation` is the per-sequence placement loop that
+planned an :class:`~repro.core.interpretation.Interpretation` before the
+player had one planner for interpretations and compositions; the
+planner must return its reads exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import heapq
 from typing import Any, Callable, Generator
 
 from repro.core.rational import Rational, as_rational
+from repro.engine.player import _PlannedRead
 from repro.errors import EngineError, MediaModelError, SimulatedCrash
 
 
@@ -145,3 +151,20 @@ class ReferenceMachine:
         self.finished_at = self.loop.clock.now()
         if self._on_complete is not None:
             self._on_complete(self, result)
+
+
+def plan_interpretation(interpretation) -> list[_PlannedRead]:
+    """Every sequence's elements at their placement offsets, deadline
+    ``D(start)``, in (deadline, offset) order."""
+    reads = []
+    for name in interpretation.names():
+        sequence = interpretation.sequence(name)
+        for entry in sequence:
+            reads.append(_PlannedRead(
+                label=f"{name}[{entry.element_number}]",
+                offset=entry.blob_offset,
+                size=entry.size,
+                deadline=sequence.time_system.to_continuous(entry.start),
+            ))
+    reads.sort(key=lambda r: (r.deadline, r.offset))
+    return reads

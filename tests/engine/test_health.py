@@ -160,14 +160,25 @@ class TestCriticalHealth:
         assert "playback.aborted" in names
         assert "session.fallback" in names
 
-    def test_cache_hit_ratios_reported(self, movie):
-        from repro.cache import DerivationCache
+    def test_cache_hit_ratios_reported(self):
+        """A title on a pooled page store whose pool reports into the
+        server's sink: after two prefetches and a serve, health carries
+        exactly the pool's hit ratio."""
+        from repro.blob.blob import PagedBlob
+        from repro.blob.pages import MemoryPager, PageStore
+        from repro.cache import BufferPool
 
         obs = Observability()
-        cache = DerivationCache(budget_bytes=1 << 20, obs=obs)
-        server = VodServer(bandwidth=2_000_000, derivation_cache=cache,
-                           obs=obs)
-        server.publish("feature", movie)
+        pool = BufferPool(64, obs=obs)
+        store = PageStore(MemoryPager(page_size=512), buffer_pool=pool,
+                          obs=obs)
+        title = Recorder(PagedBlob(store)).record(
+            [video_object(frames.scene(32, 24, 12, "pan"), "feature")],
+        )
+        server = VodServer(bandwidth=2_000_000, obs=obs)
+        server.publish("feature", title)
+        server.prefetch("feature")
+        server.prefetch("feature")
         server.serve(requests(1), ServeOptions(enforce_admission=False))
-        ratios = server.health().cache_hit_ratios
-        assert "derivation" in ratios
+        assert pool.hits and pool.misses
+        assert server.health().cache_hit_ratios == {"pool": pool.hit_ratio}

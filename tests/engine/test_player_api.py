@@ -7,6 +7,7 @@ import pytest
 
 from repro.blob.blob import MemoryBlob
 from repro.core.composition import MultimediaObject
+from repro.core.media_object import InterpretedMediaObject
 from repro.core.rational import Rational
 from repro.engine.player import (
     LATENESS_BUCKETS,
@@ -54,11 +55,17 @@ class TestPolymorphicPlay:
         )
 
     def test_interpretation_with_names_and_offsets(self, player, movie):
-        restricted = player.play(movie, names=["video1"])
+        """A subset of the sequences plays as an alternative
+        interpretation; a sequence moved on the timeline plays as a
+        temporal composition."""
+        restricted = player.play(movie.restrict(["video1"]))
         assert restricted.element_count == len(movie.sequence("video1"))
-        shifted = player.play(movie, names=["video1"],
-                              offsets={"video1": Rational(1)})
-        assert shifted.duration >= restricted.duration
+        shifted = MultimediaObject("shifted")
+        shifted.add_temporal(InterpretedMediaObject(movie, "video1"), at=1)
+        shifted.add_temporal(InterpretedMediaObject(movie, "audio1"), at=0)
+        report = player.play(shifted)
+        assert report.element_count == player.play(movie).element_count
+        assert report.duration == restricted.duration + 1
 
     def test_plays_multimedia_object(self, player):
         multimedia = _multimedia()
@@ -77,11 +84,6 @@ class TestPolymorphicPlay:
     def test_rejects_unknown_target(self, player):
         with pytest.raises(EngineError, match="cannot play"):
             player.play(42)
-
-    def test_rejects_names_with_non_interpretation(self, player, movie):
-        reads = player.plan_interpretation(movie)
-        with pytest.raises(EngineError, match="names/offsets"):
-            player.play(reads, names=["video1"])
 
     def test_rejects_mixed_list(self, player):
         with pytest.raises(EngineError, match="cannot play"):
@@ -154,7 +156,7 @@ class TestZeroLateness:
         late = Player(CostModel(bandwidth=10_000), obs=obs)
         reference = ReferenceRegistry().get(
             "engine.play.lateness_seconds", "histogram", LATENESS_BUCKETS)
-        reports = [player.play(movie, names=names)
+        reports = [player.play(movie.restrict(names))
                    for player in (on_time, late, on_time, late, on_time)]
         assert [r.max_lateness > 0 for r in reports] == [
             False, True, False, True, False]

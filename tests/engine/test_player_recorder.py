@@ -5,6 +5,8 @@ import pytest
 from repro.blob.blob import MemoryBlob
 from repro.codecs.jpeg_like import JpegLikeCodec
 from repro.codecs.pcm import PcmCodec
+from repro.core.composition import MultimediaObject
+from repro.core.media_object import InterpretedMediaObject
 from repro.core.rational import Rational
 from repro.engine.player import CostModel, Player
 from repro.engine.recorder import Recorder
@@ -116,14 +118,14 @@ class TestPlayer:
         assert report.duration == Rational(24, 25)
 
     def test_subset_playback(self, captured):
-        report = Player().play(captured, names=["audio1"])
+        report = Player().play(captured.restrict(["audio1"]))
         assert report.element_count == 25
 
     def test_offsets_shift_deadlines(self, captured):
-        player = Player()
-        shifted = player.plan_interpretation(
-            captured, offsets={"audio1": Rational(10)}
-        )
+        composed = MultimediaObject("shifted")
+        composed.add_temporal(InterpretedMediaObject(captured, "video1"), at=0)
+        composed.add_temporal(InterpretedMediaObject(captured, "audio1"), at=10)
+        shifted = Player().plan_multimedia(composed)
         # Video now entirely precedes audio in presentation order.
         assert shifted[0].label.startswith("video1")
         assert shifted[-1].label.startswith("audio1")

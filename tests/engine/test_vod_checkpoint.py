@@ -77,14 +77,6 @@ class TestCheckpointPayload:
         assert SessionRequest.from_payload(
             payload, Rational(4)).arrival_time == 0
 
-    def test_cache_manifest_rides_along(self, movie):
-        cache = DerivationCache(budget_bytes=1 << 16)
-        server = VodServer(bandwidth=BANDWIDTH, derivation_cache=cache)
-        server.publish("feature", movie)
-        manifest = server.checkpoint()["derivation_cache"]
-        assert manifest is not None
-        assert manifest["budget_bytes"] == 1 << 16
-
 
 class TestRestoreFromDict:
     def test_roundtrip_catalog(self, movie):
@@ -172,6 +164,25 @@ class TestFailover:
         assert len(report.admitted) == 1
         assert report.admitted[0].resumed
         assert report.recovered + len(report.admitted) == 3
+
+    def test_payload_with_a_derivation_cache_key_resumes(self, movie):
+        """Version-2 checkpoints from servers that still took a
+        derivation cache carry its manifest under ``derivation_cache``;
+        restore never needed it, so such a payload restores and resumes
+        as one without the key does."""
+        fs = SimulatedMedium()
+        fs.makedirs("/srv")
+        self.serve_until_crash(fs, movie, occurrence=2)
+        payload = json.loads(fs.durable_bytes("/srv/vod.ckpt").decode())
+        assert payload["version"] == 2
+        assert "derivation_cache" not in payload
+        expected = VodServer.restore(payload).resume()
+        payload["derivation_cache"] = DerivationCache(
+            budget_bytes=1 << 16).manifest()
+        report = VodServer.restore(payload).resume()
+        assert report.recovered == 2
+        assert [s.client for s in report.admitted] == ["client-2"]
+        assert report == expected
 
     def test_resumed_sessions_count_as_degraded(self, movie):
         fs = SimulatedMedium()

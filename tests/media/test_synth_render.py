@@ -7,7 +7,8 @@ from repro.core.derivation import derivation_registry
 from repro.core.media_types import MediaKind
 from repro.errors import DerivationError
 from repro.media.animation import Sprite, AnimationScene, demo_scene
-from repro.media.music import Note, Score, demo_score
+from repro.edit.editor import MediaEditor
+from repro.media.music import PPQ, Note, Score, demo_score
 from repro.media.objects import animation_object, score_object
 from repro.media.renderer import render_animation, render_frame
 from repro.media.synthesizer import (
@@ -106,6 +107,40 @@ class TestMidiSynthesisDerivation:
         source = audio_object(tone, "a", sample_rate=8000)
         with pytest.raises(DerivationError):
             derivation_registry.get("midi-synthesis")([source], {})
+
+
+class TestTimingDerivedMusic:
+    """§4.2's timing derivations apply "to all time-based media": a
+    translated or scaled music object drops its ``score`` shortcut, so
+    synthesis reads the timing of the derived stream itself."""
+
+    @staticmethod
+    def samples(music):
+        editor = MediaEditor()
+        audio = editor.synthesize(music, sample_rate=8000).expand()
+        return np.concatenate([t.element.payload for t in audio.stream()])
+
+    @pytest.mark.parametrize("build", [score_object, midi_object],
+                             ids=["score", "midi"])
+    def test_translated_music_sounds_later(self, build):
+        """Translated by a quarter note (0.5 s at 120 bpm), the music
+        synthesizes as the original delayed by 4,000 samples at 8 kHz."""
+        original = self.samples(build(demo_score(), "tune"))
+        moved = self.samples(MediaEditor().translate(
+            build(demo_score(), "tune"), PPQ))
+        assert len(moved) == len(original) + 4_000
+        assert np.abs(moved[:4_000]).max() == 0
+        assert np.array_equal(moved[4_000:], original)
+
+    def test_scaled_music_keeps_its_tempo(self):
+        """A 90-bpm MIDI object scaled by 1 sounds as the object itself:
+        at 90 bpm, not the 120-bpm default (26,668 samples, not 20,001)."""
+        score = demo_score()
+        score.tempo_bpm = 90
+        original = self.samples(midi_object(score, "slow"))
+        scaled = self.samples(MediaEditor().scale(midi_object(score, "slow"), 1))
+        assert len(scaled) == 26_668
+        assert np.array_equal(scaled, original)
 
 
 class TestRenderer:

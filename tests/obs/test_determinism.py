@@ -101,11 +101,11 @@ class TestDeterminism:
 
     def test_cached_runs_export_byte_identically(self):
         """The caching layer honors the contract too: with a buffer
-        pool under the page store and a derivation cache on the server,
-        hit/miss/eviction metrics replay byte-identically."""
+        pool under the page store, hit/miss/eviction metrics replay
+        byte-identically."""
         from repro.blob.blob import PagedBlob
         from repro.blob.pages import MemoryPager, PageStore
-        from repro.cache import BufferPool, DerivationCache
+        from repro.cache import BufferPool
 
         def cached_export():
             obs = Observability()
@@ -115,9 +115,8 @@ class TestDeterminism:
             title = Recorder(PagedBlob(store)).record(
                 [video_object(frames.scene(32, 24, 12, "pan"), "feature")],
             )
-            cache = DerivationCache(budget_bytes=1 << 20, obs=obs)
             server = VodServer(bandwidth=2_000_000, prefetch_depth=8,
-                               derivation_cache=cache, obs=obs)
+                               obs=obs)
             server.publish("feature", title)
             server.prefetch("feature")
             server.serve(requests(2))

@@ -1,16 +1,19 @@
-"""Tests for physical layout: interleaving, padding, read costs."""
+"""Tests for physical layout: interleaving, padding, and the read cost
+the player charges each layout."""
 
 import pytest
 
+from repro.bench.workloads import played_price
 from repro.blob.blob import MemoryBlob
+from repro.core.interpretation import Interpretation
+from repro.core.media_types import media_type_registry
 from repro.core.time_system import CD_AUDIO_TIME, PAL_TIME
+from repro.engine.player import Player
 from repro.errors import StorageError
 from repro.storage.layout import (
     CD_SECTOR_SIZE,
     StorageWriter,
     TrackSpec,
-    playback_schedule,
-    read_cost_model,
     write_interleaved,
     write_sequential,
 )
@@ -122,29 +125,49 @@ class TestSequential:
         assert audio_offsets == [500, 550, 600, 650, 700]
 
 
+#: Media descriptors for the fixture's tracks, by media type.
+DESCRIPTORS = {
+    "pal-video": {"frame_rate": 25, "frame_width": 10, "frame_height": 10,
+                  "frame_depth": 8, "color_model": "GRAY"},
+    "cd-audio": {"sample_rate": 44100, "sample_size": 16, "channels": 2,
+                 "encoding": "PCM"},
+}
+
+
+def layout(writer, tracks) -> Interpretation:
+    """The fixture's tracks written by ``writer`` into a fresh BLOB, as
+    the interpretation a player plays."""
+    blob = MemoryBlob()
+    placements = writer(blob, tracks)
+    interpretation = Interpretation(blob, writer.__name__)
+    for track, name in zip(tracks, DESCRIPTORS):
+        media_type = media_type_registry.get(name)
+        interpretation.add(
+            track.name, media_type,
+            media_type.make_media_descriptor(**DESCRIPTORS[name]),
+            placements[track.name], time_system=track.time_system,
+        )
+    return interpretation
+
+
 class TestReadCost:
+    """The layouts priced by the player: seeks and ``page_read`` seconds
+    of one synchronized play."""
+
     def test_interleaved_cheaper_for_synchronized_playback(self, tracks):
-        """The paper's rationale for interleaving, quantified."""
-        schedule = playback_schedule(tracks)
-        interleaved = write_interleaved(MemoryBlob(), tracks)
-        sequential = write_sequential(MemoryBlob(), tracks)
-        cost_interleaved = read_cost_model(interleaved, schedule)
-        cost_sequential = read_cost_model(sequential, schedule)
-        assert cost_interleaved < cost_sequential
+        """The paper's rationale for interleaving, quantified: two tracks
+        of n elements laid out one after the other seek at every one of
+        the 2n - 1 switches between them."""
+        seeks, seconds = played_price(layout(write_interleaved, tracks))
+        sequential_seeks, sequential_seconds = played_price(
+            layout(write_sequential, tracks))
+        assert (seeks, sequential_seeks) == (0, 9)
+        assert seconds < sequential_seconds
 
     def test_interleaved_is_seek_free(self, tracks):
-        schedule = playback_schedule(tracks)
-        placements = write_interleaved(MemoryBlob(), tracks)
-        bytes_only = sum(e.size for rows in placements.values() for e in rows)
-        assert read_cost_model(placements, schedule) == bytes_only
-
-    def test_unknown_schedule_entry(self, tracks):
-        placements = write_interleaved(MemoryBlob(), tracks)
-        with pytest.raises(StorageError):
-            read_cost_model(placements, [("video", 99)])
-
-    def test_schedule_orders_by_time(self, tracks):
-        schedule = playback_schedule(tracks)
-        assert schedule[0] == ("video", 0)
-        assert schedule[1] == ("audio", 0)
-        assert len(schedule) == 10
+        interleaved = layout(write_interleaved, tracks)
+        reads = Player().plan_interpretation(interleaved)
+        assert [r.label for r in reads[:2]] == ["video[0]", "audio[0]"]
+        assert all(a.offset + a.size == b.offset
+                   for a, b in zip(reads, reads[1:]))
+        assert Player().play(interleaved).seeks == 0
