@@ -110,6 +110,7 @@ class InterpretedSequence:
                     f"at {prev.start}"
                 )
         self._entries: tuple[PlacementEntry, ...] = tuple(rows)
+        self._numbers = numbers
         self._starts = [e.start for e in rows]
 
     def __len__(self) -> int:
@@ -173,10 +174,10 @@ class InterpretedSequence:
     # -- lookup --------------------------------------------------------------------
 
     def entry(self, element_number: int) -> PlacementEntry:
-        lo = bisect.bisect_left(
-            [e.element_number for e in self._entries], element_number
-        )
-        if lo < len(self._entries) and self._entries[lo].element_number == element_number:
+        """The row numbered ``element_number``: a bisection of the sorted
+        element numbers."""
+        lo = bisect.bisect_left(self._numbers, element_number)
+        if lo < len(self._numbers) and self._numbers[lo] == element_number:
             return self._entries[lo]
         raise InterpretationError(
             f"sequence {self.name!r} has no element {element_number}"

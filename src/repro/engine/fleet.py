@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.rational import Rational
 from repro.engine.vod import (
     ServeOptions,
     ServerHealth,
@@ -48,6 +47,7 @@ from repro.engine.vod import (
     Session,
     SessionRequest,
     VodServer,
+    admit_greedily,
     normalize_requests,
 )
 from repro.errors import CheckpointError, EngineError, SimulatedCrash
@@ -307,9 +307,6 @@ class Fleet:
         self.obs.metrics.counter("fleet.prefetch_bytes").inc(warmed)
         return warmed
 
-    def required_rate(self, title: str) -> Rational:
-        return self.shard(self.route(title)).required_rate(title)
-
     def capacity(self, title: str) -> int:
         """Nominal fleet capacity for ``title``: the sum over live
         shards of each shard's single-title capacity."""
@@ -322,24 +319,13 @@ class Fleet:
     def admit(self, requests) -> tuple[list[SessionRequest],
                                        list[SessionRequest]]:
         """Fleet-wide greedy admission: each request routes to its
-        owning shard and must pass that shard's admission test against
-        the load already admitted there. Returns (admitted, rejected),
-        like :meth:`VodServer.admit`."""
-        admitted: list[SessionRequest] = []
-        rejected: list[SessionRequest] = []
-        loads: dict[str, Rational] = {
-            name: Rational(0) for name in self._live
-        }
-        for request in normalize_requests(requests):
-            name = self.route(request.title)
-            shard = self._shards[name]
-            rate = shard.required_rate(request.title)
-            if shard._admits(loads[name], rate):
-                admitted.append(request)
-                loads[name] += rate
-            else:
-                rejected.append(request)
-        return admitted, rejected
+        owning shard and must fit that shard's admission limit beside
+        the load already admitted there — the one loop
+        (:func:`~repro.engine.vod.admit_greedily`) of
+        :meth:`VodServer.admit`. Returns (admitted, rejected)."""
+        shards = self._shards
+        return admit_greedily(normalize_requests(requests),
+                              lambda title: shards[self.route(title)])
 
     def _checkpoint_path(self, name: str) -> str:
         return f"{self.checkpoint_dir}/{name}.ckpt"

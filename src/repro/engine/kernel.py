@@ -335,12 +335,13 @@ class SessionMachine:
 
     # -- scheduling ------------------------------------------------------------
 
-    def start(self, at) -> None:
-        """Schedule the session's first event at its arrival time."""
+    def start(self, ticks: int) -> None:
+        """Schedule the session's first event ``ticks`` (an int >= 0)
+        ticks of the loop's clock from now, with one heap push."""
         if self._scheduled:
             raise EngineError(f"session {self.key!r} already started")
         self._scheduled = True
-        self.loop.at(at, self._begin)
+        self.loop.after_ticks(ticks, self._begin)
 
     def _begin(self) -> None:
         self.state = STREAMING

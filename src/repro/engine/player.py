@@ -603,14 +603,15 @@ class Player:
 
     # -- playback -------------------------------------------------------------
 
-    def play(self, target) -> PlaybackReport:
+    def play(self, target, deadlines: _Deadlines | None = None) -> PlaybackReport:
         """Simulate playback of ``target``.
 
         Polymorphic front door: ``target`` may be an
         :class:`~repro.core.interpretation.Interpretation`, a
         :class:`~repro.core.composition.MultimediaObject`, or a
         pre-planned read list from :meth:`plan_interpretation` /
-        :meth:`plan_multimedia`.
+        :meth:`plan_multimedia`; a read list may bring its cached
+        :meth:`deadlines`, on a frequency where all :meth:`prices` are whole.
         """
         if isinstance(target, Interpretation):
             return self._run(self.plan_interpretation(target))
@@ -621,15 +622,16 @@ class Player:
         if isinstance(target, (list, tuple)):
             reads = list(target)
             if all(isinstance(r, _PlannedRead) for r in reads):
-                return self._run(reads)
+                return self._run(reads, deadlines)
         raise EngineError(
             f"cannot play {type(target).__name__}; expected an "
             "Interpretation, a MultimediaObject, or a list of planned reads"
         )
 
-    def _run(self, reads: list[_PlannedRead]) -> PlaybackReport:
+    def _run(self, reads: list[_PlannedRead],
+             deadlines: _Deadlines | None = None) -> PlaybackReport:
         """Drain :meth:`stepper` in one go (the seed behaviour)."""
-        stepper = self.stepper(reads)
+        stepper = self.stepper(reads, deadlines=deadlines)
         while True:
             try:
                 next(stepper)

@@ -22,10 +22,11 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from math import lcm
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.interpretation import Interpretation
 from repro.core.rational import ZERO, Rational, as_rational
+from repro.core.time_system import to_ticks
 from repro.engine.kernel import (
     BandwidthLedger,
     EventLoop,
@@ -195,6 +196,29 @@ def normalize_requests(
                 f"requests must be SessionRequest objects, got {request!r}"
             )
     return normalized
+
+
+def admit_greedily(requests: list[SessionRequest], owner: Callable[[str], VodServer],
+                   ) -> tuple[list[SessionRequest], list[SessionRequest]]:
+    """The one admission loop, a server's and a fleet's: in order, a
+    request is admitted iff its title's rate fits beside the load already
+    admitted on ``owner(title)``, the :class:`VodServer` serving it. A
+    server counts rates in units of one scale, the lcm of its rated
+    titles' rate denominators, and its bandwidth with margin as the most
+    units that fit, ``⌊bandwidth · scale / margin⌋``, so ``load + units
+    <= limit`` is ``(load + rate) · margin <= bandwidth`` on ints."""
+    admitted: list[SessionRequest] = []
+    rejected: list[SessionRequest] = []
+    loads: dict[VodServer, int] = {}
+    for request in requests:
+        server = owner(request.title)
+        load = loads.get(server, 0) + server._units_of(request.title)
+        if load <= server._limit:
+            admitted.append(request)
+            loads[server] = load
+        else:
+            rejected.append(request)
+    return admitted, rejected
 
 
 @dataclass
@@ -453,9 +477,6 @@ class VodServer:
         self.bandwidth = bandwidth
         self.prefetch_depth = prefetch_depth
         self.admission_margin = admission_margin
-        # The admission test's exact operands, converted once.
-        self._margin = as_rational(admission_margin)
-        self._budget = Rational(bandwidth)
         self.obs = NULL_OBS if obs is None else obs
         self.plan_check = plan_check
         self.crash = crash or NULL_CRASH
@@ -464,6 +485,9 @@ class VodServer:
         self._titles: dict[str, Interpretation] = {}
         self._plan_cache: dict[str, tuple] = {}
         self._rates: dict[str, Rational] = {}
+        # Admission's ints (admit_greedily), re-derived at each publish.
+        self._units: dict[str, int] = {}
+        self._limit = 0
         self._reports: list[ServerReport] = []
         # Kernel counters from the most recent batch (census/bench).
         self.last_loop_stats: dict | None = None
@@ -481,6 +505,9 @@ class VodServer:
         over the interpretation before it is accepted; a blocked title
         raises :class:`~repro.errors.PlanRejectedError` and is not
         published, so admission and serving never see it.
+        A title whose sequences all declare an ``average_data_rate``
+        joins admission's scale (:func:`admit_greedily`); requesting any
+        other raises :class:`~repro.errors.ResourceError`.
         """
         if title in self._titles:
             raise EngineError(f"title {title!r} already published")
@@ -504,7 +531,16 @@ class VodServer:
         interpretation.validate()
         self._titles[title] = interpretation
         self._plan_cache.pop(title, None)
-        self._rates.pop(title, None)
+        rates = [interpretation.sequence(name).media_descriptor.get("average_data_rate")
+                 for name in interpretation.names()]
+        if any(rate is None for rate in rates):
+            return
+        self._rates[title] = sum(map(as_rational, rates), Rational(0))
+        scale = lcm(*(rate.denominator for rate in self._rates.values()))
+        self._units = {name: rate.numerator * (scale // rate.denominator)
+                       for name, rate in self._rates.items()}
+        margin = as_rational(self.admission_margin)
+        self._limit = self.bandwidth * scale * margin.denominator // margin.numerator
 
     def _check_interpretation(self, interpretation: Interpretation):
         from repro.analysis.graph import GraphChecker
@@ -551,8 +587,10 @@ class VodServer:
         return warmed
 
     def required_rate(self, title: str) -> Rational:
-        """Mean data rate the title needs (from its descriptors), summed
-        once per published title."""
+        """Mean data rate the title needs: its sequences'
+        ``average_data_rate`` descriptors, summed at :meth:`publish`. A
+        title with a sequence that declares none raises
+        :class:`~repro.errors.ResourceError`."""
         total = self._rates.get(title)
         if total is not None:
             return total
@@ -560,42 +598,26 @@ class VodServer:
             interpretation = self._titles[title]
         except KeyError:
             raise EngineError(f"unknown title {title!r}") from None
-        total = Rational(0)
-        for name in interpretation.names():
-            descriptor = interpretation.sequence(name).media_descriptor
-            rate = descriptor.get("average_data_rate")
-            if rate is None:
-                raise ResourceError(
-                    f"{title!r}/{name} lacks average_data_rate; "
-                    "record it with the Recorder"
-                )
-            total += as_rational(rate)
-        self._rates[title] = total
-        return total
+        unrated = next(name for name in interpretation.names()
+                       if interpretation.sequence(name).media_descriptor
+                       .get("average_data_rate") is None)
+        raise ResourceError(f"{title!r}/{unrated} lacks average_data_rate; "
+                            "record it with the Recorder")
 
     # -- admission + serving ------------------------------------------------------
 
-    def _admits(self, load: Rational, rate: Rational) -> bool:
-        """The admission test: a session needing ``rate`` fits beside
-        ``load`` when their sum, with margin, fits the bandwidth."""
-        return (load + rate) * self._margin <= self._budget
+    def _units_of(self, title: str) -> int:
+        """``title``'s rate in admission units, or :meth:`required_rate`'s error."""
+        if title not in self._units:
+            self.required_rate(title)  # unknown or unrated: it raises
+        return self._units[title]
 
     def admit(self, requests) -> tuple[list[SessionRequest],
                                        list[SessionRequest]]:
-        """Greedy admission: accept requests while aggregate required
-        rate (with margin) fits the bandwidth. Returns (admitted,
-        rejected)."""
-        admitted: list[SessionRequest] = []
-        rejected: list[SessionRequest] = []
-        load = Rational(0)
-        for request in normalize_requests(requests):
-            rate = self.required_rate(request.title)
-            if self._admits(load, rate):
-                admitted.append(request)
-                load += rate
-            else:
-                rejected.append(request)
-        return admitted, rejected
+        """Greedy admission: accept requests, in order, while the
+        aggregate required rate (with margin) fits the bandwidth, on int
+        loads (:func:`admit_greedily`). Returns (admitted, rejected)."""
+        return admit_greedily(normalize_requests(requests), lambda title: self)
 
     def serve(self, requests,
               options: ServeOptions | None = None) -> ServerReport:
@@ -682,8 +704,9 @@ class VodServer:
         cached per catalog entry.
 
         Planning an :class:`Interpretation` is pure and observes
-        nothing, so the plan is computed once per title and shared by
-        every session that plays it, in either drive mode.
+        nothing, so the plan and its deadlines are computed once per
+        title and shared by every session that plays it, in either drive
+        mode, each rescaling the deadlines to its own timebase.
         """
         plan = self._plan_cache.get(title)
         if plan is None:
@@ -717,11 +740,12 @@ class VodServer:
 
         One :class:`~repro.engine.kernel.SessionMachine` per request,
         all on one :class:`~repro.engine.kernel.EventLoop` over the
-        server's clock; arrival times count from the instant the batch
-        starts. When every request arrives at time zero under ``"auto"``
-        granularity, each machine runs its whole session in a single
-        event and the heap pops machines in admitted order, so sessions
-        play serially in the order they were admitted. Otherwise
+        server's clock; each starts with one heap push, its arrival's
+        ticks past the instant the batch starts. When every request
+        arrives at time zero under ``"auto"`` granularity, each machine
+        starts at 0 and runs its whole session in a single event and the
+        heap pops machines in admitted order, so sessions play serially
+        in the order they were admitted. Otherwise
         machines advance one element per event, genuinely interleaving
         on the shared clock, with the
         :class:`~repro.engine.kernel.BandwidthLedger` re-pricing each
@@ -792,7 +816,7 @@ class VodServer:
                 SessionMachine(
                     request.key, loop, runner=lambda request=request: runner(request),
                     on_complete=complete,
-                ).start(origin)
+                ).start(0)
         else:
             players = [self._player_for(r, default_player, share, opts)
                        for r in admitted]
@@ -846,7 +870,7 @@ class VodServer:
                                             deadlines),
                     ledger=ledger, on_start=on_start, on_error=on_error,
                     on_complete=complete, frequency=frequency,
-                ).start(origin + request.arrival_time)
+                ).start(to_ticks(request.arrival_time, frequency))
         if scraping:
             self.telemetry.attach(loop, self.obs, self._telemetry_source())
         loop.run()
@@ -879,8 +903,9 @@ class VodServer:
                    resumed: bool) -> Session | None:
         """Play one admitted session whole, falling back on storage faults.
 
-        A :class:`~repro.errors.SimulatedCrash` is never treated as a
-        storage fault — it is the machine dying, and must propagate to
+        The cached plan plays with its cached deadlines, rescaled onto
+        the player's prices. A :class:`~repro.errors.SimulatedCrash` is
+        never a storage fault — it is the machine dying, and must propagate to
         the crash harness."""
         client, title = request.key
         with self.obs.trace(TraceContext.for_session(client, title)), \
@@ -889,8 +914,11 @@ class VodServer:
                 ) as span:
             degraded = False
             while True:
+                reads, deadlines = self._plan_reads(player, title)
+                deadlines = deadlines.at(lcm(deadlines.frequency,
+                                             *(t.denominator for t in player.prices())))
                 try:
-                    report = player.play(self._plan_reads(player, title)[0])
+                    report = player.play(reads, deadlines)
                     break
                 except SimulatedCrash:
                     raise
@@ -1240,8 +1268,9 @@ class VodServer:
 
     def capacity(self, title: str) -> int:
         """How many concurrent sessions of ``title`` the admission test
-        accepts — the server's nominal capacity for that title."""
-        rate = self.required_rate(title) * self._margin
-        if rate <= 0:
+        accepts — the server's nominal capacity for that title: the
+        admission limit over the title's units (:meth:`publish`)."""
+        units = self._units_of(title)
+        if units <= 0:
             raise ResourceError(f"{title!r} declares a zero data rate")
-        return int(self._budget / rate)
+        return self._limit // units

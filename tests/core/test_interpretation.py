@@ -113,6 +113,21 @@ class TestInterpretedSequence:
         with pytest.raises(InterpretationError):
             interp.sequence("video1").entry(99)
 
+    def test_entry_lookup_across_gaps(self, video_type, video_descriptor):
+        """Element numbers need not be dense: every present number finds
+        its own row, every missing one raises."""
+        numbers = [0, 1, 4, 5, 9, 30, 31, 100]
+        seq = InterpretedSequence("v", video_type, video_descriptor,
+                                  [PlacementEntry(n, i, 1, 10 + n, 10 * i)
+                                   for i, n in enumerate(numbers)])
+        for number in range(-2, 104):
+            if number in numbers:
+                entry = seq.entry(number)
+                assert (entry.element_number, entry.size) == (number, 10 + number)
+            else:
+                with pytest.raises(InterpretationError, match="no element"):
+                    seq.entry(number)
+
     def test_entries_at_tick(self, blob_and_interpretation):
         _, interp = blob_and_interpretation
         audio = interp.sequence("audio1")

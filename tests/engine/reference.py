@@ -1,4 +1,5 @@
-"""Reference kernel and planner: the engine code the library replaced.
+"""Reference kernel, planner and admission: the engine code the library
+replaced.
 
 The library's :mod:`repro.engine.kernel` keeps time as whole ticks of
 one frequency and rescales when a time arrives off that timebase. This
@@ -11,6 +12,12 @@ yields. Property tests hold the library to it event for event.
 planned an :class:`~repro.core.interpretation.Interpretation` before the
 player had one planner for interpretations and compositions; the
 planner must return its reads exactly.
+
+:func:`admit` and :func:`capacity` are admission on exact rationals, as
+``VodServer`` and ``Fleet`` decided it before their loads became int
+units of one scale: a session needing ``rate`` fits beside ``load`` iff
+``(load + rate) * margin <= bandwidth``. The int loop must admit and
+reject the same requests, in order, and report the same capacities.
 """
 
 from __future__ import annotations
@@ -20,7 +27,12 @@ from typing import Any, Callable, Generator
 
 from repro.core.rational import Rational, as_rational
 from repro.engine.player import _PlannedRead
-from repro.errors import EngineError, MediaModelError, SimulatedCrash
+from repro.errors import (
+    EngineError,
+    MediaModelError,
+    ResourceError,
+    SimulatedCrash,
+)
 
 
 class ReferenceClock:
@@ -168,3 +180,36 @@ def plan_interpretation(interpretation) -> list[_PlannedRead]:
             ))
     reads.sort(key=lambda r: (r.deadline, r.offset))
     return reads
+
+
+def admits(server, load: Rational, rate: Rational) -> bool:
+    """The admission test: a session needing ``rate`` fits beside
+    ``load`` when their sum, with margin, fits the bandwidth."""
+    return ((load + rate) * as_rational(server.admission_margin)
+            <= Rational(server.bandwidth))
+
+
+def admit(requests, owner) -> tuple[list, list]:
+    """Greedy admission: each request, in order, must pass
+    :func:`admits` on the server ``owner(title)`` against the load
+    already admitted there. Returns (admitted, rejected)."""
+    admitted, rejected = [], []
+    loads: dict[int, Rational] = {}
+    for request in requests:
+        server = owner(request.title)
+        rate = server.required_rate(request.title)
+        load = loads.get(id(server), Rational(0))
+        if admits(server, load, rate):
+            admitted.append(request)
+            loads[id(server)] = load + rate
+        else:
+            rejected.append(request)
+    return admitted, rejected
+
+
+def capacity(server, title: str) -> int:
+    """How many concurrent sessions of ``title`` :func:`admits` takes."""
+    rate = server.required_rate(title) * as_rational(server.admission_margin)
+    if rate <= 0:
+        raise ResourceError(f"{title!r} declares a zero data rate")
+    return int(Rational(server.bandwidth) / rate)

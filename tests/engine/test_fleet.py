@@ -178,16 +178,18 @@ class TestReplayMemo:
         return {name: make_title(name, frame_count=6, size=16)
                 for name in self.TITLES}
 
-    @pytest.mark.parametrize("sessions", [40, 400])
-    def test_one_real_play_per_routed_shard_and_title(
-            self, catalog, sessions, monkeypatch):
+    def fleet(self, catalog):
         fleet = Fleet(bandwidth=2_000_000, shards=3)
         for name, interpretation in catalog.items():
             fleet.publish(name, interpretation)
+        return fleet
+
+    @staticmethod
+    def serving(fleet, monkeypatch):
+        """A stack whose top names the shard whose serve is running."""
         shard_of = {id(fleet.shard(name)): name for name in fleet.shard_names}
         serving = []
-        plays = Counter()
-        serve, play = VodServer.serve, Player.play
+        serve = VodServer.serve
 
         def counted_serve(server, *args, **kwargs):
             serving.append(shard_of[id(server)])
@@ -196,23 +198,58 @@ class TestReplayMemo:
             finally:
                 serving.pop()
 
+        monkeypatch.setattr(VodServer, "serve", counted_serve)
+        return serving
+
+    def batch(self, sessions):
+        return [SessionRequest(client=f"client-{i}",
+                               title=self.TITLES[i % len(self.TITLES)])
+                for i in range(sessions)]
+
+    def routed(self, fleet):
+        routed = Counter((fleet.route(title), title) for title in self.TITLES)
+        assert len({shard for shard, _ in routed}) > 1
+        return routed
+
+    @pytest.mark.parametrize("sessions", [40, 400])
+    def test_one_real_play_per_routed_shard_and_title(
+            self, catalog, sessions, monkeypatch):
+        fleet = self.fleet(catalog)
+        serving = self.serving(fleet, monkeypatch)
+        plays = Counter()
+        play = Player.play
+
         def counted_play(player, reads, *args, **kwargs):
             # A serve title's one sequence is named after the title.
             plays[serving[-1], reads[0].label.split("[", 1)[0]] += 1
             return play(player, reads, *args, **kwargs)
 
-        monkeypatch.setattr(VodServer, "serve", counted_serve)
         monkeypatch.setattr(Player, "play", counted_play)
-        merged = fleet.serve(
-            [SessionRequest(client=f"client-{i}",
-                            title=self.TITLES[i % len(self.TITLES)])
-             for i in range(sessions)],
-            ServeOptions(enforce_admission=False),
-        )
+        merged = fleet.serve(self.batch(sessions),
+                             ServeOptions(enforce_admission=False))
         assert merged.admitted_count == sessions
-        routed = Counter((fleet.route(title), title) for title in self.TITLES)
-        assert len({shard for shard, _ in routed}) > 1
-        assert plays == routed
+        assert plays == self.routed(fleet)
+
+    def test_deadlines_once_per_routed_shard_and_title(self, catalog,
+                                                        monkeypatch):
+        """Every real play takes its plan's cached deadlines: two
+        whole-session batches compute them once per routed (shard,
+        title), when the shard first plans the title."""
+        fleet = self.fleet(catalog)
+        serving = self.serving(fleet, monkeypatch)
+        computed = Counter()
+        deadlines = Player.deadlines
+
+        def counted_deadlines(player, reads, *args, **kwargs):
+            computed[serving[-1], reads[0].label.split("[", 1)[0]] += 1
+            return deadlines(player, reads, *args, **kwargs)
+
+        monkeypatch.setattr(Player, "deadlines", counted_deadlines)
+        for sessions in (40, 41):
+            merged = fleet.serve(self.batch(sessions),
+                                 ServeOptions(enforce_admission=False))
+            assert merged.admitted_count == sessions
+        assert computed == self.routed(fleet)
 
 
 class TestFailover:

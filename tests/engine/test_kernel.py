@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rational import Rational
+from repro.core.rational import Rational, as_rational
 from repro.engine.kernel import (
     DONE,
     FAILED,
@@ -146,6 +146,13 @@ class Ticks:
                               frequency=frequency, on_complete=on_complete)
 
     @staticmethod
+    def start(machine, when):
+        """A machine starts in ticks of the loop's clock: align the loop
+        to ``when`` as :meth:`EventLoop.at` does, then count on."""
+        when, loop = as_rational(when), machine.loop
+        machine.start(when.numerator * loop.align(when.denominator) - loop.clock.ticks)
+
+    @staticmethod
     def step(ticks, frequency):
         return ticks
 
@@ -159,6 +166,10 @@ class Exact:
     def machine(key, loop, factory, frequency, on_complete):
         return ReferenceMachine(key, loop, stepper_factory=factory,
                                 on_complete=on_complete)
+
+    @staticmethod
+    def start(machine, when):
+        machine.start(when)
 
     @staticmethod
     def step(ticks, frequency):
@@ -222,8 +233,8 @@ def drive(kernel, schedule, cuts):
             loop.at(args[0], crash, label)
         else:
             when, frequency, durations = args[:3]
-            kernel.machine(label, loop, steps(label, frequency, durations),
-                           frequency, complete).start(when)
+            kernel.start(kernel.machine(label, loop, steps(label, frequency, durations),
+                                        frequency, complete), when)
     for cut in [*cuts, None]:
         while True:
             try:
@@ -359,7 +370,7 @@ class TestSessionMachine:
     def test_runner_mode_runs_whole_session_in_one_event(self):
         loop = EventLoop()
         machine = SessionMachine("s", loop, runner=lambda: "done")
-        machine.start(Rational(2))
+        machine.start(2)
         assert machine.state == PENDING
         loop.run()
         assert machine.state == DONE
@@ -388,12 +399,12 @@ class TestSessionMachine:
         assert loop.events_processed == 5
 
     def test_stepper_ticks_count_at_the_machines_frequency(self):
-        loop = EventLoop()
+        loop = EventLoop(frequency=3)
         machine = SessionMachine(
             "s", loop, stepper_factory=counting_stepper([1, 2, 3]),
             frequency=4,
         )
-        machine.start(Rational(1, 3))
+        machine.start(1)
         loop.run()
         assert machine.finished_at == Rational(1, 3) + Rational(6, 4)
         assert loop.clock.frequency == 12
