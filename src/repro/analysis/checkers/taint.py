@@ -2,14 +2,13 @@
 
 DF003 is a forward taint analysis: float literals, wall-clock reads,
 ``float()`` conversions and ``to_seconds()`` displays are sources;
-exact clock arithmetic — ``Rational(...)``, ``advance_to``,
-``loop.at/after``, the int-tick ``loop.after_ticks``, ``arrival_time=``
-— are sinks. ``as_rational`` and
-``Rational.from_float`` are the *sanctioned* conversion points (the
-repo's one explicit float→exact boundary), so flowing through them
-cleanses the taint. Unknown calls are assumed clean — the documented
-intraprocedural under-approximation that keeps the rule quiet enough
-to gate on.
+exact clock arithmetic — ``Rational(...)``, ``advance_to``, the
+int-tick ``loop.after_ticks``, ``arrival_time=`` — are sinks.
+``as_rational`` and ``Rational.from_float`` are the *sanctioned*
+conversion points (the repo's one explicit float→exact boundary), so
+flowing through them cleanses the taint. Unknown calls are assumed
+clean — the documented intraprocedural under-approximation that keeps
+the rule quiet enough to gate on.
 
 DF004 is the single-process race detector for deterministic replay:
 iterating a ``set``/``frozenset`` (or ``os.listdir``'s arbitrary-order
@@ -132,7 +131,7 @@ def _sink_args(call: ast.Call) -> tuple[str, list[ast.AST]] | None:
         label, checked = "Rational(...)", list(call.args)
     elif method == "advance_to":
         label, checked = f"{recv}.advance_to(...)", list(call.args)
-    elif method in ("at", "after", "after_ticks") and "loop" in recv.lower():
+    elif method == "after_ticks" and "loop" in recv.lower():
         label, checked = f"{recv}.{method}(...)", list(call.args[:1])
     arrival = [kw.value for kw in call.keywords
                if kw.arg == "arrival_time"]
@@ -149,7 +148,7 @@ def _sink_args(call: ast.Call) -> tuple[str, list[ast.AST]] | None:
     Severity.ERROR,
     "A float literal, wall-clock read, float() conversion or "
     "to_seconds() display value flows into Rational(), clock "
-    "advance_to(), loop.at()/after()/after_ticks() or arrival_time=; "
+    "advance_to(), loop.after_ticks() or arrival_time=; "
     "exact time is the determinism contract and floats drift it.")
 def check_float_taint(ctx: FunctionContext):
     diagnostics = []

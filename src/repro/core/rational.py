@@ -14,17 +14,14 @@ therefore measures all continuous time values as rationals.
   floats is the classic source of timing drift bugs, and
 * adds media-oriented helpers (``to_seconds``, ``to_timestamp``).
 
-Every simulated clock value is a ``Rational``, so its operators are on
-the hot path of serving. When the other operand's exact type is
-``Rational``, ``Fraction`` or ``int``, the operators below do the
-stdlib's gcd-reduced arithmetic (Knuth, TAOCP vol. 2, 4.5.1) on the two
-slots and build the result once, already in lowest terms with a
-positive denominator, without re-validating it. Every other operand
-type (``bool``, ``float``, ``complex``, other ``numbers.Rational``)
-goes through :class:`fractions.Fraction`, whose result is re-typed.
-Comparisons with a finite ``float`` are the exception: they use the
-float's exact value, as ``Fraction`` does, because ``Fraction``'s own
-comparison would round the float through :meth:`Rational.from_float`.
+Arithmetic (``+ - * /`` and the rest) is ``Fraction``'s, re-typed.
+The constructor (from ints, or from a rational already in lowest
+terms), the comparisons and ``float()`` keep fast paths on the two
+slots, because the program builds and compares times far more often
+than it computes with them. ``==`` and the orderings compare a finite
+``float`` by its exact value, as ``Fraction`` does, because
+``Fraction``'s own comparison would round the float through
+:meth:`Rational.from_float`.
 """
 
 from __future__ import annotations
@@ -41,10 +38,10 @@ RationalLike = Union["Rational", Fraction, int, str, tuple]
 _new = object.__new__
 
 
-def _normalized(numerator: int, denominator: int, cls=None) -> "Rational":
-    """A ``Rational`` (or ``cls``) from a pair already in lowest terms
-    with a positive denominator — the invariant every fast path keeps."""
-    value = _new(Rational if cls is None else cls)
+def _normalized(numerator: int, denominator: int, cls) -> "Rational":
+    """A ``cls`` from a pair already in lowest terms with a positive
+    denominator — the invariant the constructor's fast path keeps."""
+    value = _new(cls)
     value._numerator = numerator
     value._denominator = denominator
     return value
@@ -58,85 +55,6 @@ def _closed(value):
     if isinstance(value, Fraction) and not isinstance(value, Rational):
         return Rational(value)
     return value
-
-
-# Pair arithmetic on normalized (numerator, denominator) slots, as in
-# fractions.Fraction: reducing by the gcds first keeps the products small
-# and leaves the result in lowest terms.
-
-
-def _add(na, da, nb, db):
-    g = gcd(da, db)
-    if g == 1:
-        return _normalized(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _normalized(t, s * db)
-    return _normalized(t // g2, s * (db // g2))
-
-
-def _sub(na, da, nb, db):
-    return _add(na, da, -nb, db)
-
-
-def _mul(na, da, nb, db):
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _normalized(na * nb, db * da)
-
-
-def _div(na, da, nb, db):
-    if not nb:
-        # Let fractions.Fraction raise its ZeroDivisionError.
-        return Fraction(na, da) / nb
-    g1 = gcd(na, nb)
-    if g1 > 1:
-        na //= g1
-        nb //= g1
-    g2 = gcd(db, da)
-    if g2 > 1:
-        da //= g2
-        db //= g2
-    n, d = na * db, nb * da
-    if d < 0:
-        return _normalized(-n, -d)
-    return _normalized(n, d)
-
-
-def _operators(pair_op, forward_fallback, reverse_fallback):
-    """``__op__`` and ``__rop__`` for one of the pair operations above:
-    fast on exact ``int``/``Fraction``/``Rational`` operands, through
-    ``Fraction`` otherwise."""
-
-    def forward(a, b):
-        kind = type(b)
-        if kind is int:
-            return pair_op(a._numerator, a._denominator, b, 1)
-        if kind is Rational or kind is Fraction:
-            return pair_op(a._numerator, a._denominator,
-                           b._numerator, b._denominator)
-        return _closed(forward_fallback(a, b))
-
-    def reverse(b, a):
-        kind = type(a)
-        if kind is int:
-            return pair_op(a, 1, b._numerator, b._denominator)
-        if kind is Rational or kind is Fraction:
-            return pair_op(a._numerator, a._denominator,
-                           b._numerator, b._denominator)
-        return _closed(reverse_fallback(b, a))
-
-    forward.__name__ = forward_fallback.__name__
-    reverse.__name__ = reverse_fallback.__name__
-    return forward, reverse
 
 
 def _comparison(op, fallback):
@@ -221,27 +139,23 @@ class Rational(Fraction):
 
     # -- closure of arithmetic over Rational ---------------------------------
 
-    __add__, __radd__ = _operators(_add, Fraction.__add__, Fraction.__radd__)
-    __sub__, __rsub__ = _operators(_sub, Fraction.__sub__, Fraction.__rsub__)
-    __mul__, __rmul__ = _operators(_mul, Fraction.__mul__, Fraction.__rmul__)
-    __truediv__, __rtruediv__ = _operators(
-        _div, Fraction.__truediv__, Fraction.__rtruediv__)
-
+    __add__ = _closed_operator(Fraction.__add__)
+    __radd__ = _closed_operator(Fraction.__radd__)
+    __sub__ = _closed_operator(Fraction.__sub__)
+    __rsub__ = _closed_operator(Fraction.__rsub__)
+    __mul__ = _closed_operator(Fraction.__mul__)
+    __rmul__ = _closed_operator(Fraction.__rmul__)
+    __truediv__ = _closed_operator(Fraction.__truediv__)
+    __rtruediv__ = _closed_operator(Fraction.__rtruediv__)
     __mod__ = _closed_operator(Fraction.__mod__)
     __rmod__ = _closed_operator(Fraction.__rmod__)
     __divmod__ = _closed_operator(Fraction.__divmod__)
     __rdivmod__ = _closed_operator(Fraction.__rdivmod__)
     __pow__ = _closed_operator(Fraction.__pow__)
     __round__ = _closed_operator(Fraction.__round__)
-
-    def __neg__(self):
-        return _normalized(-self._numerator, self._denominator)
-
-    def __pos__(self):
-        return _normalized(self._numerator, self._denominator)
-
-    def __abs__(self):
-        return _normalized(abs(self._numerator), self._denominator)
+    __neg__ = _closed_operator(Fraction.__neg__)
+    __pos__ = _closed_operator(Fraction.__pos__)
+    __abs__ = _closed_operator(Fraction.__abs__)
 
     # -- comparison and conversion ---------------------------------------------
 

@@ -65,8 +65,10 @@ class DiscreteTimeSystem:
         return Rational(1) / self.frequency
 
     def to_continuous(self, ticks: int) -> Rational:
-        """Map a discrete time value to continuous seconds (``D_f(i)``)."""
-        return Rational(ticks) / self.frequency
+        """Map a discrete time value to continuous seconds (``D_f(i)``):
+        ``ticks / f`` built once, as ``ticks · f.den / f.num``."""
+        frequency = self.frequency
+        return Rational(ticks * frequency.denominator, frequency.numerator)
 
     def to_discrete(self, seconds) -> int:
         """Map continuous seconds to the discrete value, which must be exact.

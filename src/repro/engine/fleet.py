@@ -167,6 +167,10 @@ class FleetHealth:
         return "\n".join(lines)
 
 
+#: Where each shard's checkpoint lives on the fleet's ``checkpoint_fs``.
+_CHECKPOINT_DIR = "/fleet"
+
+
 class Fleet:
     """N ``VodServer`` shards behind a consistent router.
 
@@ -178,7 +182,7 @@ class Fleet:
 
     ``checkpoint_fs`` (a :class:`~repro.faults.disk.SimulatedMedium`)
     arms failover: every shard batch checkpoints after each session to
-    ``<checkpoint_dir>/<shard>.ckpt``, and a shard crash mid-serve is
+    ``/fleet/<shard>.ckpt``, and a shard crash mid-serve is
     absorbed — the batch resumes on a survivor instead of propagating.
     Without it, a :class:`~repro.errors.SimulatedCrash` propagates
     exactly as it does for a single server.
@@ -196,13 +200,11 @@ class Fleet:
                  plan_check: str = "check",
                  crash: dict[str, CrashInjector] | None = None,
                  checkpoint_fs=None,
-                 checkpoint_dir: str = "/fleet",
                  telemetry: "Telemetry | None" = None):
         if shards < 1:
             raise EngineError("a fleet needs at least one shard")
         self.obs = NULL_OBS if obs is None else obs
         self.checkpoint_fs = checkpoint_fs
-        self.checkpoint_dir = checkpoint_dir.rstrip("/")
         # One pipeline for the whole fleet: every shard scrapes into
         # the same store under its own source name, so cross-shard
         # rollups and the dashboard's heat row come from one place.
@@ -229,8 +231,8 @@ class Fleet:
         self._owners: dict[str, str] = {}
         self._reports: list[ServerReport] = []
         if self.checkpoint_fs is not None:
-            if not self.checkpoint_fs.exists(self.checkpoint_dir):
-                self.checkpoint_fs.makedirs(self.checkpoint_dir)
+            if not self.checkpoint_fs.exists(_CHECKPOINT_DIR):
+                self.checkpoint_fs.makedirs(_CHECKPOINT_DIR)
 
     # -- topology ------------------------------------------------------------------
 
@@ -328,7 +330,7 @@ class Fleet:
                               lambda title: shards[self.route(title)])
 
     def _checkpoint_path(self, name: str) -> str:
-        return f"{self.checkpoint_dir}/{name}.ckpt"
+        return f"{_CHECKPOINT_DIR}/{name}.ckpt"
 
     def _drop_checkpoint(self, name: str) -> None:
         """Durably delete the checkpoint an earlier batch left for ``name``.
@@ -341,7 +343,7 @@ class Fleet:
         path = self._checkpoint_path(name)
         if self.checkpoint_fs.exists(path):
             self.checkpoint_fs.remove(path)
-            self.checkpoint_fs.fsync_dir(self.checkpoint_dir)
+            self.checkpoint_fs.fsync_dir(_CHECKPOINT_DIR)
 
     def serve(self, requests,
               options: ServeOptions | None = None) -> ServerReport:

@@ -23,14 +23,16 @@ that kernel:
   one event when every session arrives at the same instant.
 
 Everything is deterministic and exact: the heap tie-break is insertion
-order, every time is an int of ticks or an exact ``Rational``, and no
-event ever consults the machine it runs on.
+order, every scheduled time is an int of ticks of the one frequency a
+loop is built at (a caller fixes one on which every time it will see is
+whole), a time leaves the loop as an exact ``Rational``, and no event
+ever consults the machine it runs on.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import gcd, lcm
+from math import lcm
 from typing import Any, Callable, Generator
 
 from repro.core.rational import Rational, as_rational
@@ -88,9 +90,10 @@ class EventLoop:
     reproducibility (and for playing same-instant sessions in the order
     they were admitted).
 
-    A time off the timebase rescales the clock and every pending entry
-    by the least integer factor that puts it on, which keeps their
-    order. ``frequency`` re-bases the clock before the first event.
+    ``frequency`` re-bases the clock before the first event (by default
+    the clock keeps its own); every event is then scheduled in whole
+    ticks of it with :meth:`after_ticks`, so a caller builds the loop
+    at a frequency on which every time it will see is whole.
     """
 
     def __init__(self, clock: SimulatedClock | None = None,
@@ -107,26 +110,6 @@ class EventLoop:
     def pending(self) -> int:
         return len(self._heap)
 
-    def align(self, frequency: int) -> int:
-        """Rescale until a tick of ``frequency`` is whole ticks; how many."""
-        clock = self.clock
-        if clock.frequency % frequency:
-            factor = frequency // gcd(frequency, clock.frequency)
-            self._heap[:] = [(ticks * factor, *entry) for ticks, *entry in self._heap]
-            clock.ticks *= factor
-            clock.frequency *= factor
-        return clock.frequency // frequency
-
-    def at(self, when, callback: Callable, *args) -> int:
-        """Schedule ``callback(*args)`` at absolute time ``when``."""
-        when = as_rational(when)
-        ticks = when.numerator * self.align(when.denominator)
-        return self.after_ticks(ticks - self.clock.ticks, callback, *args)
-
-    def after(self, delay, callback: Callable, *args) -> int:
-        """Schedule ``callback(*args)`` ``delay`` seconds from now."""
-        return self.at(self.clock.now() + as_rational(delay), callback, *args)
-
     def after_ticks(self, ticks: int, callback: Callable, *args) -> int:
         """Schedule ``callback(*args)`` ``ticks`` (an int >= 0) ticks on."""
         if ticks.__class__ is not int or ticks < 0:
@@ -139,11 +122,10 @@ class EventLoop:
             self.peak_pending = len(heap)
         return seq
 
-    def run(self, until=None) -> int:
-        """Pop and fire events until the heap drains (or ``until``).
+    def run(self) -> int:
+        """Pop and fire events until the heap drains.
 
-        Returns the number of events processed by this call. Events at
-        exactly ``until`` still fire; later ones stay pending. A
+        Returns the number of events processed by this call. A
         :class:`~repro.errors.SimulatedCrash` from a callback
         propagates immediately — the simulated process died, and the
         remaining heap is the work it lost.
@@ -153,15 +135,11 @@ class EventLoop:
         with the next ``seq`` and the yielded ticks on, so the order and
         clock are those of popping it and scheduling a new one.
         """
-        limit = None if until is None else as_rational(until)
         heap, clock, pop = self._heap, self.clock, heapq.heappop
         fired = 0
         try:
             while heap:
                 ticks, _seq, callback, args = heap[0]
-                if limit is not None and (ticks * limit.denominator
-                                          > limit.numerator * clock.frequency):
-                    break
                 clock.ticks = ticks
                 if callback.__class__ is not SessionMachine:
                     pop(heap)
@@ -182,13 +160,12 @@ class EventLoop:
                         pop(heap)
                         raise
                     else:
-                        dt *= clock.frequency // callback.frequency
                         if dt.__class__ is not int or dt < 0:
                             pop(heap)
                             raise _unschedulable(dt)
                         seq = self._seq
                         self._seq = seq + 1
-                        heapq.heapreplace(heap, (clock.ticks + dt, seq, callback, ()))
+                        heapq.heapreplace(heap, (ticks + dt, seq, callback, ()))
                 fired += 1
         finally:
             self.events_processed += fired
@@ -289,10 +266,10 @@ class SessionMachine:
       in admitted order and so do their observability records.
     * ``stepper_factory`` — a zero-argument callable returning a player
       stepper (a generator yielding per-element durations in int ticks
-      of ``frequency``, and returning the session's report). The machine
-      is its own heap entry: the loop consumes one element per event and
-      re-arms the entry at ``now + dt`` (the machine aligns the loop to
-      ``frequency`` first); this is the fine granularity under which
+      of the loop's clock, and returning the session's report). The
+      machine is its own heap entry: the loop consumes one element per
+      event and re-arms the entry at ``now + dt``; this is the fine
+      granularity under which
       sessions genuinely interleave and the :class:`BandwidthLedger` can
       re-price bandwidth per event.
 
@@ -311,8 +288,7 @@ class SessionMachine:
                  on_start: Callable[["SessionMachine"], None] | None = None,
                  on_complete: Callable[["SessionMachine", Any], None] | None = None,
                  on_error: Callable[["SessionMachine", MediaModelError],
-                                    Generator | None] | None = None,
-                 frequency: int = 1):
+                                    Generator | None] | None = None):
         if (runner is None) == (stepper_factory is None):
             raise EngineError("SessionMachine needs exactly one of runner= or "
                               "stepper_factory=")
@@ -331,7 +307,6 @@ class SessionMachine:
         self._on_start = on_start
         self._on_complete = on_complete
         self._on_error = on_error
-        self.frequency = frequency
 
     # -- scheduling ------------------------------------------------------------
 
@@ -358,7 +333,6 @@ class SessionMachine:
             self._finish(result)
             return
         self._stepper = self._stepper_factory()
-        self.loop.align(self.frequency)
         # Schedule the first element rather than stepping inline, so
         # every same-instant arrival enters the ledger before any of
         # them prices a read.

@@ -366,8 +366,7 @@ class Player:
                  derivation_cache: "DerivationCache | None" = None,
                  obs: Observability | None = None,
                  slo_policy: SloPolicy | None = None,
-                 plan_check: str = "check",
-                 plan_checker=None):
+                 plan_check: str = "check"):
         """``rate`` is the playback rate: 2 plays double speed (deadlines
         arrive twice as fast, so the storage system must sustain twice
         the data rate); rates in (0, 1) play slow motion. Reverse
@@ -404,9 +403,9 @@ class Player:
         and attaches everything else to the report's
         ``plan_diagnostics``; ``"strict"`` also rejects statically
         infeasible plans (MG008/MG009 at error severity); ``"off"``
-        skips the check. ``plan_checker`` overrides the default
-        :class:`~repro.analysis.graph.GraphChecker` (which prices
-        feasibility from this player's cost model).
+        skips the check. The checker is a
+        :class:`~repro.analysis.graph.GraphChecker` pricing feasibility
+        from this player's cost model.
         """
         self.cost_model = cost_model or CostModel()
         if prefetch_depth < 1:
@@ -432,7 +431,6 @@ class Player:
                 f"got {plan_check!r}"
             )
         self.plan_check = plan_check
-        self.plan_checker = plan_checker
         self._plan_findings: list = []
 
     # -- planning -------------------------------------------------------------
@@ -463,10 +461,7 @@ class Player:
         from repro.analysis.graph import GraphChecker, blocking_diagnostics
         from repro.errors import PlanRejectedError
 
-        checker = self.plan_checker or GraphChecker(
-            cost_model=self.cost_model
-        )
-        report = checker.check_multimedia(multimedia)
+        report = GraphChecker(cost_model=self.cost_model).check_multimedia(multimedia)
         blocking = blocking_diagnostics(report, self.plan_check)
         if self.obs.enabled:
             for diagnostic in report:
@@ -684,7 +679,8 @@ class Player:
         if ledger is not None:
             deadlines = deadlines.at(ledger.frequency)
         frequency = deadlines.frequency
-        price = to_ticks(1 / cost_model.bandwidth, frequency)
+        price = (ledger.price if ledger is not None
+                 else to_ticks(1 / cost_model.bandwidth, frequency))
         seek = to_ticks(cost_model.seek_time, frequency)
         decode_price = (0 if cost_model.decode_rate is None
                         else to_ticks(1 / cost_model.decode_rate, frequency))
@@ -866,8 +862,9 @@ class Player:
             # Lateness is never negative, so the earliest is zero unless
             # every element was late.
             jitter -= min(late_ticks)
-        duration = Rational(max(deadlines.ticks), frequency)
-        required = Rational(total_bytes) / duration if duration > 0 else Rational(0)
+        span = max(deadlines.ticks)
+        duration = Rational(span, frequency)
+        required = Rational(total_bytes * frequency, span) if span > 0 else ZERO
         delivered_quality = quality_sum / adapted_reads if adapted_reads else ONE
         report = PlaybackReport(
             element_count=len(presented),

@@ -740,19 +740,21 @@ class VodServer:
 
         One :class:`~repro.engine.kernel.SessionMachine` per request,
         all on one :class:`~repro.engine.kernel.EventLoop` over the
-        server's clock; each starts with one heap push, its arrival's
-        ticks past the instant the batch starts. When every request
-        arrives at time zero under ``"auto"`` granularity, each machine
-        starts at 0 and runs its whole session in a single event and the
-        heap pops machines in admitted order, so sessions play serially
-        in the order they were admitted. Otherwise
-        machines advance one element per event, genuinely interleaving
-        on the shared clock, with the
+        server's clock, built on one timebase fixed before the first
+        event: the batch's start and the scrape interval are whole ticks
+        of it in both drive modes. Each machine starts with one heap
+        push, its arrival's ticks past the instant the batch starts.
+        When every request arrives at time zero under ``"auto"``
+        granularity, each machine starts at 0 and runs its whole session
+        in a single event and the heap pops machines in admitted order,
+        so sessions play serially in the order they were admitted.
+        Otherwise machines advance one element per event, genuinely
+        interleaving on the shared clock, with the
         :class:`~repro.engine.kernel.BandwidthLedger` re-pricing each
-        read by the sessions concurrently active, on one timebase fixed
-        before the first event: the batch's start, every arrival,
-        deadline and scrape, and every unit any of its players (a
-        fallback's included) prices a read in are whole ticks of it.
+        read by the sessions concurrently active; then every arrival
+        and deadline, and every unit any of the batch's players (a
+        fallback's included) prices a read in, are whole ticks of the
+        timebase too.
 
         With observability disabled and no fault plan, identical
         requests are exact replays of the same pure simulation, so
@@ -781,8 +783,9 @@ class VodServer:
             )
             self.checkpoint_to(opts.checkpoint_to, fs=opts.checkpoint_fs)
 
+        times = [origin, *([self.telemetry.interval] if scraping else [])]
         if opts.granularity == "auto" and all(r.arrival_time == 0 for r in admitted):
-            loop = EventLoop(self._clock)
+            loop = EventLoop(self._clock, lcm(*(t.denominator for t in times)))
             # Whole-session replay memo: sound only when sessions are
             # pure functions of their title (no obs, no shared faults,
             # no per-request policy).
@@ -822,8 +825,7 @@ class VodServer:
                        for r in admitted]
             plans = {r.title: self._plan_reads(p, r.title)
                      for r, p in zip(admitted, players)}
-            times = [origin, *(r.arrival_time for r in admitted)]
-            times += [self.telemetry.interval] if scraping else []
+            times += [r.arrival_time for r in admitted]
             for player in {id(p): p for p in players}.values():
                 times += player.prices(len(admitted))
             frequency = lcm(*(t.denominator for t in times),
@@ -869,7 +871,7 @@ class VodServer:
                     stepper_factory=partial(player.stepper, reads, ledger, context,
                                             deadlines),
                     ledger=ledger, on_start=on_start, on_error=on_error,
-                    on_complete=complete, frequency=frequency,
+                    on_complete=complete,
                 ).start(to_ticks(request.arrival_time, frequency))
         if scraping:
             self.telemetry.attach(loop, self.obs, self._telemetry_source())
@@ -894,8 +896,9 @@ class VodServer:
         lifetime. A no-op without a live telemetry pipeline.
         """
         if self.telemetry is not None and self.obs.enabled:
-            self.telemetry.drain(EventLoop(self._clock), self.obs,
-                                 self._telemetry_source())
+            self.telemetry.drain(
+                EventLoop(self._clock, self.telemetry.interval.denominator),
+                self.obs, self._telemetry_source())
 
     def _serve_one(self, request: SessionRequest, player: Player,
                    opts: ServeOptions, share: int,

@@ -44,6 +44,7 @@ from operator import itemgetter
 from typing import Any, Callable
 
 from repro.core.rational import Rational, as_rational
+from repro.core.time_system import to_ticks
 from repro.errors import ObservabilityError
 from repro.obs.events import Severity
 from repro.obs.metrics import bucket_quantile
@@ -634,11 +635,14 @@ class Telemetry:
     """The clock-driven scraper tying store and alerts to a serve.
 
     :meth:`attach` schedules the first scrape ``interval`` after the
-    loop's current time; each scrape samples the registry, evaluates
-    the alert rules, and re-schedules itself only while the loop still
-    has other work pending — the timer never keeps a finished serve
-    alive. :meth:`drain` cools remaining active alerts after the
-    workload finishes by scheduling further scrapes over an idle loop.
+    loop's current time, in whole ticks of the loop's clock: the loop
+    is built at a frequency on which the interval is whole (a serve
+    batch's timebase covers it). Each scrape samples the registry,
+    evaluates the alert rules, and re-schedules itself only while the
+    loop still has other work pending — the timer never keeps a
+    finished serve alive. :meth:`drain` cools remaining active alerts
+    after the workload finishes by scheduling further scrapes over an
+    idle loop.
 
     One Telemetry may serve a whole fleet: each shard attaches with
     its own ``source`` name and scoped sink, and the shared store
@@ -662,13 +666,15 @@ class Telemetry:
         self._overflow_bodies: dict[str, dict] = {}
 
     def attach(self, loop, obs, source: str) -> None:
-        """Schedule the repeating scrape on ``loop`` for ``obs``."""
-        loop.after(self.interval, self._scrape, loop, obs, source)
+        """Schedule the repeating scrape on ``loop`` for ``obs``, every
+        ``interval`` in whole ticks of the loop's clock."""
+        ticks = to_ticks(self.interval, loop.clock.frequency)
+        loop.after_ticks(ticks, self._scrape, loop, obs, source, ticks)
 
-    def _scrape(self, loop, obs, source: str) -> None:
+    def _scrape(self, loop, obs, source: str, ticks: int) -> None:
         self.sample(obs, source, at=loop.clock.now())
         if loop.pending > 0:
-            loop.after(self.interval, self._scrape, loop, obs, source)
+            loop.after_ticks(ticks, self._scrape, loop, obs, source, ticks)
 
     def sample(self, obs, source: str, at) -> int:
         """Take one sample now: snapshot, overflow check, alert pass."""
@@ -721,8 +727,9 @@ class Telemetry:
         extra scrapes taken.
         """
         taken = 0
+        ticks = to_ticks(self.interval, loop.clock.frequency)
         while taken < _DRAIN_LIMIT and self.alerts.active(source):
-            loop.after(self.interval, self.sample_once, loop, obs, source)
+            loop.after_ticks(ticks, self.sample_once, loop, obs, source)
             loop.run()
             taken += 1
         return taken

@@ -230,7 +230,7 @@ class TestDF003:
 
             def stamp(loop):
                 now = time.monotonic()
-                loop.at(now)
+                loop.after_ticks(now)
             """)
         findings = fired(report, "DF003")
         assert len(findings) == 1

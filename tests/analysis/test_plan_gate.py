@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import GraphChecker
 from repro.blob.blob import MemoryBlob
 from repro.core.composition import MultimediaObject
 from repro.engine.player import CostModel, Player
@@ -90,12 +89,6 @@ class TestPlayerGate:
     def test_invalid_policy_rejected_at_construction(self):
         with pytest.raises(EngineError):
             Player(plan_check="paranoid")
-
-    def test_custom_checker_overrides_default(self):
-        player = Player(CostModel(bandwidth=40_000_000),
-                        plan_checker=GraphChecker(ignore=("MG001",)))
-        report = player.verify_plan(cyclic_movie())
-        assert report.by_rule("MG001") == []
 
 
 class TestVodGate:

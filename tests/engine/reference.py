@@ -2,11 +2,12 @@
 replaced.
 
 The library's :mod:`repro.engine.kernel` keeps time as whole ticks of
-one frequency and rescales when a time arrives off that timebase. This
-is the loop it replaced, kept as the oracle: every heap key is the
-event's exact ``Rational`` time, the clock is a ``Rational``, and a
-session machine schedules the ``Rational`` durations its stepper
-yields. Property tests hold the library to it event for event.
+one frequency, fixed when a loop is built. This is the loop it
+replaced, kept as the oracle: every heap key is the event's exact
+``Rational`` time, the clock is a ``Rational``, and a session machine
+schedules the ``Rational`` durations its stepper yields. Property tests
+hold the library, on a frequency covering every drawn time, to it
+event for event.
 
 :func:`plan_interpretation` is the per-sequence placement loop that
 planned an :class:`~repro.core.interpretation.Interpretation` before the
@@ -87,14 +88,10 @@ class ReferenceLoop:
     def after(self, delay, callback: Callable, *args) -> int:
         return self.at(self.clock.now() + as_rational(delay), callback, *args)
 
-    def run(self, until=None) -> int:
-        limit = None if until is None else as_rational(until)
+    def run(self) -> int:
         fired = 0
         while self._heap:
-            when, _seq, callback, args = self._heap[0]
-            if limit is not None and when > limit:
-                break
-            heapq.heappop(self._heap)
+            when, _seq, callback, args = heapq.heappop(self._heap)
             self.clock.advance_to(when)
             callback(*args)
             fired += 1

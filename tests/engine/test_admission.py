@@ -8,6 +8,7 @@ ints to it request for request.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -175,27 +176,28 @@ def test_warm_fleet_admission_builds_no_rational(monkeypatch):
         fleet.publish(name, rated_title(Rational(10_000 + index, index + 1)))
     requests = clients(range(40), names)
     fleet.admit(requests)
-    # Every Rational is built by the constructor or by the arithmetic
-    # fast paths' _normalized, which the constructor also calls: count
-    # each object once.
+    # Every Rational is built by the constructor, or by arithmetic, which
+    # re-types Fraction's result through _closed and so the constructor
+    # too: count each object once.
     built, inside = Counter(), Counter()
-    new, normalized = Rational.__new__, rational_module._normalized
+    new, closed = Rational.__new__, rational_module._closed
 
     def counted_new(cls, *args, **kwargs):
-        built["constructed"] += 1
-        inside["new"] += 1
-        try:
-            return new(cls, *args, **kwargs)
-        finally:
-            inside["new"] -= 1
+        if not inside["closed"]:
+            built["constructed"] += 1
+        return new(cls, *args, **kwargs)
 
-    def counted_normalized(*args, **kwargs):
-        if not inside["new"]:
+    def counted_closed(value):
+        if isinstance(value, Fraction) and not isinstance(value, Rational):
             built["arithmetic"] += 1
-        return normalized(*args, **kwargs)
+        inside["closed"] += 1
+        try:
+            return closed(value)
+        finally:
+            inside["closed"] -= 1
 
     monkeypatch.setattr(Rational, "__new__", staticmethod(counted_new))
-    monkeypatch.setattr(rational_module, "_normalized", counted_normalized)
+    monkeypatch.setattr(rational_module, "_closed", counted_closed)
     assert Rational(1, 2) + Rational(1, 3) == Rational(5, 6)
     assert built == {"constructed": 3, "arithmetic": 1}
     built.clear()

@@ -1,10 +1,13 @@
 """Unit tests for the discrete-event kernel."""
 
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rational import Rational, as_rational
+from repro.core.rational import Rational
+from repro.core.time_system import to_ticks
 from repro.engine.kernel import (
     DONE,
     FAILED,
@@ -43,9 +46,9 @@ class TestEventLoop:
     def test_fires_in_time_order(self):
         loop = EventLoop()
         fired = []
-        loop.at(3, fired.append, "late")
-        loop.at(1, fired.append, "early")
-        loop.at(2, fired.append, "middle")
+        loop.after_ticks(3, fired.append, "late")
+        loop.after_ticks(1, fired.append, "early")
+        loop.after_ticks(2, fired.append, "middle")
         assert loop.run() == 3
         assert fired == ["early", "middle", "late"]
 
@@ -53,7 +56,7 @@ class TestEventLoop:
         loop = EventLoop()
         fired = []
         for tag in ("a", "b", "c", "d"):
-            loop.at(1, fired.append, tag)
+            loop.after_ticks(1, fired.append, tag)
         loop.run()
         assert fired == ["a", "b", "c", "d"]
 
@@ -64,39 +67,27 @@ class TestEventLoop:
         def chain(n):
             fired.append(n)
             if n < 3:
-                loop.after(1, chain, n + 1)
+                loop.after_ticks(1, chain, n + 1)
 
-        loop.at(0, chain, 0)
+        loop.after_ticks(0, chain, 0)
         loop.run()
         assert fired == [0, 1, 2, 3]
         assert loop.clock.now() == Rational(3)
 
     def test_cannot_schedule_into_the_past(self):
         loop = EventLoop()
-        loop.at(2, lambda: None)
+        loop.after_ticks(2, lambda: None)
         loop.run()
         with pytest.raises(EngineError, match="past"):
-            loop.at(1, lambda: None)
-
-    def test_run_until_leaves_later_events_pending(self):
-        loop = EventLoop()
-        fired = []
-        loop.at(1, fired.append, "in")
-        loop.at(2, fired.append, "boundary")
-        loop.at(3, fired.append, "out")
-        assert loop.run(until=2) == 2
-        assert fired == ["in", "boundary"]
-        assert loop.pending == 1
-        loop.run()
-        assert fired == ["in", "boundary", "out"]
+            loop.after_ticks(1 - loop.clock.ticks, lambda: None)
 
     def test_times_sharing_a_float_fire_in_exact_order(self):
-        loop = EventLoop()
+        loop = EventLoop(frequency=2**53)
         fired = []
         above_one = Rational(2**53 + 1, 2**53)
         assert float(above_one) == float(Rational(1))
-        loop.at(above_one, fired.append, "later")
-        loop.at(1, fired.append, "earlier")
+        loop.after_ticks(2**53 + 1, fired.append, "later")
+        loop.after_ticks(2**53, fired.append, "earlier")
         loop.run()
         assert fired == ["earlier", "later"]
         assert loop.clock.now() == above_one
@@ -107,8 +98,8 @@ class TestEventLoop:
         def die():
             raise SimulatedCrash("armed")
 
-        loop.at(1, die)
-        loop.at(2, lambda: None)
+        loop.after_ticks(1, die)
+        loop.after_ticks(2, lambda: None)
         with pytest.raises(SimulatedCrash):
             loop.run()
         # The survivor event is the work the dead process lost.
@@ -116,8 +107,8 @@ class TestEventLoop:
 
     def test_stats_are_deterministic_counters(self):
         loop = EventLoop()
-        loop.at(1, lambda: None)
-        loop.at(1, lambda: None)
+        loop.after_ticks(1, lambda: None)
+        loop.after_ticks(1, lambda: None)
         loop.run()
         stats = loop.stats()
         assert stats["events_processed"] == 2
@@ -136,34 +127,51 @@ instants = st.builds(
 
 
 class Ticks:
-    """The library kernel: int ticks, rescaled onto each new time."""
+    """The library kernel: int ticks of one frequency, fixed when the
+    loop is built."""
 
-    loop = EventLoop
+    loop = staticmethod(lambda frequency: EventLoop(frequency=frequency))
 
     @staticmethod
-    def machine(key, loop, factory, frequency, on_complete):
+    def at(loop, when, callback, *args):
+        ticks = to_ticks(when, loop.clock.frequency) - loop.clock.ticks
+        loop.after_ticks(ticks, callback, *args)
+
+    @staticmethod
+    def after(loop, delay, callback, *args):
+        loop.after_ticks(to_ticks(delay, loop.clock.frequency), callback, *args)
+
+    @staticmethod
+    def machine(key, loop, factory, on_complete):
         return SessionMachine(key, loop, stepper_factory=factory,
-                              frequency=frequency, on_complete=on_complete)
+                              on_complete=on_complete)
 
     @staticmethod
     def start(machine, when):
-        """A machine starts in ticks of the loop's clock: align the loop
-        to ``when`` as :meth:`EventLoop.at` does, then count on."""
-        when, loop = as_rational(when), machine.loop
-        machine.start(when.numerator * loop.align(when.denominator) - loop.clock.ticks)
+        loop = machine.loop
+        machine.start(to_ticks(when, loop.clock.frequency) - loop.clock.ticks)
 
     @staticmethod
-    def step(ticks, frequency):
-        return ticks
+    def step(loop, ticks, frequency):
+        """``ticks`` of ``frequency`` in ticks of the loop's clock."""
+        return ticks * (loop.clock.frequency // frequency)
 
 
 class Exact:
     """The exact-``Rational`` kernel it replaced (``reference.py``)."""
 
-    loop = ReferenceLoop
+    loop = staticmethod(lambda frequency: ReferenceLoop())
 
     @staticmethod
-    def machine(key, loop, factory, frequency, on_complete):
+    def at(loop, when, callback, *args):
+        loop.at(when, callback, *args)
+
+    @staticmethod
+    def after(loop, delay, callback, *args):
+        loop.after(delay, callback, *args)
+
+    @staticmethod
+    def machine(key, loop, factory, on_complete):
         return ReferenceMachine(key, loop, stepper_factory=factory,
                                 on_complete=on_complete)
 
@@ -172,7 +180,7 @@ class Exact:
         machine.start(when)
 
     @staticmethod
-    def step(ticks, frequency):
+    def step(loop, ticks, frequency):
         return Rational(ticks, frequency)
 
 
@@ -180,7 +188,22 @@ class Exact:
 CRASH_STEP = -1
 
 
-def drive(kernel, schedule, cuts):
+def timebase(schedule) -> int:
+    """The least frequency on which every drawn time and every machine's
+    ticks are whole, fixed before the first event as a serve batch
+    fixes its own."""
+    denominators = []
+    for kind, *args in schedule:
+        if kind == "spawn":
+            denominators += [args[0].denominator, args[1].denominator]
+        elif kind == "machine":
+            denominators += [args[0].denominator, args[1]]
+        else:
+            denominators.append(args[0].denominator)
+    return lcm(*denominators)
+
+
+def drive(kernel, schedule):
     """Run ``schedule`` on a fresh loop of ``kernel`` and log what it did.
 
     ``schedule`` holds ``("at", when, label)``, ``("after", delay,
@@ -189,12 +212,11 @@ def drive(kernel, schedule, cuts):
     ``("crash", when, label)`` and ``("machine", when, frequency,
     steps, label)`` (a session stepping ``steps`` ticks of
     ``frequency``; a ``CRASH_STEP`` raises :class:`SimulatedCrash`).
-    The loop runs to each of ``cuts`` and then to the end, and resumes
-    after every crash. The log holds each callback and step with the
-    clock at it, each run's count, each crash and the stats after each
-    run.
+    The loop runs at :func:`timebase`'s frequency to the end, and
+    resumes after every crash. The log holds each callback and step
+    with the clock at it, the run's count, each crash and the stats.
     """
-    loop = kernel.loop()
+    loop = kernel.loop(timebase(schedule))
     log = []
 
     def fire(label):
@@ -202,7 +224,7 @@ def drive(kernel, schedule, cuts):
 
     def spawn(label, delay):
         fire(label)
-        loop.after(delay, fire, label + "'")
+        kernel.after(loop, delay, fire, label + "'")
 
     def crash(label):
         fire(label)
@@ -214,7 +236,7 @@ def drive(kernel, schedule, cuts):
                 log.append((label, "step", loop.clock.now()))
                 if ticks == CRASH_STEP:
                     raise SimulatedCrash(label)
-                yield kernel.step(ticks, frequency)
+                yield kernel.step(loop, ticks, frequency)
             return label
         return gen
 
@@ -224,49 +246,46 @@ def drive(kernel, schedule, cuts):
     for kind, *args in schedule:
         label = args[-1]
         if kind == "at":
-            loop.at(args[0], fire, label)
+            kernel.at(loop, args[0], fire, label)
         elif kind == "after":
-            loop.after(args[0], fire, label)
+            kernel.after(loop, args[0], fire, label)
         elif kind == "spawn":
-            loop.at(args[0], spawn, label, args[1])
+            kernel.at(loop, args[0], spawn, label, args[1])
         elif kind == "crash":
-            loop.at(args[0], crash, label)
+            kernel.at(loop, args[0], crash, label)
         else:
             when, frequency, durations = args[:3]
             kernel.start(kernel.machine(label, loop, steps(label, frequency, durations),
-                                        frequency, complete), when)
-    for cut in [*cuts, None]:
-        while True:
-            try:
-                log.append(("ran", loop.run(until=cut)))
-                break
-            except SimulatedCrash as crashed:
-                log.append(("crashed", str(crashed)))
-        log.append(("stats", loop.stats()))
+                                        complete), when)
+    while True:
+        try:
+            log.append(("ran", loop.run()))
+            break
+        except SimulatedCrash as crashed:
+            log.append(("crashed", str(crashed)))
+    log.append(("stats", loop.stats()))
     return log
 
 
 @settings(max_examples=200)
-@given(times=st.lists(instants, min_size=1, max_size=30), cut=instants)
-def test_pop_order_is_exact_time_then_insertion(times, cut):
-    loop = EventLoop()
+@given(times=st.lists(instants, min_size=1, max_size=30))
+def test_pop_order_is_exact_time_then_insertion(times):
+    frequency = lcm(*(when.denominator for when in times))
+    loop = EventLoop(frequency=frequency)
     fired = []
     # Labels count down, so a heap that lost the insertion counter would
     # break same-instant ties by label, the wrong way round.
     labels = [len(times) - i for i in range(len(times))]
     for when, label in zip(times, labels):
-        loop.at(when, fired.append, label)
+        loop.after_ticks(to_ticks(when, frequency), fired.append, label)
     order = sorted(range(len(times)), key=lambda i: (times[i], i))
     expected = [labels[i] for i in order]
-    early = sum(1 for when in times if when <= cut)
-    assert loop.run(until=cut) == early
-    assert fired == expected[:early]
-    assert loop.pending == len(times) - early
-    loop.run()
+    assert loop.run() == len(times)
     assert fired == expected
+    assert loop.pending == 0
     assert loop.clock.now() == max(times)
     schedule = [("at", when, label) for when, label in zip(times, labels)]
-    assert drive(Ticks, schedule, [cut]) == drive(Exact, schedule, [cut])
+    assert drive(Ticks, schedule) == drive(Exact, schedule)
 
 
 denominators = st.sampled_from([1, 2, 3, 4, 7, 12, 1000, 1001, 30000, 2**55])
@@ -287,16 +306,15 @@ operations = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(drawn=st.lists(operations, min_size=1, max_size=20),
-       cuts=st.lists(moments, max_size=3))
-def test_ticks_keep_the_rational_kernels_order_and_clock(drawn, cuts):
-    """Mixed denominators, times that arrive mid-run (so the loop
-    rescales while machines are stepping), ``run(until=...)`` cuts and
-    crashes: the tick kernel fires the same callbacks in the same order
-    as the exact-``Rational`` reference, with the same ``clock.now()``
-    at each, and ends each run with the same stats."""
+@given(drawn=st.lists(operations, min_size=1, max_size=20))
+def test_ticks_keep_the_rational_kernels_order_and_clock(drawn):
+    """Mixed denominators, times that arrive mid-run, machines stepping
+    at mixed frequencies and crashes, on one timebase fixed before the
+    first event: the tick kernel fires the same callbacks in the same
+    order as the exact-``Rational`` reference, with the same
+    ``clock.now()`` at each, and ends with the same stats."""
     schedule = [(*op, f"e{i}") for i, op in enumerate(drawn)]
-    assert drive(Ticks, schedule, cuts) == drive(Exact, schedule, cuts)
+    assert drive(Ticks, schedule) == drive(Exact, schedule)
 
 
 class TestBandwidthLedger:
@@ -346,8 +364,8 @@ class TestBandwidthLedger:
 
 
 def counting_stepper(durations, result="report"):
-    """A stepper yielding ``durations`` as int ticks of its machine's
-    frequency and returning ``result``."""
+    """A stepper yielding ``durations`` as int ticks of the loop's clock
+    and returning ``result``."""
     def factory():
         def gen():
             yield from durations
@@ -398,17 +416,6 @@ class TestSessionMachine:
         # begin + first-advance + one event per element.
         assert loop.events_processed == 5
 
-    def test_stepper_ticks_count_at_the_machines_frequency(self):
-        loop = EventLoop(frequency=3)
-        machine = SessionMachine(
-            "s", loop, stepper_factory=counting_stepper([1, 2, 3]),
-            frequency=4,
-        )
-        machine.start(1)
-        loop.run()
-        assert machine.finished_at == Rational(1, 3) + Rational(6, 4)
-        assert loop.clock.frequency == 12
-
     def test_stepper_must_yield_int_ticks(self):
         loop = EventLoop()
         SessionMachine(
@@ -423,7 +430,7 @@ class TestSessionMachine:
         SessionMachine(
             "s", loop, stepper_factory=counting_stepper([2, bad]),
         ).start(0)
-        loop.at(5, lambda: None)
+        loop.after_ticks(5, lambda: None)
         with pytest.raises(EngineError, match="not an int or past"):
             loop.run()
         # begin, first step: the failed step fired no event and its
@@ -444,7 +451,7 @@ class TestSessionMachine:
 
         machine = SessionMachine("s", loop, stepper_factory=dying)
         machine.start(0)
-        loop.at(3, lambda: None)
+        loop.after_ticks(3, lambda: None)
         with pytest.raises(SimulatedCrash):
             loop.run()
         assert loop.pending == 1

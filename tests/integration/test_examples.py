@@ -6,6 +6,7 @@ imported as a module and its ``main()`` executed with output captured.
 
 import importlib.util
 import os
+import re
 import sys
 
 import pytest
@@ -70,3 +71,22 @@ def test_observability_tour_reports_health_and_trace(capsys):
     assert "pipeline stage profile" in output
     assert "trace_event JSON" in output
     assert "reproduces trace and event log: True" in output
+
+
+def readme_python_blocks():
+    path = os.path.join(os.path.dirname(__file__), "..", "..", "README.md")
+    with open(path, encoding="utf-8") as readme:
+        return re.findall(r"```python\n(.*?)```", readme.read(), re.S)
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    """README's quickstart, fleet, telemetry and facade blocks run as
+    written, in order, sharing the quickstart's ``interpretation``. The
+    query block names catalog objects it never builds, so it stays out."""
+    blocks = readme_python_blocks()
+    assert len(blocks) == 5
+    namespace: dict = {}
+    for number in (1, 2, 3, 5):
+        exec(compile(blocks[number - 1], f"README.md python block {number}",
+                     "exec"), namespace)
+    assert "alert timeline" in capsys.readouterr().out

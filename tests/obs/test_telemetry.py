@@ -330,15 +330,15 @@ class TestScraperKernel:
     def test_scraper_samples_on_interval_and_stops_with_loop(self):
         obs = Observability()
         obs.metrics.counter("work.items")
-        loop = EventLoop()
+        loop = EventLoop(frequency=4)
 
         def work(step):
             obs.metrics.counter("work.items").inc()
             if step < 8:
-                loop.after(Rational(1, 4), work, step + 1)
+                loop.after_ticks(1, work, step + 1)
 
         telemetry = Telemetry(interval=Rational(1, 2), rules=())
-        loop.after(Rational(0), work, 0)
+        loop.after_ticks(0, work, 0)
         telemetry.attach(loop, obs, "job")
         loop.run()
         # work spans [0, 2]; scrapes land at 1/2, 1, 3/2, 2 and one
