@@ -45,9 +45,11 @@ class BenchReport:
 
         Lands in ``results/BENCH_<experiment_id>.json``; name metrics
         containing ``per_second``/``throughput`` gate the
-        ``--bench-compare`` regression check.
+        ``--bench-compare`` regression check. A string (a commit, say)
+        is kept as it is and never gates.
         """
-        _collected_json.setdefault(experiment_id, {})[name] = float(value)
+        _collected_json.setdefault(experiment_id, {})[name] = (
+            value if isinstance(value, str) else float(value))
 
 
 @pytest.fixture

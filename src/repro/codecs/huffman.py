@@ -12,8 +12,6 @@ header stays one byte per symbol.
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -31,83 +29,82 @@ def code_lengths(data: bytes) -> list[int]:
     Symbols absent from ``data`` get length 0. A single-symbol input gets
     length 1 (a zero-length code cannot be emitted).
     """
-    counts = Counter(data)
-    if not counts:
-        return [0] * 256
-    if len(counts) == 1:
-        lengths = [0] * 256
-        lengths[next(iter(counts))] = 1
+    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+    symbols = np.flatnonzero(counts)
+    lengths = [0] * 256
+    if len(symbols) < 2:
+        for symbol in symbols.tolist():
+            lengths[symbol] = 1
         return lengths
-
-    frequencies = dict(counts)
+    frequencies = counts[symbols]
     while True:
-        lengths = _huffman_lengths(frequencies)
-        if max(lengths.values()) <= MAX_CODE_LENGTH:
+        depths = _huffman_lengths(frequencies)
+        if max(depths) <= MAX_CODE_LENGTH:
             break
         # Flatten the distribution and retry; guaranteed to terminate
         # because in the limit all frequencies are equal (length <= 8).
-        frequencies = {
-            s: max(1, f // 2) for s, f in frequencies.items()
-        }
-        if all(f == 1 for f in frequencies.values()):
-            lengths = _huffman_lengths(frequencies)
-            break
-
-    result = [0] * 256
-    for symbol, length in lengths.items():
-        result[symbol] = length
-    return result
+        frequencies = np.maximum(frequencies >> 1, 1)
+    for symbol, length in zip(symbols.tolist(), depths):
+        lengths[symbol] = length
+    return lengths
 
 
-def _huffman_lengths(frequencies: dict[int, int]) -> dict[int, int]:
-    """Standard Huffman tree construction returning code lengths.
+def _huffman_lengths(frequencies: np.ndarray) -> list[int]:
+    """Huffman code lengths of leaves given in ascending symbol order.
 
-    A leaf's id is its symbol and a merged node's is 256 plus its merge
-    number; equal frequencies pop the smaller id first.
+    The leaves sorted by (frequency, symbol) and the merged nodes in the
+    order they are made form two queues, each sorted by frequency: a
+    merge sums two nodes no smaller than the previous merge's two. Taking
+    the leaf on a tie pops nodes in the (frequency, id) order of a heap
+    in which a leaf's id is its symbol and a merged node's is 256 plus
+    its merge number.
     """
-    heap = [(freq, symbol) for symbol, freq in frequencies.items()]
-    heapq.heapify(heap)
-    merges: list[tuple[int, int]] = []
-    while len(heap) > 1:
-        fa, a = heapq.heappop(heap)
-        fb, b = heapq.heappop(heap)
-        heapq.heappush(heap, (fa + fb, 256 + len(merges)))
-        merges.append((a, b))
-    # From the root (the last merge) down, each child is one level deeper.
-    depths: dict[int, int] = {}
-    for node in range(len(merges) - 1, -1, -1):
-        depth = depths.get(256 + node, 0) + 1
-        for child in merges[node]:
-            depths[child] = depth
-    return {node: depth for node, depth in depths.items() if node < 256}
-
-
-def canonical_codes(lengths: list[int]) -> dict[int, tuple[int, int]]:
-    """Canonical ``symbol -> (code, length)`` assignment from lengths.
-
-    Codes are assigned in (length, symbol) order, the canonical rule that
-    lets the decoder reconstruct the table from lengths alone.
-    """
-    ordered = sorted(
-        (length, symbol) for symbol, length in enumerate(lengths) if length
-    )
-    codes: dict[int, tuple[int, int]] = {}
-    code = 0
-    previous_length = 0
-    for length, symbol in ordered:
-        code <<= (length - previous_length)
-        codes[symbol] = (code, length)
-        code += 1
-        previous_length = length
-    return codes
+    order = np.argsort(frequencies, kind="stable")
+    leaves = frequencies[order].tolist()
+    count = len(leaves)
+    # Node ids: the leaves 0..count-1 in queue order, then the merges.
+    # A sentinel larger than any sum ends each queue.
+    sentinel = sum(leaves) + 1
+    leaves.append(sentinel)
+    sums = [sentinel] * count
+    parent = [0] * (2 * count - 1)
+    leaf = merged = 0
+    for node in range(count, 2 * count - 1):
+        if leaves[leaf] <= sums[merged]:
+            first = leaves[leaf]
+            parent[leaf] = node
+            leaf += 1
+        else:
+            first = sums[merged]
+            parent[count + merged] = node
+            merged += 1
+        if leaves[leaf] <= sums[merged]:
+            second = leaves[leaf]
+            parent[leaf] = node
+            leaf += 1
+        else:
+            second = sums[merged]
+            parent[count + merged] = node
+            merged += 1
+        sums[node - count] = first + second
+    # A parent's id exceeds its children's, so from the root down each
+    # node's depth is its parent's plus one.
+    depth = [0] * (2 * count - 1)
+    for node in range(2 * count - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths = [0] * count
+    for position, symbol in enumerate(order.tolist()):
+        lengths[symbol] = depth[position]
+    return lengths
 
 
 class HuffmanCodec:
     """Encode/decode byte strings with a canonical Huffman code.
 
-    Each side builds its own table on first use: the encoder a bit
-    string per symbol, the decoder a table over every ``width``-bit
-    window, ``width`` being the longest code length.
+    Both sides read the canonical order of the codes as arrays, built on
+    first use: the encoder a left-aligned code per symbol, the decoder a
+    table over every ``width``-bit window, ``width`` being the longest
+    code length.
     """
 
     def __init__(self, lengths: list[int]):
@@ -127,27 +124,56 @@ class HuffmanCodec:
         return cls(code_lengths(data))
 
     @cached_property
-    def _bit_strings(self) -> list[str | None]:
-        strings: list[str | None] = [None] * 256
-        for symbol, (code, length) in canonical_codes(self.lengths).items():
-            strings[symbol] = format(code, f"0{length}b")
-        return strings
+    def _canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(symbols, lengths, starts)`` of the codes in canonical order.
+
+        Codes are assigned in (length, symbol) order, the rule that lets
+        the decoder rebuild them from lengths alone. A code of length
+        ``l`` owns ``2**(15 - l)`` units of the code space; its start is
+        the units owned before it, and its code the top ``l`` of those
+        15 bits.
+        """
+        lengths = np.array(self.lengths)
+        order = np.argsort(lengths, kind="stable")
+        symbols = order[len(lengths) - np.count_nonzero(lengths):]
+        ordered = lengths[symbols]
+        units = 1 << (MAX_CODE_LENGTH - ordered)
+        return symbols, ordered, np.cumsum(units) - units
+
+    @cached_property
+    def _encoder_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(length_of, aligned_of)``: per symbol, its code length and
+        its code shifted to fill 15 bits (both 0 for an absent one)."""
+        symbols, _, starts = self._canonical
+        aligned_of = np.zeros(256, dtype=np.int64)
+        aligned_of[symbols] = starts
+        return np.array(self.lengths, dtype=np.int64), aligned_of
 
     def encode(self, data: bytes) -> bytes:
         """Encode; the result is framed with the original length.
 
-        The codes are joined as one string of ``0``/``1`` and converted
-        to bytes in one call.
+        A code is at most 15 bits long, so at its bit offset it lies in
+        the 24 bits from the byte it starts in. Codes starting in one
+        byte fill disjoint bits of that window, so one weighted
+        ``bincount`` sums each byte's window, and each output byte joins
+        the top, middle and low bytes of three consecutive windows.
         """
-        strings = self._bit_strings
-        try:
-            bits = "".join(map(strings.__getitem__, data))
-        except TypeError:
-            symbol = next(byte for byte in data if strings[byte] is None)
-            raise CodecError(f"symbol {symbol} not in codebook") from None
-        bits += "0" * (-len(bits) % 8)
-        payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
-        return len(data).to_bytes(4, "big") + payload
+        length_of, aligned_of = self._encoder_tables
+        symbols = np.frombuffer(data, dtype=np.uint8)
+        lengths = length_of[symbols]
+        if not lengths.all():
+            symbol = symbols[np.argmin(lengths)]
+            raise CodecError(f"symbol {symbol} not in codebook")
+        ends = np.cumsum(lengths)
+        size = (int(ends[-1]) + 7) >> 3 if len(ends) else 0
+        starts = ends - lengths
+        words = aligned_of[symbols] << (9 - (starts & 7))
+        windows = np.bincount(starts >> 3, weights=words,
+                              minlength=size).astype(np.int64)
+        payload = windows >> 16
+        payload[1:] |= (windows[:-1] >> 8) & 0xFF
+        payload[2:] |= windows[:-2] & 0xFF
+        return len(data).to_bytes(4, "big") + payload.astype(np.uint8).tobytes()
 
     @cached_property
     def _window_tables(self) -> tuple[int, np.ndarray, np.ndarray]:
@@ -157,14 +183,14 @@ class HuffmanCodec:
         ``2**(width - l)`` windows; windows past the last code start
         none and get length 0.
         """
-        codes = canonical_codes(self.lengths)
+        symbols, lengths, _ = self._canonical
         width = max(self.lengths)
-        lengths = [length for _, length in codes.values()]
-        spans = [1 << (width - length) for length in lengths]
+        spans = 1 << (width - lengths)
+        owned = int(spans.sum())
         length_of = np.zeros(1 << width, dtype=np.intp)
         symbol_of = np.zeros(1 << width, dtype=np.uint8)
-        length_of[:sum(spans)] = np.repeat(lengths, spans)
-        symbol_of[:sum(spans)] = np.repeat(list(codes), spans)
+        length_of[:owned] = np.repeat(lengths, spans)
+        symbol_of[:owned] = np.repeat(symbols, spans)
         return width, length_of, symbol_of
 
     def decode(self, data: bytes) -> bytes:

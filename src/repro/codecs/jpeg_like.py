@@ -65,34 +65,94 @@ def encode_plane_coefficients(quantized: np.ndarray) -> bytes:
     dc = vectors[:, 0].copy()
     vectors[1:, 0] -= dc[:-1]
     # Every DC delta and every nonzero AC level, in stream order; each is
-    # written after the byte that precedes it: an end-of-block byte
-    # before a DC delta (the first one is dropped), a run before a level.
+    # followed by one byte: the next level's run, or an end-of-block byte
+    # before the next block's DC delta and at the end.
     present = vectors != 0
     present[:, 0] = True
     flat = np.flatnonzero(present)
     position = flat & 63
     values = vectors.ravel()[flat]
     values = np.where(values < 0, (-values << 1) - 1, values << 1)
-    prefixes = position - 1
-    prefixes[1:] -= position[:-1]
-    prefixes[position == 0] = _EOB
+    following = np.append(position[1:], 0)
+    suffixes = np.where(following == 0, _EOB, following - position - 1)
 
-    out = bytearray()
-    append = out.append
-    for prefix, value in zip(prefixes.tolist(), values.tolist()):
-        append(prefix)
-        while value > 0x7F:
-            append(value & 0x7F | 0x80)
-            value >>= 7
-        append(value)
-    append(_EOB)
-    return bytes(out[1:])
+    groups = 1
+    if len(values):
+        top = int(values.max())
+        while top >> (7 * groups):
+            groups += 1
+    if groups == 1:
+        # Every varint is one byte. The table below writes the same
+        # bytes, but its mask and gather cost more than this interleave.
+        out = np.empty(2 * len(values), dtype=np.uint8)
+        out[0::2] = values
+        out[1::2] = suffixes
+        return out.tobytes()
+    # One row per value: its 7-bit groups, low first, then its suffix;
+    # a group is written when it or a later one is nonzero, and carries
+    # the continuation bit when a later one is written.
+    digits = values[:, None] >> (7 * np.arange(groups))
+    more = digits[:, 1:] > 0
+    table = np.empty((len(values), groups + 1), dtype=np.int64)
+    table[:, :groups] = digits & 0x7F
+    table[:, :groups - 1] |= more << 7
+    table[:, groups] = suffixes
+    keep = np.ones(table.shape, dtype=bool)
+    keep[:, 1:groups] = more
+    return table[keep].astype(np.uint8).tobytes()
 
 
 def decode_plane_coefficients(data: bytes, block_count: int) -> np.ndarray:
-    """Invert :func:`encode_plane_coefficients`."""
+    """Invert :func:`encode_plane_coefficients`.
+
+    A plane whose values all fit one-byte varints (every DC delta and
+    level within -64..63) is decoded by array operations; any other
+    plane is parsed one varint at a time.
+    """
     if 2 * block_count > len(data):  # a block takes a DC byte and an EOB
         raise CodecError("coefficient stream exhausted mid-block")
+    decoded = _decode_one_byte_values(data, block_count)
+    return _parse_varints(data, block_count) if decoded is None else decoded
+
+
+def _decode_one_byte_values(data: bytes, block_count: int) -> np.ndarray | None:
+    """The plane, when every byte at an even offset is below 0x80.
+
+    Every varint is then one byte: values sit at even offsets and runs
+    and end-of-block bytes at odd ones, and the ``block_count``-th
+    end-of-block byte ends the plane. None when that does not hold, and
+    for a plane the parse rejects (too few blocks, a position past 63,
+    a DC outside int16), so that the parse decides it.
+    """
+    if not block_count or not data[0::2].isascii():
+        return None
+    stream = np.frombuffer(data, dtype=np.uint8)
+    marks = stream[1::2]
+    ends = np.flatnonzero(marks == _EOB)[:block_count]
+    if len(ends) < block_count:
+        return None
+    count = int(ends[-1]) + 1
+    values = stream[0:2 * count:2].astype(np.intp)
+    levels = (values >> 1) ^ -(values & 1)  # unfold the sign
+    firsts = np.empty(block_count, dtype=np.intp)  # each block's DC
+    firsts[0] = 0
+    firsts[1:] = ends[:-1] + 1
+    levels[firsts] = np.cumsum(levels[firsts])
+    # A value's zigzag position: one past each run since its block's DC.
+    steps = marks[:count] + np.intp(1)
+    travelled = np.cumsum(steps) - steps
+    sizes = ends - firsts + 1
+    positions = travelled - np.repeat(travelled[firsts], sizes)
+    if positions.max() > 63 or levels.min() < -32768 or levels.max() > 32767:
+        return None
+    vectors = np.zeros(block_count * 64, dtype=np.int16)
+    bases = np.repeat(np.arange(0, 64 * block_count, 64), sizes)
+    vectors[bases + dct.ZIGZAG[positions]] = levels
+    return vectors.reshape(block_count, 8, 8)
+
+
+def _parse_varints(data: bytes, block_count: int) -> np.ndarray:
+    """Decode ``data`` one varint at a time."""
     vectors = np.zeros(block_count * 64, dtype=np.int16)
     coefficients = memoryview(vectors)
     offset = 0

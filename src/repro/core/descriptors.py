@@ -105,6 +105,9 @@ class MediaDescriptor(_FrozenAttributes):
         Descriptive quality (``"VHS quality"``, ``"CD quality"``).
     ``duration``
         Total duration in rational seconds.
+    ``offset_ticks``
+        Ticks a temporal translation moved every element start by (§4.2);
+        absent for an untranslated object.
     ``frame_rate`` / ``sample_rate``
         Element frequency of the underlying time system.
     ``frame_width`` / ``frame_height`` / ``frame_depth`` / ``color_model``

@@ -26,17 +26,21 @@ from repro.core.rational import as_rational
 
 def _expand_translate(inputs, params):
     source = inputs[0]
-    offset = params["offset_ticks"]
-    translated = stream_ops.translate(source.stream(), offset)
+    translated = stream_ops.translate(source.stream(), params["offset_ticks"])
+    _, descriptor = _describe_translate(inputs, params)
     return StreamMediaObject(
-        source.media_type, source.descriptor, translated,
+        source.media_type, descriptor, translated,
         name=f"{source.name}-translated",
     )
 
 
 def _describe_translate(inputs, params):
+    """The source's type and descriptor, its ``offset_ticks`` advanced by
+    the translation: ``duration`` stays the source's, and a consumer that
+    renders from tick 0 (a synthesis) adds the lead-in from descriptors."""
     source = inputs[0]
-    return source.media_type, source.descriptor
+    offset = source.descriptor.get("offset_ticks", 0) + params["offset_ticks"]
+    return source.media_type, source.descriptor.with_updates(offset_ticks=offset)
 
 
 TEMPORAL_TRANSLATE = derivation_registry.register(Derivation(
@@ -54,29 +58,23 @@ TEMPORAL_TRANSLATE = derivation_registry.register(Derivation(
 
 def _expand_scale(inputs, params):
     source = inputs[0]
-    factor = as_rational(params["factor"])
-    scaled = stream_ops.scale(source.stream(), factor)
-    duration = source.descriptor.get("duration")
-    descriptor = source.descriptor
-    if duration is not None:
-        descriptor = descriptor.with_updates(
-            duration=as_rational(duration) * factor
-        )
+    scaled = stream_ops.scale(source.stream(), as_rational(params["factor"]))
+    _, descriptor = _describe_scale(inputs, params)
     return StreamMediaObject(
         source.media_type, descriptor, scaled, name=f"{source.name}-scaled",
     )
 
 
 def _describe_scale(inputs, params):
+    """The source's type and descriptor, its ``duration`` and
+    ``offset_ticks`` (when present) scaled by the factor."""
     source = inputs[0]
     factor = as_rational(params["factor"])
-    duration = source.descriptor.get("duration")
     descriptor = source.descriptor
-    if duration is not None:
-        descriptor = descriptor.with_updates(
-            duration=as_rational(duration) * factor
-        )
-    return source.media_type, descriptor
+    scaled = {key: as_rational(descriptor[key]) * factor
+              for key in ("duration", "offset_ticks")
+              if descriptor.get(key) is not None}
+    return source.media_type, descriptor.with_updates(**scaled)
 
 
 TEMPORAL_SCALE = derivation_registry.register(Derivation(

@@ -25,7 +25,7 @@ from repro.core.derivation import (
 from repro.core.media_types import MediaKind
 from repro.core.rational import Rational
 from repro.errors import DerivationError
-from repro.media.music import Note, Score
+from repro.media.music import PPQ, Note, Score
 from repro.media.signals import adsr_envelope
 
 #: Instrument presets: relative amplitudes of the first harmonics.
@@ -64,7 +64,7 @@ def synthesize_score(score: Score, sample_rate: int = 44100,
                      instrument: str = "piano") -> np.ndarray:
     """Render a whole score to a mono float signal in [-1, 1]."""
     tempo = tempo_bpm or score.tempo_bpm
-    seconds_per_tick = 60.0 / (tempo * 960)
+    seconds_per_tick = 60.0 / (tempo * PPQ)
     total_seconds = score.span_ticks() * seconds_per_tick
     total = np.zeros(int(round(total_seconds * sample_rate)) + 1)
     for note in score.notes:
@@ -118,11 +118,15 @@ def _describe_midi_synthesis(inputs, params):
     source = inputs[0]
     media_type = media_type_registry.get("block-audio")
     sample_rate = params.get("sample_rate", 44100)
-    tempo = params.get("tempo_bpm")
-    duration = source.descriptor.get("duration", Rational(0))
-    if tempo:
-        source_tempo = source.descriptor.get("tempo_bpm", tempo)
-        duration = duration * Rational(source_tempo) / Rational(tempo)
+    # The span synthesize_score renders, from tick 0 to the last note's
+    # end: the source's duration plus the ticks a translation moved it
+    # by, at the source's tempo, rescaled to the synthesis tempo.
+    source_tempo = source.descriptor.get("tempo_bpm", 120)
+    tempo = params.get("tempo_bpm") or source_tempo
+    lead_in = (Rational(source.descriptor.get("offset_ticks", 0)) * 60
+               / (source_tempo * PPQ))
+    duration = ((source.descriptor.get("duration", Rational(0)) + lead_in)
+                * Rational(source_tempo) / Rational(tempo))
     descriptor = media_type.make_media_descriptor(
         sample_rate=sample_rate,
         sample_size=16,

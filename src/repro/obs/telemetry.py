@@ -257,7 +257,12 @@ class TelemetryStore:
         its whole reading (counters start at zero).
         """
         index = _field_index(field)
-        span = self._window(window, at)
+        return self._delta(metric, self._window(window, at), source, index)
+
+    def _delta(self, metric: str, span: tuple[Rational, Rational] | None,
+               source: str | None, index: int) -> float:
+        """:meth:`delta` of the sampled reading at ``index`` over
+        ``span``, an ``(at, start)`` pair from :meth:`_window`."""
         if span is None:
             return 0.0
         total = 0.0
@@ -441,18 +446,21 @@ class BurnRateRule:
 
     def measured(self, store: TelemetryStore, source: str | None,
                  at, window) -> float:
-        numerator = store.delta(self.numerator, window, at=at, source=source,
-                                field=self.numerator_field)
+        """The measured value over the trailing ``window`` ending at
+        ``at`` (default: the newest scrape)."""
+        return self._measured(store, source, store._window(window, at),
+                              window)
+
+    def _measured(self, store: TelemetryStore, source: str | None,
+                  span: tuple[Rational, Rational] | None, window) -> float:
+        """The measured value over ``span`` (None: an empty store)."""
+        numerator = store._delta(self.numerator, span, source,
+                                 _field_index(self.numerator_field))
         if self.denominator is None:
             return numerator / float(as_rational(window))
-        denominator = store.delta(self.denominator, window, at=at,
-                                  source=source,
-                                  field=self.denominator_field)
+        denominator = store._delta(self.denominator, span, source,
+                                   _field_index(self.denominator_field))
         return numerator / denominator if denominator > 0 else 0.0
-
-    def burn(self, store: TelemetryStore, source: str | None,
-             at, window) -> float:
-        return self.slo.burn(self.measured(store, source, at, window))
 
 
 def default_burn_rate_rules(
@@ -559,6 +567,10 @@ class AlertManager:
             )
         self.rules = tuple(rules)
         self.store = store
+        #: The distinct rule windows (equal windows are one key).
+        self._windows = tuple(dict.fromkeys(
+            window for rule in rules
+            for window in (rule.short_window, rule.long_window)))
         self._alerts: dict[tuple[str, str], Alert] = {}
         self.on_transition: Callable[[Alert, Any], None] | None = None
 
@@ -567,10 +579,17 @@ class AlertManager:
 
         Returns the alerts that changed state this evaluation.
         """
+        # Rules share windows: each window's start is one subtraction.
+        spans = {window: self.store._window(window, at)
+                 for window in self._windows}
         changed = []
         for rule in self.rules:
-            burn_short = rule.burn(self.store, source, at, rule.short_window)
-            burn_long = rule.burn(self.store, source, at, rule.long_window)
+            burn_short = rule.slo.burn(rule._measured(
+                self.store, source, spans[rule.short_window],
+                rule.short_window))
+            burn_long = rule.slo.burn(rule._measured(
+                self.store, source, spans[rule.long_window],
+                rule.long_window))
             hot_short = burn_short >= rule.burn_threshold
             hot_long = burn_long >= rule.burn_threshold
             key = (rule.name, source)

@@ -1,8 +1,11 @@
 """Reference coders: the slow, obviously-correct oracles for the codec kernels.
 
-The library decodes Huffman codes through a window table and writes and
-parses the coefficient varints inline. These are the per-bit decoder and
-the per-call varint coders that it replaced; property tests hold the
+The library builds Huffman code lengths with a two-queue merge, assigns
+canonical codes and packs them with array kernels, decodes through a
+window table, and writes and parses the coefficient varints without a
+call per value. These are what it replaced: the heap-built code
+lengths, the dict of canonical codes, the string-joining and per-bit
+Huffman coders and the per-call varint coders. Property tests hold the
 library to them byte for byte.
 
 Three inverses live here too, because the library only ever writes
@@ -18,10 +21,13 @@ is wrong for Python ints of 2**63 and above (2**63 came back as
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
+
 import numpy as np
 
 from repro.codecs import dct
-from repro.codecs.huffman import canonical_codes
+from repro.codecs.huffman import MAX_CODE_LENGTH
 from repro.codecs.midi import PROGRAM_CHANGE, MidiEvent
 from repro.codecs.varint import write_uvarint
 from repro.errors import CodecError
@@ -104,6 +110,98 @@ def read_svarint(data: bytes, offset: int) -> tuple[int, int]:
     """Read a signed (zigzag-folded) varint."""
     value, offset = read_uvarint(data, offset)
     return unzigzag_int(value), offset
+
+
+def code_lengths(data: bytes) -> list[int]:
+    """Per-symbol code lengths from a heap-built Huffman tree.
+
+    A distribution whose longest code exceeds ``MAX_CODE_LENGTH`` is
+    flattened (every frequency halved, at least 1) and built again.
+    """
+    counts = Counter(data)
+    if not counts:
+        return [0] * 256
+    if len(counts) == 1:
+        lengths = [0] * 256
+        lengths[next(iter(counts))] = 1
+        return lengths
+
+    frequencies = dict(counts)
+    while True:
+        lengths = huffman_lengths(frequencies)
+        if max(lengths.values()) <= MAX_CODE_LENGTH:
+            break
+        # Flatten the distribution and retry; guaranteed to terminate
+        # because in the limit all frequencies are equal (length <= 8).
+        frequencies = {
+            s: max(1, f // 2) for s, f in frequencies.items()
+        }
+        if all(f == 1 for f in frequencies.values()):
+            lengths = huffman_lengths(frequencies)
+            break
+
+    result = [0] * 256
+    for symbol, length in lengths.items():
+        result[symbol] = length
+    return result
+
+
+def huffman_lengths(frequencies: dict[int, int]) -> dict[int, int]:
+    """Standard Huffman tree construction returning code lengths.
+
+    A leaf's id is its symbol and a merged node's is 256 plus its merge
+    number; equal frequencies pop the smaller id first.
+    """
+    heap = [(freq, symbol) for symbol, freq in frequencies.items()]
+    heapq.heapify(heap)
+    merges: list[tuple[int, int]] = []
+    while len(heap) > 1:
+        fa, a = heapq.heappop(heap)
+        fb, b = heapq.heappop(heap)
+        heapq.heappush(heap, (fa + fb, 256 + len(merges)))
+        merges.append((a, b))
+    # From the root (the last merge) down, each child is one level deeper.
+    depths: dict[int, int] = {}
+    for node in range(len(merges) - 1, -1, -1):
+        depth = depths.get(256 + node, 0) + 1
+        for child in merges[node]:
+            depths[child] = depth
+    return {node: depth for node, depth in depths.items() if node < 256}
+
+
+def canonical_codes(lengths: list[int]) -> dict[int, tuple[int, int]]:
+    """Canonical ``symbol -> (code, length)`` assignment from lengths.
+
+    Codes are assigned in (length, symbol) order, the canonical rule that
+    lets the decoder reconstruct the table from lengths alone.
+    """
+    ordered = sorted(
+        (length, symbol) for symbol, length in enumerate(lengths) if length
+    )
+    codes: dict[int, tuple[int, int]] = {}
+    code = 0
+    previous_length = 0
+    for length, symbol in ordered:
+        code <<= (length - previous_length)
+        codes[symbol] = (code, length)
+        code += 1
+        previous_length = length
+    return codes
+
+
+def join_encode(lengths: list[int], data: bytes) -> bytes:
+    """Canonical Huffman encode through one joined ``0``/``1`` string."""
+    strings: list[str | None] = [None] * 256
+    for symbol, (code, length) in canonical_codes(lengths).items():
+        strings[symbol] = format(code, f"0{length}b")
+    try:
+        bits = "".join(map(strings.__getitem__, data))
+    except TypeError:
+        symbol = next(byte for byte in data if strings[byte] is None)
+        raise CodecError(f"symbol {symbol} not in codebook") from None
+    bits += "0" * (-len(bits) % 8)
+    payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    return len(data).to_bytes(4, "big") + payload
 
 
 def huffman_encode(lengths: list[int], data: bytes) -> bytes:

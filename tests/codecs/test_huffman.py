@@ -6,7 +6,6 @@ import pytest
 from repro.codecs.huffman import (
     HuffmanCodec,
     MAX_CODE_LENGTH,
-    canonical_codes,
     code_lengths,
     huffman_compress,
     huffman_decompress,
@@ -48,10 +47,23 @@ class TestCodeLengths:
         assert max(lengths) <= MAX_CODE_LENGTH
 
 
+def written_codes(lengths: list[int]) -> dict[int, tuple[int, int]]:
+    """``symbol -> (code, length)`` as the codec writes each symbol alone."""
+    codec = HuffmanCodec(lengths)
+    codes = {}
+    for symbol, length in enumerate(lengths):
+        if length:
+            payload = codec.encode(bytes([symbol]))[4:]
+            bits = int.from_bytes(payload, "big")
+            codes[symbol] = (bits >> (8 * len(payload) - length), length)
+    return codes
+
+
 class TestCanonicalCodes:
     def test_prefix_free(self):
         lengths = code_lengths(b"abracadabra")
-        codes = canonical_codes(lengths)
+        codes = written_codes(lengths)
+        assert codes == reference.canonical_codes(lengths)
         items = list(codes.values())
         for i, (code_a, length_a) in enumerate(items):
             for code_b, length_b in items[i + 1:]:
@@ -67,7 +79,7 @@ class TestCanonicalCodes:
         lengths[ord("a")] = 2
         lengths[ord("b")] = 1
         lengths[ord("c")] = 2
-        codes = canonical_codes(lengths)
+        codes = written_codes(lengths)
         assert codes[ord("b")] == (0, 1)
         assert codes[ord("a")] == (0b10, 2)
         assert codes[ord("c")] == (0b11, 2)

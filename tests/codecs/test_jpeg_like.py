@@ -65,6 +65,15 @@ class TestCoefficientErrors:
             decode_plane_coefficients(stream, 1)
         assert decode_plane_coefficients(stream[:3] + b"\xff", 1)[0, 7, 7] == 1
 
+    def test_dc_running_past_int16_rejected(self):
+        # One-byte DC deltas of +63 (folded 126): 520 blocks reach 32,760,
+        # the 521st 32,823.
+        stream = bytes([126, 255]) * 521
+        with pytest.raises(CodecError,
+                           match="coefficient outside the int16 range"):
+            decode_plane_coefficients(stream, 521)
+        assert decode_plane_coefficients(stream, 520)[-1, 0, 0] == 32_760
+
     def test_varint_longer_than_ten_bytes(self):
         with pytest.raises(CodecError, match="varint too long"):
             decode_plane_coefficients(b"\x80" * 10 + b"\x01\xff", 1)

@@ -3,9 +3,10 @@
 Def. 2 makes a time an integer index at a frequency. Planning a
 recorded title, stepping a clean session under a ledger and scraping an
 idle loop each stay on ints until a time leaves the engine, so each
-does no ``Rational`` arithmetic at all: the counts below are 0, and any
+does no ``Rational`` arithmetic at all: those counts are 0, and any
 operator call that comes back is a regression the fast paths no longer
-hide.
+hide. A burn-rate alert evaluation, which turns each rule window into a
+time span, does one subtraction per distinct window.
 """
 
 from collections import Counter
@@ -17,7 +18,12 @@ from repro.core.rational import Rational
 from repro.engine.kernel import BandwidthLedger, EventLoop
 from repro.engine.player import CostModel, Player
 from repro.obs import Observability
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import (
+    AlertManager,
+    Telemetry,
+    TelemetryStore,
+    default_burn_rate_rules,
+)
 from tests.engine.test_planner import record
 
 #: Every arithmetic operator ``Rational`` has, its own or ``Fraction``'s.
@@ -98,3 +104,21 @@ def test_idle_scrapes_do_no_arithmetic(arithmetic):
     assert telemetry.store.scrape_count == 4
     assert sum(arithmetic.values()) == 0, arithmetic
 
+
+def test_an_alert_evaluation_subtracts_once_per_rule_window(arithmetic):
+    """The stock rules read four windowed deltas over two windows, 1 s
+    and 4 s: one evaluation computes each window's start once."""
+    obs = Observability()
+    store = TelemetryStore()
+    for second in range(1, 6):
+        obs.metrics.counter("engine.play.elements").inc(10)
+        obs.metrics.counter("engine.play.underruns").inc()
+        obs.metrics.histogram("engine.play.lateness_seconds").observe(0.5)
+        store.record_scrape("srv", Rational(second), obs.metrics.snapshot())
+    alerts = AlertManager(default_burn_rate_rules(), store)
+    assert {rule.short_window for rule in alerts.rules} == {Rational(1)}
+    assert {rule.long_window for rule in alerts.rules} == {Rational(4)}
+    arithmetic.clear()
+    changed = alerts.evaluate("srv", Rational(5))
+    assert [alert.state for alert in changed] == ["pending", "pending"]
+    assert arithmetic == {"__sub__": 2}, arithmetic

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.derivation import derivation_registry
 from repro.core.media_types import MediaKind
+from repro.core.rational import Rational
 from repro.errors import DerivationError
 from repro.media.animation import Sprite, AnimationScene, demo_scene
 from repro.edit.editor import MediaEditor
@@ -16,6 +17,7 @@ from repro.media.synthesizer import (
     synthesize_note,
     synthesize_score,
 )
+from repro.obs import Observability
 from tests.media.sources import midi_object
 
 
@@ -131,6 +133,38 @@ class TestTimingDerivedMusic:
         assert len(moved) == len(original) + 4_000
         assert np.abs(moved[:4_000]).max() == 0
         assert np.array_equal(moved[4_000:], original)
+
+    @pytest.mark.parametrize("build", [score_object, midi_object],
+                             ids=["score", "midi"])
+    def test_translated_music_declares_the_span_it_renders(self, build):
+        """The score spans 5/2 s; translated by a quarter note it renders
+        3 s (its stream ends one sample later, at 132,301 / 44,100 s), so
+        its synthesis declares 3 s, not the source's 5/2 s."""
+        editor = MediaEditor()
+        original = editor.synthesize(build(demo_score(), "tune"))
+        assert original.descriptor.get("duration") == Rational(5, 2)
+        moved = editor.synthesize(editor.translate(
+            build(demo_score(), "tune"), PPQ))
+        assert moved.descriptor.get("duration") == Rational(3)
+        stream = moved.expand().stream()
+        end = stream.tuples[-1].start + stream.tuples[-1].duration
+        assert stream.time_system.to_continuous(end) == Rational(132_301, 44_100)
+
+    def test_declaring_the_span_expands_nothing(self):
+        """The synthesis reads its span from descriptors (§4.2): over a
+        score translated by a quarter note, then scaled by 2, it declares
+        6 s (4,800 ticks plus the 960-tick lead-in, doubled, at 1,920
+        ticks a second) without expanding either timing derivation."""
+        obs = Observability()
+        editor = MediaEditor()
+        moved = editor.translate(score_object(demo_score(), "tune"), PPQ)
+        slowed = editor.scale(moved, 2)
+        for derived in (moved, slowed):
+            derived.instrument(obs)
+        audio = editor.synthesize(slowed, sample_rate=8000)
+        assert obs.metrics.counter("core.derivation.expansions").total() == 0
+        assert audio.descriptor.get("duration") == Rational(6)
+        assert len(self.samples(slowed)) == 6 * 8000 + 1
 
     def test_scaled_music_keeps_its_tempo(self):
         """A 90-bpm MIDI object scaled by 1 sounds as the object itself:

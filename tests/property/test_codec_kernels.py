@@ -1,10 +1,11 @@
 """The codec kernels against their slow oracles in ``tests/codecs/reference.py``.
 
-The table-driven Huffman decoder, the string-joining Huffman encoder and
-the inline-varint coefficient coders must produce the same bytes and the
-same arrays as the per-bit decoder and the per-call varint coders they
-replaced — and on truncated or mutated input, raise :class:`CodecError`
-exactly when the oracle does.
+The two-queue code lengths, the array Huffman encoder, the table-driven
+Huffman decoder and the coefficient coders must produce the same
+lengths, bytes and arrays as the heap, the string-joining and per-bit
+Huffman coders and the per-call varint coders they replaced — and on
+truncated or mutated input, raise :class:`CodecError` exactly when the
+oracle does.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from repro.codecs.huffman import (
     MAX_CODE_LENGTH,
     HuffmanCodec,
+    code_lengths,
     huffman_compress,
     huffman_decompress,
 )
@@ -27,10 +29,10 @@ from tests.codecs import reference
 
 
 @st.composite
-def skewed_bytes(draw):
+def skewed_bytes(draw, min_size=2, max_size=20):
     """Fibonacci-weighted symbols: codes up to (and capped at) 15 bits."""
-    symbols = draw(st.lists(st.integers(0, 255), min_size=2, max_size=20,
-                            unique=True))
+    symbols = draw(st.lists(st.integers(0, 255), min_size=min_size,
+                            max_size=max_size, unique=True))
     weights = [1, 1]
     while len(weights) < len(symbols):
         weights.append(weights[-1] + weights[-2])
@@ -56,12 +58,19 @@ coefficient = st.one_of(
 
 
 @st.composite
-def block_stacks(draw):
+def block_stacks(draw, elements=coefficient):
     """Up to six int16 blocks, some of them all zero."""
     count = draw(st.integers(0, 6))
-    blocks = draw(arrays(np.int16, (count, 8, 8), elements=coefficient))
+    blocks = draw(arrays(np.int16, (count, 8, 8), elements=elements))
     blocks[draw(arrays(np.bool_, count))] = 0
     return blocks
+
+
+#: Block stacks for both coefficient decoders: coefficients within
+#: -32..31 keep every level and DC delta a one-byte varint, which the
+#: arrays decode; the others go to the varint parse.
+stacks = st.one_of(block_stacks(),
+                   block_stacks(st.one_of(st.just(0), st.integers(-32, 31))))
 
 
 def outcome(decode, *args):
@@ -88,6 +97,13 @@ def damaged(draw, data: bytes) -> bytes:
 
 
 class TestHuffmanKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(payloads, skewed_bytes(min_size=17, max_size=24)))
+    def test_code_lengths_match_the_heap_oracle(self, data):
+        """17 or more Fibonacci weights want codes past 15 bits, so the
+        distribution is flattened, and every halving makes new ties."""
+        assert code_lengths(data) == reference.code_lengths(data)
+
     @settings(max_examples=150, deadline=None)
     @given(payloads)
     def test_matches_the_bitwise_oracle(self, data):
@@ -95,6 +111,7 @@ class TestHuffmanKernels:
         assert max(codec.lengths) <= MAX_CODE_LENGTH
         encoded = codec.encode(data)
         assert encoded == reference.huffman_encode(codec.lengths, data)
+        assert encoded == reference.join_encode(codec.lengths, data)
         rebuilt = HuffmanCodec.from_header(codec.header())
         assert rebuilt.decode(encoded) == data
         assert reference.huffman_decode(codec.lengths, encoded) == data
@@ -112,7 +129,7 @@ class TestHuffmanKernels:
 
 class TestCoefficientKernels:
     @settings(max_examples=150, deadline=None)
-    @given(block_stacks())
+    @given(stacks)
     def test_matches_the_varint_oracle(self, quantized):
         encoded = encode_plane_coefficients(quantized)
         assert encoded == reference.encode_plane_coefficients(quantized)
@@ -123,7 +140,7 @@ class TestCoefficientKernels:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_damaged_streams_fail_like_the_oracle(self, draw):
-        quantized = draw.draw(block_stacks())
+        quantized = draw.draw(stacks)
         stream = draw.draw(damaged(encode_plane_coefficients(quantized)))
         blocks = max(len(quantized) + draw.draw(st.integers(-1, 1)), 0)
         assert (outcome(decode_plane_coefficients, stream, blocks)

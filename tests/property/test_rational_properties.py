@@ -1,9 +1,11 @@
 """Property tests: :class:`Rational` against :class:`fractions.Fraction`.
 
-``Rational`` computes with ``int``, ``Fraction`` and ``Rational``
-operands itself and hands every other operand to ``Fraction``. Either
-way, each overridden operator, with ``Rational`` on either side, must
-give what ``Fraction`` gives for the same values:
+``Rational``'s arithmetic is ``Fraction``'s, with a ``Fraction`` result
+re-typed as ``Rational``; only its constructor and its comparisons
+handle ``int``, ``Fraction`` and ``Rational`` operands themselves and
+hand every other operand to ``Fraction``. Either way, each overridden
+operator, with ``Rational`` on either side, must give what ``Fraction``
+gives for the same values:
 
 * the same value, or the same exception type;
 * a ``Rational`` wherever ``Fraction`` gives a ``Fraction``, and
